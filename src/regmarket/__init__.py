@@ -8,6 +8,7 @@ market mechanisms with their audit suite.
 """
 
 from .allocation import (
+    AllocationSeries,
     AllocationVector,
     instant_allocation,
     loo_allocation,
@@ -16,6 +17,7 @@ from .allocation import (
     shapley_allocation,
     shapley_contributions,
     shapley_montecarlo,
+    step_allocations,
 )
 from .batch import (
     CoalitionLossTable,
@@ -78,6 +80,7 @@ from .market import (
 from .online import (
     OnlineSession,
     OnlineState,
+    SessionTrace,
     init_state,
     online_step,
 )

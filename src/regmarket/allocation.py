@@ -7,6 +7,11 @@ and absolute variants clamp or rectify negative marginals and may then sum
 to more or less than one.  A feature whose marginals never move any
 coalition loss beyond 1e-12 is snapped to an exact zero allocation, which
 keeps the zero-element market property exact under solver jitter.
+
+Per-step allocations (:func:`step_allocations`) take one loss series per
+coalition and allocate every step in one array pass, under the Shapley
+variants or either leave-one-out variant; the zero snap then applies step
+by step.  :func:`instant_allocation` is its one-step case.
 """
 
 from __future__ import annotations
@@ -24,8 +29,11 @@ from .errors import CoverageError, NoSurplusError, ParameterError
 ORIGINAL = "original"
 ZERO = "zero"
 ABSOLUTE = "absolute"
+DROP_ONE = "drop-one"
+ADD_ONE = "add-one"
 
-_VARIANT_LABEL = {ORIGINAL: "shapley", ZERO: "zero-shapley", ABSOLUTE: "absolute-shapley"}
+_VARIANT_LABEL = {ORIGINAL: "shapley", ZERO: "zero-shapley", ABSOLUTE: "absolute-shapley",
+                  DROP_ONE: "loo-a", ADD_ONE: "loo-b"}
 _DUMMY_SNAP = 1e-12
 
 
@@ -72,7 +80,8 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
     largest absolute marginal (used for exact-zero snapping).
 
     Losses may be scalars or equal-length arrays; arrays give a Shapley
-    trajectory per time step in one pass.
+    trajectory per time step in one pass, and the largest marginal is then
+    taken per element.
     """
     players = tuple(players)
     transform = _marginal_transform(variant)
@@ -84,7 +93,7 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
     m = len(players)
     weights = [shapley_weight(s, m) for s in range(m)]
     contribs: dict[str, float | np.ndarray] = {}
-    max_marginal: dict[str, float] = {}
+    max_marginal: dict[str, float | np.ndarray] = {}
     for k in players:
         rest = [p for p in players if p != k]
         total = 0.0
@@ -94,10 +103,10 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
             for combo in itertools.combinations(rest, size):
                 sub = frozenset(combo)
                 diff = losses[sub] - losses[sub | {k}]
-                peak = max(peak, float(np.max(np.abs(diff))))
+                peak = np.maximum(peak, np.abs(diff))
                 total = total + w * transform(diff)
         contribs[k] = total
-        max_marginal[k] = peak
+        max_marginal[k] = peak if np.ndim(peak) else float(peak)
     return contribs, max_marginal
 
 
@@ -134,15 +143,15 @@ def loo_allocation(table: CoalitionLossTable, variant: str = "drop-one") -> Allo
     full = frozenset(table.support)
     values = {}
     for k in table.support:
-        if variant == "drop-one":
+        if variant == DROP_ONE:
             diff = table.losses[full - {k}] - table.full_loss
-        elif variant == "add-one":
+        elif variant == ADD_ONE:
             diff = table.central_loss - table.losses[frozenset({k})]
         else:
             raise ParameterError(f"unknown leave-one-out variant {variant!r}")
         values[k] = diff / normalizer
-    label = "loo-a" if variant == "drop-one" else "loo-b"
-    return AllocationVector(values=values, policy=label, normalizer=normalizer)
+    return AllocationVector(values=values, policy=_VARIANT_LABEL[variant],
+                            normalizer=normalizer)
 
 
 def loo_variance_allocation(coefficients: Mapping[str, float],
@@ -159,26 +168,71 @@ def loo_variance_allocation(coefficients: Mapping[str, float],
                             policy="loo-variance", normalizer=denom)
 
 
+@dataclass(frozen=True)
+class AllocationSeries:
+    """Per-feature surplus shares of every step, one array per feature."""
+
+    values: Mapping[str, np.ndarray]
+    policy: str
+    normalizer: np.ndarray
+
+    @property
+    def no_surplus(self) -> np.ndarray:
+        return self.normalizer <= 0
+
+
+def step_allocations(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],
+                     variant: str = ORIGINAL) -> AllocationSeries:
+    """Shares of each step's surplus, for all steps in one array pass.
+
+    ``losses`` maps every coalition to its loss series.  ``variant`` is a
+    Shapley variant, or ``DROP_ONE`` / ``ADD_ONE`` for leave-one-out from
+    the grand coalition or onto the central model.  A step's surplus may
+    have any sign; where it is not positive every share of that step is
+    zero.  Under Shapley a feature whose marginals at a step all stay
+    within 1e-12 of zero gets an exact zero share at that step.
+    """
+    if variant not in _VARIANT_LABEL:
+        raise ParameterError(f"unknown allocation variant {variant!r}")
+    features = tuple(sorted(features))
+    full = frozenset(features)
+    if frozenset() not in losses or full not in losses:
+        raise CoverageError("loss map must contain empty and grand coalitions")
+    normalizer = np.asarray(losses[frozenset()] - losses[full], dtype=float)
+    positive = normalizer > 0
+    divisor = np.where(positive, normalizer, 1.0)
+    values = {}
+    if variant in (DROP_ONE, ADD_ONE):
+        for k in features:
+            if variant == DROP_ONE:
+                diff = losses[full - {k}] - losses[full]
+            else:
+                diff = losses[frozenset()] - losses[frozenset({k})]
+            values[k] = np.where(positive, diff / divisor, 0.0)
+    else:
+        contribs, peaks = shapley_contributions(losses, features, variant)
+        snap = _DUMMY_SNAP * np.maximum(1.0, np.abs(normalizer))
+        for k in features:
+            values[k] = np.where(positive & (peaks[k] > snap), contribs[k] / divisor, 0.0)
+    return AllocationSeries(values=values, policy=_VARIANT_LABEL[variant],
+                            normalizer=normalizer)
+
+
 def instant_allocation(per_coalition_losses: Mapping[frozenset, float],
                        features: Sequence[str],
                        variant: str = ORIGINAL) -> AllocationVector:
-    """Shapley shares of a single time step's losses.
+    """Shares of a single time step's losses: the one-step case of
+    :func:`step_allocations`.
 
-    The instantaneous surplus may have any sign; when it is not positive
-    the vector is flagged and zeroed, and every payment derived from it is
-    zero for that step.
+    When the step's surplus is not positive the vector is flagged and
+    zeroed, and every payment derived from it is zero for that step.
     """
-    features = tuple(sorted(features))
-    full = frozenset(features)
-    if frozenset() not in per_coalition_losses or full not in per_coalition_losses:
-        raise CoverageError("instant loss map must contain empty and grand coalitions")
-    normalizer = float(per_coalition_losses[frozenset()] - per_coalition_losses[full])
-    label = _VARIANT_LABEL[variant]
-    if normalizer <= 0:
-        return AllocationVector(values={k: 0.0 for k in features}, policy=label,
-                                normalizer=normalizer, no_surplus=True)
-    contribs, peaks = shapley_contributions(per_coalition_losses, features, variant)
-    return _snap_and_normalise(contribs, peaks, normalizer, label)
+    series = step_allocations(
+        {c: np.atleast_1d(np.asarray(v, dtype=float))
+         for c, v in per_coalition_losses.items()}, features, variant)
+    return AllocationVector(values={k: float(v[0]) for k, v in series.values.items()},
+                            policy=series.policy, normalizer=float(series.normalizer[0]),
+                            no_surplus=bool(series.no_surplus[0]))
 
 
 def online_allocation_update(prev: AllocationVector, instant: AllocationVector,

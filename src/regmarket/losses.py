@@ -63,7 +63,7 @@ class LossSpec:
 
 def _check_finite(eps):
     arr = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParameterError("residuals must be finite")
     return arr
 
@@ -131,10 +131,11 @@ class EwmaLoss:
 
     The effective window is n_eff = 1/(1-lam); lam = 1 degenerates to a
     frozen value (infinite window), which the recursive-least-squares
-    equivalence tests rely on.
+    equivalence tests rely on.  ``value`` may also be an array holding one
+    estimate per coalition, all with the same forgetting factor.
     """
 
-    value: float = 0.0
+    value: float | np.ndarray = 0.0
     lam: float = 0.998
 
     def __post_init__(self):
@@ -146,9 +147,13 @@ class EwmaLoss:
         return float("inf") if self.lam == 1.0 else 1.0 / (1.0 - self.lam)
 
 
-def ewma_update(state: EwmaLoss, l_t: float) -> EwmaLoss:
-    """One recursion step: value' = lam * value + (1 - lam) * l_t."""
-    if not np.isfinite(l_t) or l_t < 0:
+def ewma_update(state: EwmaLoss, l_t) -> EwmaLoss:
+    """One recursion step: value' = lam * value + (1 - lam) * l_t.
+
+    ``l_t`` is a scalar, or an array matching an array-valued state.
+    """
+    loss = np.asarray(l_t, dtype=float)
+    if not (loss >= 0).all() or not np.isfinite(loss).all():
         raise ParameterError("instantaneous loss must be finite and >= 0")
-    new = state.lam * state.value + (1.0 - state.lam) * float(l_t)
-    return EwmaLoss(value=new, lam=state.lam)
+    new = state.lam * state.value + (1.0 - state.lam) * loss
+    return EwmaLoss(value=new if new.ndim else float(new), lam=state.lam)

@@ -36,13 +36,15 @@ import numpy as np
 
 from .allocation import (
     ABSOLUTE,
+    ADD_ONE,
+    DROP_ONE,
     ORIGINAL,
     ZERO,
     AllocationVector,
-    instant_allocation,
     loo_allocation,
     shapley_allocation,
     shapley_contributions,
+    step_allocations,
 )
 from .batch import (
     CoalitionLossTable,
@@ -59,7 +61,9 @@ SCHEMA_VERSION = 1
 UNIT_PLAYER = "__unit__"
 
 _POLICY_VARIANT = {"shapley": ORIGINAL, "zero-shapley": ZERO, "absolute-shapley": ABSOLUTE}
-_POLICIES = ("shapley", "zero-shapley", "absolute-shapley", "loo-a", "loo-b")
+_LOO_VARIANT = {"loo-a": DROP_ONE, "loo-b": ADD_ONE}
+_STEP_VARIANT = {**_POLICY_VARIANT, **_LOO_VARIANT}
+_POLICIES = tuple(_STEP_VARIANT)
 
 
 @dataclass(frozen=True)
@@ -239,8 +243,7 @@ def screen_features(dataset: Dataset, task: TaskSpec, method: str = "cv-loss",
         session = OnlineSession(design, central, coalitions, task.lam, task.loss)
         warm = min(task.warmup, max(burnin // 4, 2 * design.n))
         session.init_states(X[:warm], y[:warm], WARM_START, min_warm=warm)
-        for t in range(warm, burnin):
-            session.step(X[t], y[t])
+        session.stream(X[warm:burnin], y[warm:burnin])
         contribs, _ = shapley_contributions(session.ewma_losses(), support)
         return tuple(k for k in support if contribs[k] >= 0)
     raise ParameterError(f"unknown screening method {method!r}")
@@ -285,6 +288,31 @@ def _pay_and_book(report: MarketReport, psi: Mapping[str, float], pot: float,
             report.ledger.append(LedgerEntry(time_tag, central_agent, owners[k],
                                              k, amount, market))
     return amounts
+
+
+def _book_steps(report: MarketReport, times: list[int], surplus: np.ndarray,
+                amounts: np.ndarray, features: Sequence[str],
+                owners: Mapping[str, str], payer: str) -> None:
+    """Book a (steps, features) matrix of clamped per-step payments.
+
+    Positive amounts become ledger entries in time, then feature order;
+    the report gets the per-step series and the per-feature totals.
+    """
+    pay_series = {k: amounts[:, j].tolist() for j, k in enumerate(features)}
+    # ledger amounts reuse the series' float objects: one copy in memory, not two
+    rows, cols = np.nonzero(amounts > 0.0)
+    report.ledger.extend(
+        LedgerEntry(times[i], payer, owners[features[j]], features[j],
+                    pay_series[features[j]][i], report.market)
+        for i, j in zip(rows.tolist(), cols.tolist()))
+    report.series = {
+        "step": times,
+        "surplus": surplus.tolist(),
+        "central_payment": [math.fsum(row) for row in zip(*pay_series.values())],
+        "payments": pay_series,
+        "cumulative": {k: np.cumsum(pay_series[k]).tolist() for k in features},
+    }
+    _finalise_totals(report, {k: math.fsum(pay_series[k]) for k in features}, owners)
 
 
 def _finalise_totals(report: MarketReport, per_feature_totals: Mapping[str, float],
@@ -379,8 +407,7 @@ def _batch_support_game(design, y, task: TaskSpec, central, support, owners,
 def _batch_policy(table: CoalitionLossTable, policy: str) -> AllocationVector:
     if policy in _POLICY_VARIANT:
         return shapley_allocation(table, _POLICY_VARIANT[policy])
-    variant = "drop-one" if policy == "loo-a" else "add-one"
-    return loo_allocation(table, variant)
+    return loo_allocation(table, _LOO_VARIANT[policy])
 
 
 def _batch_feature_game(design, y, task: TaskSpec, central, support, owners,
@@ -468,10 +495,48 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
 
     X, y = design.values, ds.target
     coalitions = list(enumerate_coalitions(chosen))
-    session = OnlineSession(design, central, coalitions, task.lam, task.loss)
+    session, w = _start_session(design, X, y, central, coalitions, task)
+    trace = session.stream(X[w:], y[w:])
+    # allocate on the recursively maintained loss estimates: by the
+    # linearity of Shapley values this equals exponential smoothing of
+    # the per-step unnormalised contributions, and it avoids the heavy
+    # tails that smoothing the normalised per-step shares would inject
+    ewma = {c: trace.ewma[:, j] for j, c in enumerate(session.coalitions)}
     grand = frozenset(chosen)
-    scale = task.loss_scale * phi
+    psi = step_allocations(ewma, chosen, _STEP_VARIANT[task.allocation_policy])
+    surplus = ewma[frozenset()] - ewma[grand]
+    pot = np.where(trace.ready, task.loss_scale * phi * np.maximum(surplus, 0.0), 0.0)
+    amounts = pot[:, None] * np.column_stack([psi.values[k] for k in chosen])
+    clamped = amounts < 0.0
+    amounts[clamped] = 0.0
 
+    report = MarketReport(
+        market="online", central_agent=task.central_agent, rows=design.T - w,
+        phi=phi, allocation_policy=task.allocation_policy,
+        game="support-coalitions", support=chosen, feature_owners=owners,
+        flag_duplicates=task.flag_duplicates, flag_dummies=task.flag_dummies,
+        clamped_entries=int(clamped.sum()))
+    _book_steps(report, list(range(w, design.T)), surplus, amounts, chosen, owners,
+                task.central_agent)
+    report.series["allocations"] = {k: psi.values[k].tolist() for k in chosen}
+
+    final = session.ewma_losses()
+    report.central_loss = final[frozenset()]
+    report.full_loss = final[grand]
+    report.surplus = report.central_loss - report.full_loss
+    report.loss_table = {coalition_key(c): v for c, v in sorted(
+        final.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}
+    report.allocations = {k: float(psi.values[k][-1]) for k in chosen}
+    report.support_share_sum = math.fsum(report.allocations.values())
+    report.benchmark_payment = math.fsum(pot.tolist())
+    report.audit = audit_ledger(report).to_dict()
+    return report
+
+
+def _start_session(design, X, y, central, coalitions,
+                   task: TaskSpec) -> tuple[OnlineSession, int]:
+    """A session initialised by the task's policy, and its first streamed row."""
+    session = OnlineSession(design, central, coalitions, task.lam, task.loss)
     if task.init_policy == WARM_START:
         w = task.warmup
         if w >= design.T:
@@ -480,84 +545,7 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
     else:
         w = 0
         session.init_states(None, None, ZERO_START)
-
-    steps: list[int] = []
-    surplus_series: list[float] = []
-    pay_series: dict[str, list[float]] = {k: [] for k in chosen}
-    psi_series: dict[str, list[float]] = {k: [] for k in chosen}
-    central_series: list[float] = []
-
-    report = MarketReport(
-        market="online", central_agent=task.central_agent, rows=design.T - w,
-        phi=phi, allocation_policy=task.allocation_policy,
-        game="support-coalitions", support=chosen, feature_owners=owners,
-        flag_duplicates=task.flag_duplicates, flag_dummies=task.flag_dummies)
-
-    benchmark = 0.0
-    for t in range(w, design.T):
-        session.step(X[t], y[t])
-        # allocate on the recursively maintained loss estimates: by the
-        # linearity of Shapley values this equals exponential smoothing of
-        # the per-step unnormalised contributions, and it avoids the heavy
-        # tails that smoothing the normalised per-step shares would inject
-        ewma = session.ewma_losses()
-        psi_t = _instant_policy(ewma, chosen, task.allocation_policy)
-
-        surplus = ewma[frozenset()] - ewma[grand]
-        billable = all(s.ready for s in session.states.values())
-        pot = scale * max(surplus, 0.0) if billable else 0.0
-        benchmark += pot
-        amounts = _pay_and_book(report, psi_t.values, pot, owners,
-                                task.central_agent, t, "online")
-        steps.append(t)
-        surplus_series.append(surplus)
-        central_series.append(math.fsum(amounts[k] for k in chosen))
-        for k in chosen:
-            pay_series[k].append(amounts[k])
-            psi_series[k].append(psi_t.values[k])
-
-    ewma = session.ewma_losses()
-    report.central_loss = ewma[frozenset()]
-    report.full_loss = ewma[grand]
-    report.surplus = report.central_loss - report.full_loss
-    report.loss_table = {coalition_key(c): v for c, v in sorted(
-        ewma.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}
-    report.allocations = {k: psi_series[k][-1] for k in chosen}
-    report.support_share_sum = math.fsum(report.allocations.values())
-    report.benchmark_payment = benchmark
-    report.series = {
-        "step": steps,
-        "surplus": surplus_series,
-        "central_payment": central_series,
-        "payments": pay_series,
-        "allocations": psi_series,
-        "cumulative": {k: np.cumsum(pay_series[k]).tolist() for k in chosen},
-    }
-    totals = {k: math.fsum(pay_series[k]) for k in chosen}
-    _finalise_totals(report, totals, owners)
-    report.audit = audit_ledger(report).to_dict()
-    return report
-
-
-def _instant_policy(inst_losses: Mapping[frozenset, float], support: Sequence[str],
-                    policy: str) -> AllocationVector:
-    if policy in _POLICY_VARIANT:
-        return instant_allocation(inst_losses, support, _POLICY_VARIANT[policy])
-    # leave-one-out on instantaneous losses
-    full = frozenset(support)
-    normalizer = inst_losses[frozenset()] - inst_losses[full]
-    label = policy
-    if normalizer <= 0:
-        return AllocationVector(values={k: 0.0 for k in support}, policy=label,
-                                normalizer=normalizer, no_surplus=True)
-    values = {}
-    for k in support:
-        if policy == "loo-a":
-            diff = inst_losses[full - {k}] - inst_losses[full]
-        else:
-            diff = inst_losses[frozenset()] - inst_losses[frozenset({k})]
-        values[k] = diff / normalizer
-    return AllocationVector(values=values, policy=label, normalizer=normalizer)
+    return session, w
 
 
 # ---------------------------------------------------------------------------
@@ -622,19 +610,10 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
         flag_duplicates=task.flag_duplicates, flag_dummies=task.flag_dummies,
         notes={"model_source": model_source, "horizon": task.horizon})
 
-    pay_series: dict[str, list[float]] = {}
-    for k in chosen:
-        pays = np.where(positive, np.maximum(contribs[k], 0.0), 0.0) * scale
-        pay_series[k] = pays.tolist()
-    central_series = [math.fsum(pay_series[k][i] for k in chosen)
-                      for i in range(n_eval)]
-    for i in range(n_eval):
-        t = int(eval_rows[i])
-        for k in chosen:
-            amount = pay_series[k][i]
-            if amount > 0.0:
-                report.ledger.append(
-                    LedgerEntry(t, task.central_agent, owners[k], k, amount, "oos"))
+    amounts = np.column_stack([
+        np.where(positive, np.maximum(contribs[k], 0.0), 0.0) * scale for k in chosen])
+    _book_steps(report, [int(t) for t in eval_rows], surplus, amounts, chosen, owners,
+                task.central_agent)
     report.clamped_entries = int(sum(
         int(np.sum(positive & (np.asarray(contribs[k]) < 0))) for k in chosen))
 
@@ -645,16 +624,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     report.central_loss = float(np.mean(losses_by_coalition[frozenset()]))
     report.full_loss = float(np.mean(losses_by_coalition[grand]))
     report.surplus = report.central_loss - report.full_loss
-    report.series = {
-        "step": [int(t) for t in eval_rows],
-        "surplus": surplus.tolist(),
-        "central_payment": central_series,
-        "payments": pay_series,
-        "cumulative": {k: np.cumsum(pay_series[k]).tolist() for k in chosen},
-    }
     report.metrics = _oos_metrics(losses_by_coalition, grand, n_windows)
-    totals = {k: math.fsum(pay_series[k]) for k in chosen}
-    _finalise_totals(report, totals, owners)
     report.audit = audit_ledger(report).to_dict()
     return report
 
@@ -673,25 +643,11 @@ def _batch_oos_losses(design, X, y, train, coalitions, central, support, task):
 
 
 def _online_oos_losses(design, X, y, coalitions, central, task):
-    session = OnlineSession(design, central, coalitions, task.lam, task.loss)
-    if task.init_policy == WARM_START:
-        w = task.warmup
-        if w >= design.T:
-            raise ParameterError("warm-up consumes the whole dataset")
-        session.init_states(X[:w], y[:w], WARM_START, min_warm=w)
-    else:
-        w = 0
-        session.init_states(None, None, ZERO_START)
-    rows = []
-    losses: dict[frozenset, list[float]] = {c: [] for c in coalitions}
-    for t in range(w, design.T):
-        results = session.step(X[t], y[t])
-        if not all(s.ready for s in session.states.values()):
-            continue
-        rows.append(t)
-        for c, (_, l) in results.items():
-            losses[c].append(l)
-    return np.asarray(rows), {c: np.asarray(v) for c, v in losses.items()}
+    session, w = _start_session(design, X, y, central, coalitions, task)
+    trace = session.stream(X[w:], y[w:])
+    losses = trace.losses[trace.ready]
+    return (np.arange(w, design.T)[trace.ready],
+            {c: losses[:, j] for j, c in enumerate(session.coalitions)})
 
 
 def _oos_average_allocation(contribs, surplus, support) -> dict[str, float]:

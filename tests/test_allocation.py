@@ -18,7 +18,15 @@ from regmarket import (
     shapley_allocation,
     shapley_montecarlo,
 )
-from regmarket.allocation import shapley_contributions
+from regmarket.allocation import (
+    ABSOLUTE,
+    ADD_ONE,
+    DROP_ONE,
+    ORIGINAL,
+    ZERO,
+    shapley_contributions,
+    step_allocations,
+)
 from regmarket.batch import enumerate_coalitions
 
 
@@ -283,3 +291,59 @@ def test_instant_matches_permutation_oracle():
     norm = losses[frozenset()] - losses[frozenset(features)]
     for k in features:
         assert alloc[k] == pytest.approx(brute[k] / norm, abs=1e-12)
+
+
+# -- one-pass allocation over every step -------------------------------------
+
+POLICY_VARIANTS = {"shapley": ORIGINAL, "zero-shapley": ZERO,
+                   "absolute-shapley": ABSOLUTE, "loo-a": DROP_ONE, "loo-b": ADD_ONE}
+
+
+def step_loss_matrix(T=300, seed=41):
+    """Per-coalition loss series over (a, b, dummy); the dummy never moves
+    any loss, and some steps have no surplus."""
+    rng = np.random.default_rng(seed)
+    losses = {c: 1.0 - 0.2 * len(c) + rng.normal(0, 0.15, T)
+              for c in enumerate_coalitions(("a", "b"))}
+    losses[frozenset()][:20] = losses[frozenset({"a", "b"})][:20]  # zero surplus
+    for c in list(losses):
+        losses[c | {"dummy"}] = losses[c].copy()
+    return losses
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_VARIANTS))
+def test_one_pass_allocation_equals_instant_allocation_per_step(policy):
+    variant = POLICY_VARIANTS[policy]
+    losses = step_loss_matrix()
+    features = ("a", "b", "dummy")
+    series = step_allocations(losses, features, variant)
+    assert series.policy == policy
+    surplus = losses[frozenset()] - losses[frozenset(features)]
+    assert 20 <= int(np.sum(series.no_surplus)) < len(surplus)
+    assert np.array_equal(series.no_surplus, surplus <= 0)
+    for t in range(len(surplus)):
+        inst = instant_allocation({c: float(v[t]) for c, v in losses.items()},
+                                  features, variant)
+        assert inst.policy == policy
+        assert inst.no_surplus == bool(series.no_surplus[t])
+        for k in features:
+            assert series.values[k][t] == inst[k]
+        if not inst.no_surplus:
+            table = make_table(features, {c: float(v[t]) for c, v in losses.items()})
+            oracle = (loo_allocation(table, variant) if policy.startswith("loo")
+                      else shapley_allocation(table, variant))
+            for k in features:
+                assert inst[k] == pytest.approx(oracle[k], abs=1e-12)
+    assert np.all(series.values["dummy"] == 0.0)
+
+
+def test_array_peaks_are_per_step():
+    losses = step_loss_matrix(T=50)
+    features = ("a", "b", "dummy")
+    _, peaks = shapley_contributions(losses, features)
+    for t in range(50):
+        _, step_peaks = shapley_contributions(
+            {c: float(v[t]) for c, v in losses.items()}, features)
+        for k in features:
+            assert peaks[k][t] == step_peaks[k]
+    assert np.all(peaks["dummy"] == 0.0)

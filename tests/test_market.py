@@ -356,6 +356,50 @@ def test_online_zero_start_with_quantile_loss():
     assert report.full_loss < report.central_loss
 
 
+@pytest.mark.parametrize("policy", ["shapley", "zero-shapley", "absolute-shapley",
+                                    "loo-a", "loo-b"])
+def test_online_market_pays_each_step_on_its_instant_allocation(policy):
+    # the market allocates all steps in one pass; replaying it step by step
+    # with instant_allocation on the same EWMA losses must give the same
+    # shares and clamped payments; x4's weak signal gives it negative
+    # marginals on some steps
+    from regmarket import OnlineSession, instant_allocation
+    from regmarket.allocation import ABSOLUTE, ADD_ONE, DROP_ONE, ORIGINAL, ZERO
+    from regmarket.batch import enumerate_coalitions
+    from regmarket.market import split_features
+
+    variant = {"shapley": ORIGINAL, "zero-shapley": ZERO, "absolute-shapley": ABSOLUTE,
+               "loo-a": DROP_ONE, "loo-b": ADD_ONE}[policy]
+    ds = linear_market_dataset(T=700, seed=3, beta={"x1": -0.3, "x2": 0.5,
+                                                    "x3": -0.9, "x4": 0.02})
+    task = linear_task(lam=0.99, warmup=100, allocation_policy=policy)
+    report = run_online_market(ds, task)
+    dsl, design = build_design(ds, task)
+    central, support = split_features(design, task)
+    X, y = design.values, dsl.target
+    session = OnlineSession(design, central, list(enumerate_coalitions(support)),
+                            task.lam, task.loss)
+    session.init_states(X[:100], y[:100], "warm-start", min_warm=100)
+    trace = session.stream(X[100:], y[100:])
+    clamped = booked = 0
+    for i in range(len(trace.ready)):
+        ewma = {c: trace.ewma[i, j] for j, c in enumerate(session.coalitions)}
+        inst = instant_allocation(ewma, support, variant)
+        surplus = ewma[frozenset()] - ewma[frozenset(support)]
+        pot = task.phi_insample * max(surplus, 0.0) if trace.ready[i] else 0.0
+        for k in support:
+            assert report.series["allocations"][k][i] == inst[k]
+            amount = pot * inst[k]
+            clamped += amount < 0.0
+            booked += amount > 0.0
+            assert report.series["payments"][k][i] == max(amount, 0.0)
+    assert report.clamped_entries == clamped
+    # only the variants that keep negative marginals ever clamp
+    assert (clamped > 0) == (policy in ("shapley", "loo-a", "loo-b"))
+    assert len(report.ledger) == booked
+    assert report.audit["passed"]
+
+
 # -- out-of-sample market ----------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,11 @@ from regmarket import (
     LossSpec,
     OnlineSession,
     ParameterError,
+    SingularUpdateError,
     init_state,
+    loss_h1,
+    loss_h2,
+    loss_value,
     online_step,
     polynomial_expand,
 )
@@ -223,3 +227,149 @@ def test_snapshot_round_trip_resumes_exactly(session_setup):
     for c in session.coalitions:
         assert np.array_equal(session.states[c].coefficients,
                               resumed.states[c].coefficients)
+
+
+# -- stacked engine ----------------------------------------------------------
+
+# alpha comparable to the noise: with a much narrower alpha the zero-start
+# Newton step from all-zero coefficients weighs rows by h2 values spread over
+# orders of magnitude and overshoots, and the recursion then amplifies any
+# rounding difference, so no two summation orders stay within 1e-10
+SMOOTH = LossSpec("smooth-quantile", tau=0.3, alpha=0.5)
+
+
+def unequal_width_setup(T, seed=31):
+    # central x1 plus three support features: coalition designs of 2 to 5
+    # columns, so every narrower design is padded inside the session
+    rng = np.random.default_rng(seed)
+    feats = {k: rng.normal(size=T) for k in ("x1", "x2", "x3", "x4")}
+    y = (0.5 * feats["x1"] + 0.4 * feats["x2"] - 0.8 * feats["x3"]
+         + 0.1 * feats["x4"] + rng.normal(0, 0.3, T))
+    owners = {"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a4"}
+    ds = Dataset(np.arange(T), y, feats, owners, target_owner="a1")
+    design = polynomial_expand(ds, degree=1)
+    coalitions = list(enumerate_coalitions(("x2", "x3", "x4")))
+    return design, ds.target, coalitions
+
+
+def reference_step(state, x, y_t, lam, spec):
+    """The three update equations for one coalition, written out plainly."""
+    beta, M, pending = state["beta"], state["M"], state["pending"]
+    eps = y_t - beta @ x
+    M = lam * M + np.outer(x, x) * loss_h2(eps, spec)
+    steps = state["steps"] + 1
+    ready = state["ready"]
+    if ready:
+        beta = beta + np.linalg.solve(M, x * loss_h1(eps, spec))
+    else:
+        pending = lam * pending + x * loss_h1(eps, spec)
+        if steps >= state["min_warm"]:
+            try:
+                np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                beta, ready = np.linalg.solve(M, pending), True
+    ewma = lam * state["ewma"] + (1 - lam) * loss_value(eps, spec)
+    return {"beta": beta, "M": M, "pending": pending, "steps": steps,
+            "ready": ready, "min_warm": state["min_warm"], "ewma": ewma}
+
+
+def assert_close(a, b, rel=1e-10):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.max(np.abs(a - b)) <= rel * max(1.0, float(np.max(np.abs(b))))
+
+
+def run_against_reference(policy, spec, lam, T, warm=60, check_every=1):
+    design, y, coalitions = unequal_width_setup(T)
+    X = design.values
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, lam, spec)
+    if policy == WARM_START:
+        session.init_states(X[:warm], y[:warm], WARM_START, min_warm=warm)
+        start = warm
+    else:
+        session.init_states(None, None, ZERO_START)
+        start = 0
+    assert len({len(idx) for idx in session.columns.values()}) == 4
+    ref = {}
+    for c, st in session.states.items():
+        ref[c] = {"beta": st.coefficients, "M": st.memory, "ewma": st.ewma.value,
+                  "steps": st.step_count, "ready": st.ready,
+                  "min_warm": st.min_warm_steps,
+                  "pending": None if st.ready else st.pending_gradient}
+    ready_seen = set()
+    for t in range(start, T):
+        out = session.step(X[t], y[t])
+        for c, idx in session.columns.items():
+            ref[c] = reference_step(ref[c], X[t, list(idx)], y[t], lam, spec)
+        if (t - start) % check_every == 0 or t == T - 1:
+            states = session.states
+            for c in coalitions:
+                assert states[c].ready == ref[c]["ready"]
+                assert_close(states[c].coefficients, ref[c]["beta"])
+                assert_close(states[c].ewma.value, ref[c]["ewma"])
+                ready_seen.add(states[c].ready)
+        assert set(out) == set(coalitions)
+    return ready_seen
+
+
+@pytest.mark.parametrize("policy", [WARM_START, ZERO_START])
+@pytest.mark.parametrize("spec", [QUAD, SMOOTH], ids=["quadratic", "smooth-quantile"])
+def test_stacked_session_matches_per_coalition_loop(policy, spec):
+    ready_seen = run_against_reference(policy, spec, lam=0.99, T=400)
+    # zero start passes through steps where only the narrow designs are ready
+    assert ready_seen == ({True} if policy == WARM_START else {False, True})
+
+
+@pytest.mark.parametrize("lam, T", [(0.9, 5060), (0.4, 1260)])
+def test_identity_padding_survives_fast_forgetting(lam, T):
+    # an unreset padding block would decay as lam^t; at lam = 0.9 it sticks
+    # at a few subnormal units, below lam = 0.5 it rounds to an exact zero
+    # (here after about 815 steps) and the memory turns singular
+    run_against_reference(WARM_START, QUAD, lam=lam, T=T, check_every=100)
+
+
+def test_singular_update_names_its_coalition():
+    design, y, coalitions = unequal_width_setup(200)
+    X = design.values
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, 0.99, QUAD)
+    session.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    snap = session.to_snapshot()
+    bad = next(e for e in snap["coalitions"] if e["members"] == ["x3"])
+    bad["memory"] = (-np.eye(len(bad["terms"]))).tolist()
+    broken = OnlineSession.from_snapshot(snap, design)
+    before = broken.states
+    with pytest.raises(SingularUpdateError, match=r"coalition \['x3'\]") as err:
+        broken.step(X[60], y[60])
+    assert err.value.step == 1
+    # a failed step changes no coalition's state
+    after = broken.states
+    for c in coalitions:
+        assert np.array_equal(after[c].coefficients, before[c].coefficients)
+        assert after[c].step_count == before[c].step_count
+
+
+def test_snapshot_round_trip_while_warming_up():
+    import json
+
+    design, y, coalitions = unequal_width_setup(120)
+    X = design.values
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, 0.98, SMOOTH)
+    session.init_states(None, None, ZERO_START)
+    for t in range(6):
+        session.step(X[t], y[t])
+    snap = json.loads(json.dumps(session.to_snapshot()))
+    assert {e["ready"] for e in snap["coalitions"]} == {False, True}
+    assert all(set(e) == {"members", "terms", "coefficients", "memory", "ewma_loss",
+                          "step_count", "ready", "pending_gradient", "min_warm_steps"}
+               for e in snap["coalitions"])
+    resumed = OnlineSession.from_snapshot(snap, design)
+    assert resumed.to_snapshot() == snap
+    for t in range(6, 120):
+        assert session.step(X[t], y[t]) == resumed.step(X[t], y[t])
+    for c in coalitions:
+        a, b = session.states[c], resumed.states[c]
+        assert a.ready and b.ready
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.memory, b.memory)
+        assert a.ewma.value == b.ewma.value
