@@ -179,9 +179,8 @@ def enumerate_coalitions(support: tuple[str, ...]):
 
 def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
                        central: frozenset[str], support: tuple[str, ...],
-                       spec: LossSpec, cap: int = 15,
-                       keep_fits: bool = True) -> CoalitionLossTable:
-    """Fit the 2^m coalition models and record their optimal losses."""
+                       spec: LossSpec, cap: int = 15) -> CoalitionLossTable:
+    """Fit the 2^m coalition models; the table keeps each fit and its optimal loss."""
     support = tuple(sorted(support))
     if len(support) > cap:
         raise EnumerationCapError(
@@ -193,6 +192,5 @@ def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
         sub = coalition_design(design, central, coalition)
         fit = fit_batch(sub, y, spec)
         losses[coalition] = fit.loss_star
-        if keep_fits:
-            fits[coalition] = fit
+        fits[coalition] = fit
     return CoalitionLossTable(losses, support, frozenset(central), fits)

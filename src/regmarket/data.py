@@ -393,14 +393,11 @@ def coalition_design(design: AugmentedDesign, central: frozenset[str] | set[str]
     coalition = frozenset(coalition)
     if central & coalition:
         raise ParameterError(f"coalition overlaps central features: {sorted(central & coalition)}")
-    known = set(design.market_features)
-    unknown = (coalition | central) - known
     # central names may legitimately include features with no term yet, but
     # coalition members must exist in the design
-    missing = coalition - known
+    missing = coalition - set(design.market_features)
     if missing:
         raise FeatureLookupError(f"unknown coalition features: {sorted(missing)}")
-    del unknown
     return design.subset(design.columns_for(central | coalition))
 
 

@@ -27,9 +27,11 @@ central agent's own share appears as an explicit shortfall.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -113,7 +115,7 @@ class TaskSpec:
         return 100.0 if self.loss_unit == "percent" else 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     time: int | str
     payer: str
@@ -157,7 +159,15 @@ class MarketReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        """The report as JSON data, with the ledger as one list per column.
+
+        The result is a new top-level dict with new lists for the tuple
+        fields and the ledger columns; every other container (``series``,
+        ``metrics``, ``notes``, ``audit``, the per-feature mappings) is the
+        report's own object, shared rather than copied.  Copy before
+        mutating it.
+        """
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["support"] = list(self.support)
         out["screened_out"] = list(self.screened_out)
         out["flag_duplicates"] = [list(g) for g in self.flag_duplicates]
@@ -377,7 +387,7 @@ def clear_batch_market(dataset: Dataset, task: TaskSpec,
 def _batch_support_game(design, y, task: TaskSpec, central, support, owners,
                         billable) -> MarketReport:
     table = _fit_table(design, y, central=central, support=support,
-                       spec=task.loss, cap=task.enumeration_cap, keep_fits=True)
+                       spec=task.loss, cap=task.enumeration_cap)
     report = MarketReport(
         market="batch", central_agent=task.central_agent, rows=billable,
         phi=task.phi_insample, allocation_policy=task.allocation_policy,
@@ -632,7 +642,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
 def _batch_oos_losses(design, X, y, train, coalitions, central, support, task):
     train_design = AugmentedDesign(design.terms, X[:train], design.feature_owners)
     table = _fit_table(train_design, y[:train], central=central, support=support,
-                       spec=task.loss, cap=task.enumeration_cap, keep_fits=True)
+                       spec=task.loss, cap=task.enumeration_cap)
     out = {}
     for c in coalitions:
         idx = list(design.columns_for(central | c))
@@ -755,20 +765,99 @@ def audit_ledger(report: MarketReport) -> AuditResult:
 
 
 def report_to_json(report: MarketReport, path) -> None:
+    """Write ``report.to_dict()`` to ``path`` as ``report.json``.
+
+    Byte-format contract: the file is exactly
+    ``json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\\n"`` --
+    a one-space indent per level, keys sorted at every level, ``","`` and
+    ``": "`` as separators, non-ASCII characters as ``\\uXXXX`` escapes,
+    floats by ``repr`` with ``NaN``, ``Infinity`` and ``-Infinity`` for the
+    non-finite ones, and ``[]``/``{}`` for empty containers.  The pieces
+    are streamed to the file, so the text is never held as one string.
+    """
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+        fh.writelines(_iter_json(report.to_dict(), 0))
         fh.write("\n")
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _iter_json(obj, level: int):
+    """Yield the pieces of ``json.dumps(obj, indent=1, sort_keys=True)``
+    for ``obj`` at indent ``level``.
+
+    A container of scalars goes to the C encoder in one call, with the
+    newline and indent of its items in the item separator; only
+    containers that hold containers are walked here, item by item, and
+    their keys must be strings, as every key of a report is.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        yield json.dumps(obj)
+        return
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        yield "{}" if is_dict else "[]"
+        return
+    inner = "\n" + " " * (level + 1)
+    close = "\n" + " " * level + ("}" if is_dict else "]")
+    items = obj.values() if is_dict else obj
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        yield text[0] + inner
+        yield text[1:-1]
+        yield close
+        return
+    sep = ("{" if is_dict else "[") + inner
+    if is_dict:
+        for key, value in sorted(obj.items()):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _iter_json(value, level + 1)
+            sep = "," + inner
+    else:
+        for value in obj:
+            yield sep
+            yield from _iter_json(value, level + 1)
+            sep = "," + inner
+    yield close
+
+
+def _csv_cells(*cells: str) -> str:
+    """Cells quoted and joined as ``csv.writer`` writes them inside a row,
+    without the line end."""
+    buf = io.StringIO()
+    # a row of one empty cell would be written as '""'; the extra empty
+    # cell keeps every cell's own quoting and is cut off with its comma
+    csv.writer(buf).writerow(cells + ("",))
+    return buf.getvalue()[:-3]
+
+
 def write_ledger_csv(report: MarketReport, path) -> None:
+    """Write the ledger: one row per entry, amounts by ``repr``, CRLF line
+    ends.  The quoted text cells are made once per distinct combination."""
+    quoted: dict[tuple, tuple[str, str]] = {}
+    rows = []
+    for e in report.ledger:
+        key = (e.payer, e.payee, e.feature, e.market)
+        cells = quoted.get(key)
+        if cells is None:
+            cells = quoted[key] = (_csv_cells(*key[:3]), _csv_cells(e.market))
+        time = _csv_cells(e.time) if isinstance(e.time, str) else e.time
+        rows.append(f"{time},{cells[0]},{e.amount!r},{cells[1]}\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "payer", "payee", "feature", "amount", "market"])
-        for e in report.ledger:
-            writer.writerow([e.time, e.payer, e.payee, e.feature, repr(e.amount), e.market])
+        csv.writer(fh).writerow(["time", "payer", "payee", "feature", "amount", "market"])
+        fh.write("".join(rows))
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
+    """Write per-step payments and running totals in long format.
+
+    Rows are ``step,agent,feature,amount,cumulative`` with CRLF line ends
+    and floats by ``repr``, grouped by feature in sorted order, one per
+    (integer) step; a report with no per-step series has one ``batch`` row
+    per feature in ``payments``.  The quoted ``agent,feature`` cells are
+    made once per feature.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
@@ -776,11 +865,9 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
         if series and "payments" in series:
             steps = series["step"]
             for k in sorted(series["payments"]):
-                running = series["cumulative"][k]
-                pays = series["payments"][k]
-                agent = report.feature_owners.get(k, "")
-                for i, t in enumerate(steps):
-                    writer.writerow([t, agent, k, repr(pays[i]), repr(running[i])])
+                cells = _csv_cells(report.feature_owners.get(k, ""), k)
+                fh.write("".join([f"{t},{cells},{p!r},{c!r}\r\n" for t, p, c in zip(
+                    steps, series["payments"][k], series["cumulative"][k])]))
         else:
             running = 0.0
             for k in sorted(report.payments):
