@@ -107,6 +107,17 @@ class TaskSpec:
             raise ParameterError("loss_unit must be 'raw' or 'percent'")
         if self.init_policy not in (WARM_START, ZERO_START):
             raise ParameterError(f"unknown initialisation policy {self.init_policy!r}")
+        # the audit checks flagged features through their payments, so a
+        # flag on a feature the market does not pay for would pass vacuously
+        if any(not group for group in self.flag_duplicates):
+            raise ParameterError("a flag_duplicates group must name at least one feature")
+        flagged = {k for group in self.flag_duplicates for k in group}
+        paid = {k for k, agent in self.ownership.items() if agent != self.central_agent}
+        unpaid = sorted(flagged.union(self.flag_dummies) - paid)
+        if unpaid:
+            raise ParameterError(f"flagged features {unpaid} are not support features: "
+                                 "each must be in ownership and not owned by the "
+                                 "central agent")
 
     @property
     def loss_scale(self) -> float:

@@ -11,7 +11,10 @@ draws of the others.
 The drifting-parameter cases use smooth ramp/sinusoid trajectories; the
 ground-truth record carries them (plus analytic loss levels and shares
 where they exist in closed form) so tests can assert structure rather
-than matching arbitrary numbers.
+than matching arbitrary numbers.  The standard-normal quantiles and
+densities in those analytic constants come from the standard library's
+``statistics.NormalDist``, which keeps ``scipy.stats`` (most of the
+package's import time) off the import path; no market reads them.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Dataset
 from .errors import ParameterError
@@ -35,6 +38,9 @@ from .market import (
 
 CASES = ("batch-linear", "batch-poly", "batch-arx-quantile",
          "online-arx", "online-quantile", "multi-agent-arx")
+
+# the standard normal behind the analytic quantile-loss constants
+_STD_NORMAL = NormalDist()
 
 _DEFAULT_T = {
     "batch-linear": 10_000,
@@ -161,6 +167,9 @@ def _gen_batch_arx_quantile(spec: ScenarioSpec):
                  ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
                  target_owner="a1")
     var_u = sum(b ** 2 for b in p["beta"].values()) + p["sigma_eps"] ** 2
+    # the expected pinball loss of N(0, s^2) at its own tau-quantile is
+    # s * pdf(inv_cdf(tau)) of the standard normal
+    density = {tau: _STD_NORMAL.pdf(_STD_NORMAL.inv_cdf(tau)) for tau in (0.1, 0.75)}
     truth = {
         "case": spec.case, "seed": spec.seed, "T": T,
         "beta0": p["beta0"], "ar": p["ar"], "beta": p["beta"],
@@ -168,11 +177,9 @@ def _gen_batch_arx_quantile(spec: ScenarioSpec):
         "analytic": {
             "central_residual_std": math.sqrt(var_u),
             "pinball_central": {
-                str(tau): math.sqrt(var_u) * float(norm.pdf(norm.ppf(tau)))
-                for tau in (0.1, 0.75)},
+                str(tau): math.sqrt(var_u) * d for tau, d in density.items()},
             "pinball_full": {
-                str(tau): p["sigma_eps"] * float(norm.pdf(norm.ppf(tau)))
-                for tau in (0.1, 0.75)},
+                str(tau): p["sigma_eps"] * d for tau, d in density.items()},
             "share_order": ["x2", "x4", "x3"],
         },
     }
@@ -238,7 +245,7 @@ def _gen_online_quantile(spec: ScenarioSpec):
                  target_owner="a1")
 
     def x4_quantile_signal(tau: float) -> float:
-        z = float(norm.ppf(tau))
+        z = _STD_NORMAL.inv_cdf(tau)
         return (p["beta4"] * p["sigma_eps"] * z) ** 2 / 12.0
 
     truth = {

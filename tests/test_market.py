@@ -138,6 +138,20 @@ def test_dummy_feature_payment_is_exactly_zero():
     assert report.audit["checks"]["zero_element"]["passed"]
 
 
+def test_empty_duplicate_group_is_rejected_when_the_task_is_built():
+    with pytest.raises(ParameterError, match="at least one feature"):
+        linear_task(flag_duplicates=(("x2", "x3"), ()))
+
+
+@pytest.mark.parametrize("flags", [{"flag_duplicates": (("x2", "x2b"),)},
+                                   {"flag_dummies": ("dead",)},
+                                   {"flag_dummies": ("x1",)}])
+def test_flag_on_a_feature_the_market_does_not_pay_for_is_rejected(flags):
+    # x2b and dead are not in ownership; x1 belongs to the central agent
+    with pytest.raises(ParameterError, match="not support features"):
+        linear_task(**flags)
+
+
 def test_agent_split_leaves_feature_payments_unchanged():
     ds = linear_market_dataset(seed=19)
     merged = clear_batch_market(ds, linear_task())

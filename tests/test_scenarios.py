@@ -1,5 +1,6 @@
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -104,6 +105,51 @@ def test_online_quantile_x4_signal_grows_away_from_median():
     assert sig["0.5"] == pytest.approx(0.0)
     assert sig["0.1"] > sig["0.25"] > 0
     assert sig["0.9"] > sig["0.75"] > 0
+
+
+def _normal_quantile(tau):
+    return mp.sqrt(2) * mp.erfinv(2 * mp.mpf(tau) - 1)
+
+
+def _analytic_reference(case, truth):
+    # the closed forms behind the ground-truth constants, in 50 digits from
+    # the record's own parameters
+    if case == "batch-arx-quantile":
+        sd = mp.sqrt(mp.fsum(mp.mpf(b) ** 2 for b in truth["beta"].values())
+                     + mp.mpf(truth["sigma_eps"]) ** 2)
+        pinball = {tau: mp.npdf(_normal_quantile(tau)) for tau in (0.1, 0.75)}
+        return {"central_residual_std": sd,
+                "pinball_central": {str(t): sd * d for t, d in pinball.items()},
+                "pinball_full": {str(t): mp.mpf(truth["sigma_eps"]) * d
+                                 for t, d in pinball.items()}}
+    scale = mp.mpf(truth["beta4"]) * mp.mpf(truth["sigma_eps"])
+    return {"x4_quantile_signal": {
+        str(t): (scale * _normal_quantile(t)) ** 2 / 12
+        for t in (0.1, 0.25, 0.5, 0.75, 0.9)}}
+
+
+def _leaves(record, prefix=""):
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}/")
+        else:
+            yield f"{prefix}{key}", value
+
+
+@pytest.mark.parametrize("case", ["batch-arx-quantile", "online-quantile"])
+def test_analytic_truth_constants_match_high_precision(case):
+    _, truth = generate(ScenarioSpec(case, T=50, seed=3))
+    got = dict(_leaves(truth["analytic"]))
+    got.pop("share_order", None)
+    with mp.workdps(50):
+        want = dict(_leaves(_analytic_reference(case, truth)))
+        assert got.keys() == want.keys()
+        for key, ref in want.items():
+            assert isinstance(got[key], float), key
+            if ref == 0:
+                assert got[key] == 0.0, key
+            else:
+                assert abs((mp.mpf(got[key]) - ref) / ref) <= 1e-15, (key, got[key], ref)
 
 
 def test_multi_agent_dataset_views():
