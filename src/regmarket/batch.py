@@ -1,21 +1,34 @@
 """Batch estimation: fit any coalition design and tabulate optimal losses.
 
-Quadratic fits solve the Gram system by Cholesky factorisation, falling
-back to a recorded diagonal jitter when the system is ill conditioned.
+Quadratic fits solve the Gram system once a Cholesky factorisation shows
+it positive definite, falling back to a recorded diagonal jitter when the
+system is ill conditioned or the factorisation fails.
 Smooth quantile fits run damped Newton iterations warm-started from the
 quadratic solution; the loss is smooth and convex, so this converges fast.
+
+Coalition tables.  Every coalition design is a column subset of one
+design, so :func:`fit_all_coalitions` forms ``G = X'X`` and ``X'y`` once
+and stacks each coalition's principal submatrix of ``G``, zero-padded to
+the full width.  Each excluded diagonal entry is set to the block's mean
+eigenvalue ``trace / n_c``: it lies in ``[lambda_min, lambda_max]`` of the
+block, so the padded matrix has the block's condition number and the
+block's ``trace / n``, and the jitter rule sees what it would see on the
+coalition's own Gram matrix.  One stacked condition check, Cholesky and
+solve then fit every coalition.  Losses and gradient norms are taken from
+residuals, computed in blocks of coalitions, never from ``y'y - 2b'X'y +
+b'Gb``, which loses digits to cancellation.  :func:`fit_matrix` is the one-coalition case.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
-import scipy.linalg
 
-from .data import AugmentedDesign, coalition_design
+# coalition_design is no longer called here, but callers import it from here
+from .data import AugmentedDesign, coalition_columns, coalition_design  # noqa: F401
 from .errors import (
     ConvergenceError,
     EnumerationCapError,
@@ -23,13 +36,16 @@ from .errors import (
     ParameterError,
     SingularDesignError,
 )
-from .losses import LossSpec, insample_loss, loss_h1, loss_h2
+from .losses import LossSpec, insample_loss, loss_h1, loss_h2, loss_value
 
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 200
 MAX_HALVINGS = 50
 CONDITION_LIMIT = 1e12
 JITTER_SCALE = 1e-10
+# residual blocks hold about this many floats (1 MiB)
+RESIDUAL_BLOCK = 1 << 17
+CAP_REMEDY = "raise enumeration_cap, or screen the features first with screen_features"
 
 
 @dataclass(frozen=True)
@@ -45,46 +61,115 @@ class FitResult:
         return y - X @ self.coefficients
 
 
-def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve G x = rhs with jitter escape hatch; returns (x, jitter used)."""
-    n = G.shape[0]
-    jitter = 0.0
-    attempt = G
-    if np.linalg.cond(G) > CONDITION_LIMIT:
-        jitter = JITTER_SCALE * np.trace(G) / n
-        attempt = G + jitter * np.eye(n)
+def cholesky_failures(stack: np.ndarray) -> np.ndarray | None:
+    """None when every matrix of a stack has a Cholesky factor, else which ones lack one."""
     try:
-        c = scipy.linalg.cho_factor(attempt, lower=True)
+        np.linalg.cholesky(stack)
+        return None
     except np.linalg.LinAlgError:
-        if jitter == 0.0:
-            jitter = JITTER_SCALE * max(np.trace(G) / n, 1.0)
+        # one failure fails the whole stack; find out which ones failed
+        failed = np.zeros(len(stack), dtype=bool)
+        for i, m in enumerate(stack):
             try:
-                c = scipy.linalg.cho_factor(G + jitter * np.eye(n), lower=True)
+                np.linalg.cholesky(m)
             except np.linalg.LinAlgError:
-                raise SingularDesignError("design is rank deficient") from None
-        else:
-            raise SingularDesignError("design is rank deficient") from None
-    return scipy.linalg.cho_solve(c, rhs), jitter
+                failed[i] = True
+        return failed
+
+
+def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of systems ``G[i] x[i] = rhs[i]`` with the jitter escape hatch.
+
+    A system whose condition number exceeds CONDITION_LIMIT gets diagonal
+    jitter ``JITTER_SCALE * trace / n``.  A system whose Cholesky
+    factorisation fails anyway is retried alone with jitter; a second
+    failure raises SingularDesignError.  Returns ``(x, jitter per system)``.
+    """
+    n = G.shape[-1]
+    scale = np.trace(G, axis1=-2, axis2=-1) / n
+    jitter = np.where(np.linalg.cond(G) > CONDITION_LIMIT, JITTER_SCALE * scale, 0.0)
+    attempt = G + jitter[:, None, None] * np.eye(n)
+    failed = cholesky_failures(attempt)
+    if failed is not None:
+        if np.any(jitter[failed] != 0.0):
+            raise SingularDesignError("design is rank deficient")
+        jitter[failed] = JITTER_SCALE * np.maximum(scale[failed], 1.0)
+        attempt[failed] = G[failed] + jitter[failed, None, None] * np.eye(n)
+        if cholesky_failures(attempt[failed]) is not None:
+            raise SingularDesignError("design is rank deficient")
+    return np.linalg.solve(attempt, rhs[..., None])[..., 0], jitter
+
+
+def _residual_blocks(X: np.ndarray, y: np.ndarray,
+                     coefficients: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Residuals ``y - X b`` of every coefficient row, a block of rows at a time.
+
+    Yields ``(first row, block)``; each residual series is a contiguous row.
+    """
+    step = max(1, RESIDUAL_BLOCK // max(len(y), 1))
+    for lo in range(0, len(coefficients), step):
+        block = coefficients[lo:lo + step] @ X.T
+        np.subtract(y, block, out=block)
+        yield lo, block
+
+
+def coalition_losses(coefficients: np.ndarray, X: np.ndarray, y: np.ndarray,
+                     spec: LossSpec) -> np.ndarray:
+    """Pointwise losses ``(C, T)`` of every coefficient row on the rows ``(X, y)``."""
+    out = np.empty((len(coefficients), len(y)))
+    for lo, block in _residual_blocks(X, y, coefficients):
+        out[lo:lo + len(block)] = loss_value(block, spec)
+    return out
+
+
+def fit_column_sets(X: np.ndarray, y: np.ndarray, masks: np.ndarray, spec: LossSpec,
+                    term_names: tuple[str, ...]) -> tuple[np.ndarray, list[FitResult]]:
+    """Fit y on every column set a row of the ``(C, n)`` boolean ``masks`` selects.
+
+    Returns the ``(C, n)`` coefficient matrix, zero outside each set, and
+    one FitResult per set, each over its own columns only.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    T = X.shape[0]
+    widths = masks.sum(axis=1)
+    if T < widths.max():
+        raise InsufficientDataError(f"need at least {widths.max()} rows, have {T}")
+    G = X.T @ X
+    diag = np.diagonal(G)
+    mean_eig = (masks @ diag) / widths
+    stack = np.where(masks[:, :, None] & masks[:, None, :], G, 0.0)
+    idx = np.arange(X.shape[1])
+    stack[:, idx, idx] = np.where(masks, diag, mean_eig[:, None])
+    # the padded systems are block diagonal: the excluded entries solve apart
+    beta, jitter = _solve_gram(stack, np.broadcast_to(X.T @ y, masks.shape))
+    beta = np.where(masks, beta, 0.0)
+    columns = np.split(np.nonzero(masks)[1], np.cumsum(widths)[:-1])
+    names = [tuple(term_names[i] for i in cols.tolist()) for cols in columns]
+    if not spec.is_quadratic:
+        fits = [_newton_fit(X[:, cols], y, spec, beta[j, cols], names[j], float(jitter[j]))
+                for j, cols in enumerate(columns)]
+        for j, cols in enumerate(columns):
+            beta[j, cols] = fits[j].coefficients
+        return beta, fits
+    loss = np.empty(len(masks))
+    grad = np.empty(len(masks))
+    for lo, block in _residual_blocks(X, y, beta):
+        hi = lo + len(block)
+        loss[lo:hi] = np.mean(loss_value(block, spec), axis=1)
+        grad[lo:hi] = np.max(np.abs(block @ X) * masks[lo:hi], axis=1) / T
+    fits = [FitResult(beta[j, cols], float(loss[j]), names[j], jitter=float(jitter[j]),
+                      iterations=0, gradient_norm=float(grad[j]))
+            for j, cols in enumerate(columns)]
+    return beta, fits
 
 
 def fit_matrix(X: np.ndarray, y: np.ndarray, spec: LossSpec,
                term_names: tuple[str, ...] | None = None) -> FitResult:
     """Fit coefficients minimising the in-sample loss on a raw matrix."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    T, n = X.shape
-    if T < n:
-        raise InsufficientDataError(f"need at least {n} rows, have {T}")
+    n = np.shape(X)[1]
     names = term_names if term_names is not None else tuple(f"b{i}" for i in range(n))
-
-    G = X.T @ X
-    beta, jitter = _solve_gram(G, X.T @ y)
-    if spec.is_quadratic:
-        res = y - X @ beta
-        grad = float(np.max(np.abs(X.T @ res)) / T)
-        return FitResult(beta, insample_loss(res, spec), names,
-                         jitter=jitter, iterations=0, gradient_norm=grad)
-    return _newton_fit(X, y, spec, beta, names, jitter)
+    return fit_column_sets(X, y, np.ones((1, n), dtype=bool), spec, names)[1][0]
 
 
 def _newton_fit(X, y, spec, beta, names, jitter0) -> FitResult:
@@ -103,8 +188,9 @@ def _newton_fit(X, y, spec, beta, names, jitter0) -> FitResult:
             return FitResult(beta, current, names, jitter=jitter,
                              iterations=it - 1, gradient_norm=grad_norm)
         H = (X.T * loss_h2(res, dspec)) @ X / T
-        step, jit = _solve_gram(H, g)
-        jitter = max(jitter, jit)
+        step, jit = _solve_gram(H[None], g[None])
+        step = step[0]
+        jitter = max(jitter, float(jit[0]))
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             cand = beta + scale * step
@@ -143,13 +229,17 @@ class CoalitionLossTable:
     """Optimal in-sample loss for every support coalition.
 
     Keys are frozensets of support feature names; the design behind each
-    entry is the central features plus the coalition.
+    entry is the central features plus the coalition.  ``coefficients``,
+    when present, holds every coalition's coefficients over the full
+    design, one row per coalition in ``losses`` order and zero outside the
+    coalition's columns.
     """
 
     losses: Mapping[frozenset, float]
     support: tuple[str, ...]
     central: frozenset[str]
     fits: Mapping[frozenset, FitResult] = field(default_factory=dict)
+    coefficients: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         full = frozenset(self.support)
@@ -185,12 +275,13 @@ def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
     if len(support) > cap:
         raise EnumerationCapError(
             f"{len(support)} support features exceed the exact enumeration cap "
-            f"({cap}); use the Monte-Carlo allocation instead")
-    losses: dict[frozenset, float] = {}
-    fits: dict[frozenset, FitResult] = {}
-    for coalition in enumerate_coalitions(support):
-        sub = coalition_design(design, central, coalition)
-        fit = fit_batch(sub, y, spec)
-        losses[coalition] = fit.loss_star
-        fits[coalition] = fit
-    return CoalitionLossTable(losses, support, frozenset(central), fits)
+            f"({cap}); {CAP_REMEDY}")
+    central = frozenset(central)
+    coalition_columns(design, central, frozenset(support))   # checks the features
+    coalitions = list(enumerate_coalitions(support))
+    masks = np.zeros((len(coalitions), design.n), dtype=bool)
+    for j, coalition in enumerate(coalitions):
+        masks[j, design.columns_for(central | coalition)] = True
+    beta, fits = fit_column_sets(design.values, y, masks, spec, design.term_names)
+    return CoalitionLossTable({c: f.loss_star for c, f in zip(coalitions, fits)},
+                              support, central, dict(zip(coalitions, fits)), beta)

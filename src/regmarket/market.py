@@ -49,14 +49,17 @@ from .allocation import (
     step_allocations,
 )
 from .batch import (
+    CAP_REMEDY,
     CoalitionLossTable,
+    coalition_losses,
     enumerate_coalitions,
     fit_all_coalitions as _fit_table,
+    fit_column_sets,
     fit_matrix,
 )
 from .data import AugmentedDesign, Dataset, make_lags, polynomial_expand
 from .errors import EnumerationCapError, ParameterError
-from .losses import LossSpec, insample_loss, loss_value
+from .losses import LossSpec, insample_loss
 from .online import WARM_START, ZERO_START, OnlineSession
 
 SCHEMA_VERSION = 1
@@ -443,18 +446,18 @@ def _batch_feature_game(design, y, task: TaskSpec, central, support, owners,
     players = (UNIT_PLAYER,) + tuple(sorted(central)) + tuple(support)
     if len(players) > task.enumeration_cap:
         raise EnumerationCapError(
-            f"{len(players)} players exceed the enumeration cap ({task.enumeration_cap})")
-    X = design.values
-    values: dict[frozenset, float] = {}
-    for S in enumerate_coalitions(players):
-        allowed = frozenset(S) - {UNIT_PLAYER}
-        idx = [i for i, t in enumerate(design.terms)
-               if (t.kind == "intercept" and UNIT_PLAYER in S)
-               or (t.kind != "intercept" and t.support <= allowed)]
-        if not idx:
-            values[S] = insample_loss(y, task.loss)
-        else:
-            values[S] = fit_matrix(X[:, idx], y, task.loss).loss_star
+            f"{len(players)} players exceed the enumeration cap "
+            f"({task.enumeration_cap}); {CAP_REMEDY}")
+    games = list(enumerate_coalitions(players))
+    masks = np.array([[UNIT_PLAYER in S if t.kind == "intercept" else t.support <= S
+                       for t in design.terms] for S in games])
+    # the empty coalition sees no term: its loss is that of the zero forecast
+    fitted = masks.any(axis=1)
+    _, fits = fit_column_sets(design.values, y, masks[fitted], task.loss,
+                              design.term_names)
+    losses = iter(f.loss_star for f in fits)
+    values = {S: next(losses) if ok else insample_loss(y, task.loss)
+              for S, ok in zip(games, fitted)}
     central_loss = values[frozenset({UNIT_PLAYER} | central)]
     full_loss = values[frozenset(players)]
     base_loss = values[frozenset({UNIT_PLAYER})]
@@ -603,17 +606,16 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     train = task.train_rows if task.train_rows is not None else T // 2
     if model_source == "batch" and not 0 < train < T:
         raise ParameterError(f"training rows {train} must split the {T} available rows")
-    coalitions = list(enumerate_coalitions(chosen))
     grand = frozenset(chosen)
     variant_policy = task.oos_allocation_policy
 
     if model_source == "batch":
         eval_rows = np.arange(train, T)
-        losses_by_coalition = _batch_oos_losses(design, X, y, train, coalitions,
-                                                central, chosen, task)
+        losses_by_coalition = _batch_oos_losses(design, X, y, train, central, chosen,
+                                                task)
     else:
         eval_rows, losses_by_coalition = _online_oos_losses(
-            design, X, y, coalitions, central, task)
+            design, X, y, central, chosen, task)
     n_eval = len(eval_rows)
     if n_eval < 1:
         raise ParameterError("no evaluation rows left for the out-of-sample market")
@@ -650,20 +652,16 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     return report
 
 
-def _batch_oos_losses(design, X, y, train, coalitions, central, support, task):
+def _batch_oos_losses(design, X, y, train, central, support, task):
     train_design = AugmentedDesign(design.terms, X[:train], design.feature_owners)
     table = _fit_table(train_design, y[:train], central=central, support=support,
                        spec=task.loss, cap=task.enumeration_cap)
-    out = {}
-    for c in coalitions:
-        idx = list(design.columns_for(central | c))
-        beta = table.fits[c].coefficients
-        resid = y[train:] - X[train:][:, idx] @ beta
-        out[c] = np.asarray(loss_value(resid, task.loss))
-    return out
+    losses = coalition_losses(table.coefficients, X[train:], y[train:], task.loss)
+    return dict(zip(table.losses, losses))
 
 
-def _online_oos_losses(design, X, y, coalitions, central, task):
+def _online_oos_losses(design, X, y, central, support, task):
+    coalitions = list(enumerate_coalitions(support))
     session, w = _start_session(design, X, y, central, coalitions, task)
     trace = session.stream(X[w:], y[w:])
     losses = trace.losses[trace.ready]

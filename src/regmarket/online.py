@@ -38,7 +38,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .batch import fit_matrix
+from .batch import cholesky_failures, fit_matrix
 from .data import AugmentedDesign
 from .errors import ParameterError, SingularUpdateError
 from .losses import EwmaLoss, LossSpec, ewma_update, insample_loss, loss_h1, loss_h2, loss_value
@@ -106,22 +106,6 @@ def init_state(X_warm: np.ndarray | None, y_warm: np.ndarray | None,
                        ewma=EwmaLoss(insample_loss(res, spec), lam))
 
 
-def _cholesky_failures(memory: np.ndarray) -> np.ndarray | None:
-    """None when every memory has a Cholesky factor, else which ones lack one."""
-    try:
-        np.linalg.cholesky(memory)
-        return None
-    except np.linalg.LinAlgError:
-        # one failure fails the whole batch; find out which ones failed
-        failed = np.zeros(len(memory), dtype=bool)
-        for i, m in enumerate(memory):
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                failed[i] = True
-        return failed
-
-
 class _StackedStates:
     """The states of C estimators stacked into arrays padded to width N."""
 
@@ -181,7 +165,7 @@ class _StackedStates:
         # plain Newton direction and the accumulated one of the others
         rhs = lam * self.pending_gradient + X * h1[:, None]
 
-        failed = _cholesky_failures(memory)
+        failed = cholesky_failures(memory)
         if failed is not None and (failed & self.ready).any():
             i = int(np.argmax(failed & self.ready))
             prefix = f"{self.labels[i]}: " if self.labels else ""
