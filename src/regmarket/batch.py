@@ -8,15 +8,16 @@ quadratic solution; the loss is smooth and convex, so this converges fast.
 
 Coalition tables.  Every coalition design is a column subset of one
 design, so :func:`fit_all_coalitions` forms ``G = X'X`` and ``X'y`` once
-and stacks each coalition's principal submatrix of ``G``, zero-padded to
-the full width.  Each excluded diagonal entry is set to the block's mean
-eigenvalue ``trace / n_c``: it lies in ``[lambda_min, lambda_max]`` of the
-block, so the padded matrix has the block's condition number and the
-block's ``trace / n``, and the jitter rule sees what it would see on the
-coalition's own Gram matrix.  One stacked condition check, Cholesky and
-solve then fit every coalition.  Losses and gradient norms are taken from
-residuals, computed in blocks of coalitions, never from ``y'y - 2b'X'y +
-b'Gb``, which loses digits to cancellation.  :func:`fit_matrix` is the one-coalition case.
+and gathers each coalition's principal submatrix of ``G``.  Coalitions of
+one width stack without padding, so each system is factorised at its own
+width and the jitter rule sees the coalition's own Gram matrix.  Every
+stack of systems, and every block of residuals, is cut to about
+``BLOCK_FLOATS`` floats, so no working array but the ``(C, n)``
+coefficient table grows with the number of coalitions.  One condition
+check, Cholesky check and solve then fit each stack.  Losses and gradient
+norms are taken from residuals, never from ``y'y - 2b'X'y + b'Gb``, which
+loses digits to cancellation.  :func:`fit_matrix` is the one-coalition
+case.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-# coalition_design is no longer called here, but callers import it from here
-from .data import AugmentedDesign, coalition_columns, coalition_design  # noqa: F401
+from .data import AugmentedDesign, coalition_design
 from .errors import (
     ConvergenceError,
     EnumerationCapError,
@@ -43,8 +43,8 @@ MAX_NEWTON_ITER = 200
 MAX_HALVINGS = 50
 CONDITION_LIMIT = 1e12
 JITTER_SCALE = 1e-10
-# residual blocks hold about this many floats (1 MiB)
-RESIDUAL_BLOCK = 1 << 17
+# stacks of Gram systems and blocks of residuals hold about this many floats (1 MiB)
+BLOCK_FLOATS = 1 << 17
 CAP_REMEDY = "raise enumeration_cap, or screen the features first with screen_features"
 
 
@@ -83,8 +83,12 @@ def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     A system whose condition number exceeds CONDITION_LIMIT gets diagonal
     jitter ``JITTER_SCALE * trace / n``.  A system whose Cholesky
     factorisation fails anyway is retried alone with jitter; a second
-    failure raises SingularDesignError.  Returns ``(x, jitter per system)``.
+    failure raises SingularDesignError; a stack that is not finite raises
+    ParameterError.  Returns ``(x, jitter per system)``.
     """
+    if not np.isfinite(G).all():
+        raise ParameterError("Gram matrix is not finite: the design's columns overflow "
+                             "X'X; rescale the features")
     n = G.shape[-1]
     scale = np.trace(G, axis1=-2, axis2=-1) / n
     jitter = np.where(np.linalg.cond(G) > CONDITION_LIMIT, JITTER_SCALE * scale, 0.0)
@@ -106,7 +110,7 @@ def _residual_blocks(X: np.ndarray, y: np.ndarray,
 
     Yields ``(first row, block)``; each residual series is a contiguous row.
     """
-    step = max(1, RESIDUAL_BLOCK // max(len(y), 1))
+    step = max(1, BLOCK_FLOATS // max(len(y), 1))
     for lo in range(0, len(coefficients), step):
         block = coefficients[lo:lo + step] @ X.T
         np.subtract(y, block, out=block)
@@ -133,17 +137,23 @@ def fit_column_sets(X: np.ndarray, y: np.ndarray, masks: np.ndarray, spec: LossS
     y = np.asarray(y, dtype=float)
     T = X.shape[0]
     widths = masks.sum(axis=1)
+    if widths.min() < 1:
+        raise ParameterError("every column set needs at least one column")
     if T < widths.max():
         raise InsufficientDataError(f"need at least {widths.max()} rows, have {T}")
-    G = X.T @ X
-    diag = np.diagonal(G)
-    mean_eig = (masks @ diag) / widths
-    stack = np.where(masks[:, :, None] & masks[:, None, :], G, 0.0)
-    idx = np.arange(X.shape[1])
-    stack[:, idx, idx] = np.where(masks, diag, mean_eig[:, None])
-    # the padded systems are block diagonal: the excluded entries solve apart
-    beta, jitter = _solve_gram(stack, np.broadcast_to(X.T @ y, masks.shape))
-    beta = np.where(masks, beta, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):   # _solve_gram names an overflow
+        G = X.T @ X
+        b = X.T @ y
+    beta = np.zeros(masks.shape)
+    jitter = np.empty(len(masks))
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        cols = np.nonzero(masks[rows])[1].reshape(len(rows), width)
+        step = max(1, BLOCK_FLOATS // (width * width))
+        for lo in range(0, len(rows), step):
+            r, c = rows[lo:lo + step], cols[lo:lo + step]
+            beta[r[:, None], c], jitter[r] = _solve_gram(G[c[:, :, None], c[:, None, :]],
+                                                         b[c])
     columns = np.split(np.nonzero(masks)[1], np.cumsum(widths)[:-1])
     names = [tuple(term_names[i] for i in cols.tolist()) for cols in columns]
     if not spec.is_quadratic:
@@ -277,7 +287,7 @@ def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
             f"{len(support)} support features exceed the exact enumeration cap "
             f"({cap}); {CAP_REMEDY}")
     central = frozenset(central)
-    coalition_columns(design, central, frozenset(support))   # checks the features
+    coalition_design(design, central, support)   # checks the features
     coalitions = list(enumerate_coalitions(support))
     masks = np.zeros((len(coalitions), design.n), dtype=bool)
     for j, coalition in enumerate(coalitions):

@@ -382,9 +382,13 @@ def _describe_term(dataset: Dataset, powers, support, owners) -> TermDescriptor:
                           owners=owner_set, powers=powers)
 
 
-def coalition_columns(design: AugmentedDesign, central: frozenset[str] | set[str],
-                      coalition: frozenset[str] | set[str]) -> tuple[int, ...]:
-    """Indices of the terms a coalition can see, after checking its features."""
+def coalition_design(design: AugmentedDesign, central: frozenset[str] | set[str],
+                     coalition: frozenset[str] | set[str]) -> AugmentedDesign:
+    """Sub-design a coalition can see: terms supported by central u coalition.
+
+    The intercept is always included.  Term order is preserved, so nested
+    coalitions produce nested designs.
+    """
     central = frozenset(central)
     coalition = frozenset(coalition)
     if central & coalition:
@@ -394,17 +398,7 @@ def coalition_columns(design: AugmentedDesign, central: frozenset[str] | set[str
     missing = coalition - set(design.market_features)
     if missing:
         raise FeatureLookupError(f"unknown coalition features: {sorted(missing)}")
-    return design.columns_for(central | coalition)
-
-
-def coalition_design(design: AugmentedDesign, central: frozenset[str] | set[str],
-                     coalition: frozenset[str] | set[str]) -> AugmentedDesign:
-    """Sub-design a coalition can see: terms supported by central u coalition.
-
-    The intercept is always included.  Term order is preserved, so nested
-    coalitions produce nested designs.
-    """
-    return design.subset(coalition_columns(design, central, coalition))
+    return design.subset(design.columns_for(central | coalition))
 
 
 def expected_term_count(n_features: int, degree: int) -> int:

@@ -5,15 +5,20 @@ reference is ``fit_matrix`` on each coalition's own sub-design, as built by
 ``coalition_design``.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from regmarket import batch
 from regmarket import (
     AugmentedDesign,
     Dataset,
     EnumerationCapError,
     InsufficientDataError,
     LossSpec,
+    ParameterError,
     SingularDesignError,
     TaskSpec,
     clear_batch_market,
@@ -102,6 +107,45 @@ def test_wide_column_scales_keep_the_jitter_decision():
         assert table.fits[c].loss_star == pytest.approx(want.loss_star, rel=1e-10)
 
 
+def test_wide_table_holds_no_stack_above_the_block_budget(monkeypatch):
+    # degree 2 over eight features: 45 terms and 128 coalitions, whose
+    # systems stacked at full width would be 128 * 45^2 floats (2 MB)
+    budget = 1 << 12
+    monkeypatch.setattr(batch, "BLOCK_FLOATS", budget)
+    stacks = []
+    solve = batch._solve_gram
+
+    def recording_solve(G, rhs):
+        stacks.append(G.shape)
+        return solve(G, rhs)
+
+    monkeypatch.setattr(batch, "_solve_gram", recording_solve)
+    rng = np.random.default_rng(112)
+    ds, design = make_design(T=300, seed=12, degree=2, extra=lambda f: {
+        f"x{i}": rng.normal(size=300) for i in range(5, 9)})
+    support = tuple(f"x{i}" for i in range(2, 9))
+    assert design.n == 45
+    tracemalloc.start()
+    try:
+        table = fit_all_coalitions(design, ds.target, central=CENTRAL, support=support,
+                                   spec=QUAD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(k * n * n for k, n, _ in stacks) <= budget
+    # every system is factorised at its own coalition's width
+    assert sum(k for k, _, _ in stacks) == 128
+    assert {n for _, n, _ in stacks} == {len(f.term_names) for f in table.fits.values()}
+    assert peak < 128 * 45 * 45 * 8 / 4
+    for c, want in reference_fits(design, ds.target, support).items():
+        got = table.fits[c]
+        assert got.term_names == want.term_names
+        assert got.jitter == want.jitter == 0.0
+        np.testing.assert_allclose(got.coefficients, want.coefficients,
+                                   rtol=1e-10, atol=1e-13)
+        assert got.loss_star == pytest.approx(want.loss_star, rel=1e-10)
+
+
 def test_duplicated_support_column_jitters_only_coalitions_holding_both():
     ds, design = make_design(seed=6, extra=lambda f: {"x5": f["x3"].copy()})
     support = ("x2", "x3", "x4", "x5")
@@ -140,6 +184,15 @@ def test_failed_factorisation_retries_alone_then_raises():
     indefinite = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(SingularDesignError):
         _solve_gram(np.stack([good, indefinite]), rhs)
+
+
+def test_overflowing_gram_matrix_is_a_parameter_error():
+    rng = np.random.default_rng(13)
+    X = np.column_stack([np.ones(50), rng.normal(size=50) * 1e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflow"):
+            fit_matrix(X, rng.normal(size=50), QUAD)
 
 
 def test_fewer_rows_than_the_grand_coalition_is_insufficient_data():
