@@ -44,6 +44,12 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 CONFIG_VERSION = 1
+RUN_KEYS = ("version", "csv", "scenario", "rows", "seed", "out", "screening",
+            "model_source", "timestamp_column", "target_column", "capacities")
+TASK_KEYS = ("central_agent", "loss", "tau", "alpha", "derivative_variant", "degree",
+             "interactions", "phi_insample", "phi_oos", "lambda", "allocation",
+             "oos_allocation", "init_policy", "warmup", "train_rows", "loss_unit",
+             "enumeration_cap", "lags_<series>")
 
 
 def _default_out() -> str:
@@ -208,7 +214,9 @@ def load_config(path) -> tuple[dict, TaskSpec, str | None]:
         raise ConfigError("config needs [run] and [task] sections")
     run = dict(parser["run"])
     task_section = dict(parser["task"])
-    version = int(run.get("version", CONFIG_VERSION))
+    _check_keys("run", run, RUN_KEYS)
+    _check_keys("task", [k for k in task_section if not k.startswith("lags_")], TASK_KEYS)
+    version = _number(run, "version", int, CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}")
     sources = [k for k in ("csv", "scenario") if run.get(k)]
@@ -218,37 +226,55 @@ def load_config(path) -> tuple[dict, TaskSpec, str | None]:
     ownership = dict(parser["ownership"]) if "ownership" in parser else {}
     loss = LossSpec(
         family=task_section.get("loss", "quadratic"),
-        tau=float(task_section.get("tau", 0.5)),
-        alpha=float(task_section.get("alpha", 0.2)),
+        tau=_number(task_section, "tau", float, 0.5),
+        alpha=_number(task_section, "alpha", float, 0.2),
         derivative_variant=task_section.get("derivative_variant", "analytic"))
     lags: dict[str, tuple[int, ...]] = {}
     for key, value in task_section.items():
         if key.startswith("lags_"):
             series = key[len("lags_"):]
-            lags[series] = tuple(int(v) for v in value.split())
+            lags[series] = tuple(_parse(int, key, v) for v in value.split())
     task = TaskSpec(
         central_agent=task_section.get("central_agent", "central"),
         ownership=ownership,
         loss=loss,
         lags=lags,
-        degree=int(task_section.get("degree", 1)),
+        degree=_number(task_section, "degree", int, 1),
         interactions=_parse_bool(task_section.get("interactions", "true")),
-        phi_insample=float(task_section.get("phi_insample", 0.1)),
-        phi_oos=float(task_section.get("phi_oos", 0.0)),
-        lam=float(task_section.get("lambda", 0.998)),
-        horizon=int(task_section.get("horizon", 1)),
+        phi_insample=_number(task_section, "phi_insample", float, 0.1),
+        phi_oos=_number(task_section, "phi_oos", float, 0.0),
+        lam=_number(task_section, "lambda", float, 0.998),
         allocation_policy=task_section.get("allocation", "shapley"),
         oos_allocation_policy=task_section.get("oos_allocation", "zero-shapley"),
         init_policy=task_section.get("init_policy", "warm-start"),
-        warmup=int(task_section.get("warmup", 100)),
-        train_rows=(int(task_section["train_rows"])
-                    if "train_rows" in task_section else None),
+        warmup=_number(task_section, "warmup", int, 100),
+        train_rows=_number(task_section, "train_rows", int, None),
         loss_unit=task_section.get("loss_unit", "raw"),
-        enumeration_cap=int(task_section.get("enumeration_cap", 15)))
+        enumeration_cap=_number(task_section, "enumeration_cap", int, 15))
     screening = run.get("screening") or None
     if screening not in (None, "cv-loss", "burn-in-shapley"):
         raise ConfigError(f"unknown screening method {screening!r}")
     return run, task, screening
+
+
+def _check_keys(name: str, keys, accepted: tuple[str, ...]) -> None:
+    """Reject keys that nothing would read."""
+    unknown = sorted(set(keys).difference(accepted))
+    if unknown:
+        raise ConfigError(f"unknown [{name}] key(s) {', '.join(unknown)}; "
+                          f"accepted keys: {', '.join(accepted)}")
+
+
+def _parse(kind, key: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} = {text!r} is not {noun}") from None
+
+
+def _number(section: dict, key: str, kind, default):
+    return _parse(kind, key, section[key]) if key in section else default
 
 
 def _parse_bool(text: str) -> bool:
@@ -262,9 +288,10 @@ def _parse_bool(text: str) -> bool:
 
 def _resolve_dataset(run_cfg: dict, task: TaskSpec):
     if run_cfg.get("scenario"):
-        spec = scenarios.ScenarioSpec(case=run_cfg["scenario"],
-                                      T=int(run_cfg["rows"]) if run_cfg.get("rows") else None,
-                                      seed=int(run_cfg.get("seed", 0)))
+        spec = scenarios.ScenarioSpec(
+            case=run_cfg["scenario"],
+            T=_parse(int, "rows", run_cfg["rows"]) if run_cfg.get("rows") else None,
+            seed=_number(run_cfg, "seed", int, 0))
         dataset, _ = scenarios.generate(spec)
         return dataset
     schema = CsvSchema(
@@ -283,7 +310,7 @@ def _parse_capacities(text: str | None):
         name, _, value = part.partition("=")
         if not value:
             raise ConfigError(f"capacity entry {part!r} is not name=value")
-        out[name.strip()] = float(value)
+        out[name.strip()] = _parse(float, "capacities", value)
     return out
 
 

@@ -84,7 +84,6 @@ class TaskSpec:
     phi_insample: float = 0.1
     phi_oos: float = 0.0
     lam: float = 0.998
-    horizon: int = 1
     allocation_policy: str = "shapley"
     oos_allocation_policy: str = "zero-shapley"
     init_policy: str = WARM_START
@@ -98,8 +97,6 @@ class TaskSpec:
     def __post_init__(self):
         if self.phi_insample < 0 or self.phi_oos < 0:
             raise ParameterError("willingness to pay must be >= 0")
-        if self.horizon < 0:
-            raise ParameterError("forecast horizon must be >= 0")
         if not 0.0 < self.lam <= 1.0:
             raise ParameterError("forgetting factor must lie in (0, 1]")
         if self.allocation_policy not in _POLICIES:
@@ -631,7 +628,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
         phi=phi, allocation_policy=variant_policy, game="support-coalitions",
         support=chosen, feature_owners=owners,
         flag_duplicates=task.flag_duplicates, flag_dummies=task.flag_dummies,
-        notes={"model_source": model_source, "horizon": task.horizon})
+        notes={"model_source": model_source})
 
     amounts = np.column_stack([
         np.where(positive, np.maximum(contribs[k], 0.0), 0.0) * scale for k in chosen])

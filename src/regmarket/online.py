@@ -29,10 +29,30 @@ and solve give the design's own block unchanged, and every coalition
 advances with one gather of the row, one vectorised call to each loss
 function, one batched memory update, one batched Cholesky and one batched
 solve.  :func:`online_step` is the one-coalition case of the same kernel.
+
+Block scan.  With the quadratic loss (h1 = eps, h2 = 1) the update is
+recursive least squares, and both of its recursions are linear:
+
+    M_t = lam * M_{t-1} + x_t x_t'
+    r_t = lam * r_{t-1} + x_t y_t,       where r_t = M_t beta_t
+
+so :meth:`OnlineSession.stream` runs quadratic sessions as a block scan
+(Blelloch's prefix sums): one ``cumsum`` of ``lam^-k``-scaled outer
+products and rows gives every step's ``M`` and ``r`` in a block of B steps,
+one batched solve gives every ``beta_t``, and one ``einsum`` the prior
+residuals; the EWMA losses are the same scaled prefix sum.  B keeps
+``lam^-(B-1)`` at most ``SCALE_LIMIT`` and the ``(B, C, N, N)`` memory
+block within ``SCAN_FLOATS`` floats, so working memory does not grow with
+the stream.  A block whose data or losses are not finite, or in which a
+ready estimator's memory fails its Cholesky check, is replayed step by
+step, so errors are raised at the recursion's step and leave the
+recursion's state.  :meth:`OnlineSession.step` and smooth-quantile
+streams keep the recursion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -45,6 +65,11 @@ from .losses import EwmaLoss, LossSpec, ewma_update, insample_loss, loss_h1, los
 
 WARM_START = "warm-start"
 ZERO_START = "zero-start"
+# a scan block rescales its prefix sums by lam^-k up to this factor
+SCALE_LIMIT = 1e3
+# and holds about this many floats per (B, C, N, N) array (256 KiB); larger
+# blocks measured slower and grow peak memory
+SCAN_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -195,6 +220,84 @@ class _StackedStates:
         self.ewma = ewma
         return eps, losses
 
+    # an overflow makes the block decline, and its replay warns
+    @np.errstate(over="ignore", invalid="ignore")
+    def scan(self, X: np.ndarray, y: np.ndarray,
+             lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Advance every estimator over a block of rows of the quadratic loss.
+
+        ``X`` holds each step's rows, ``(B, C, N)``.  Returns each step's
+        losses and EWMA losses, ``(B, C)``, and whether every estimator is
+        ready after it, ``(B,)``.  Returns None, changing nothing, when the
+        data or losses are not finite or a ready memory fails its Cholesky
+        check; the block is then for :meth:`advance` to replay.
+        """
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            return None
+        B, C, N = X.shape
+        decay = lam ** np.arange(B, dtype=float)
+        grow = 1.0 / decay
+        memory = 0.5 * (self.memory + self.memory.transpose(0, 2, 1))
+        # r = M beta + pending gradient holds for ready and waiting estimators
+        rhs = np.einsum("cmn,cn->cm", memory, self.coefficients) + self.pending_gradient
+        scaled = X * grow[:, None, None]
+        M = np.cumsum(scaled[:, :, :, None] * X[:, :, None, :], axis=0)
+        M += lam * memory
+        M *= decay[:, None, None, None]
+        M[(slice(None),) + self.padding] = 1.0
+        r = np.cumsum(scaled * y[:, None, None], axis=0)
+        r += lam * rhs
+        r *= decay[:, None, None]
+
+        # the first step of the block at which each estimator is ready
+        ready_from = np.zeros(C, dtype=int)
+        if not self.all_ready:
+            ready_from[~self.ready] = np.maximum(
+                self.min_warm_steps - self.step_count - 1, 0)[~self.ready]
+            undecided = ~self.ready & (ready_from < B)
+            while undecided.any():
+                idx = np.flatnonzero(undecided)
+                failed = cholesky_failures(M[ready_from[idx], idx])
+                if failed is None:
+                    break
+                undecided[idx[~failed]] = False
+                ready_from[idx[failed]] += 1
+                undecided &= ready_from < B
+        ready = np.arange(B)[:, None] >= ready_from
+        try:
+            np.linalg.cholesky(M if ready.all() else M[ready])
+        except np.linalg.LinAlgError:
+            return None
+
+        if ready.all():
+            beta = np.linalg.solve(M, r[..., None])[..., 0]
+        else:
+            beta = np.linalg.solve(np.where(ready[:, :, None, None], M, np.eye(N)),
+                                   r[..., None])[..., 0]
+            beta = np.where(ready[:, :, None], beta, self.coefficients)
+        prior = np.concatenate([self.coefficients[None], beta[:-1]])
+        eps = y[:, None] - np.einsum("bcn,bcn->bc", X, prior)
+        losses = eps * eps
+        if not np.isfinite(losses).all():
+            return None
+        ewma = np.cumsum(losses * ((1.0 - lam) * grow[:, None]), axis=0)
+        ewma += lam * self.ewma.value
+        ewma *= decay[:, None]
+
+        if not self.all_ready:
+            waiting = ~ready[-1]
+            self.pending_gradient = np.where(
+                waiting[:, None],
+                r[-1] - np.einsum("cmn,cn->cm", M[-1], self.coefficients), 0.0)
+            self.min_warm_steps = np.where(waiting, self.min_warm_steps, 0)
+            self.ready = ready[-1].copy()
+            self.all_ready = bool(self.ready.all())
+        self.coefficients = beta[-1].copy()
+        self.memory = M[-1].copy()
+        self.step_count = self.step_count + B
+        self.ewma = EwmaLoss(ewma[-1].copy(), lam)
+        return losses, ewma, ready.all(axis=1)
+
 
 def online_step(state: OnlineState, x_row: np.ndarray, y_t: float,
                 lam: float, spec: LossSpec) -> tuple[OnlineState, float, float]:
@@ -222,6 +325,10 @@ class OnlineSession:
 
     def __init__(self, design: AugmentedDesign, central: frozenset[str],
                  coalitions: list[frozenset], lam: float, spec: LossSpec):
+        # at lam = 0 the memory is the last row's outer product, which no
+        # design wider than one column can factorise
+        if not 0.0 < lam <= 1.0:
+            raise ParameterError("forgetting factor must lie in (0, 1]")
         self.lam = lam
         self.spec = spec
         self.central = central
@@ -268,15 +375,49 @@ class OnlineSession:
         return dict(zip(self.columns, zip(eps.tolist(), losses.tolist())))
 
     def stream(self, X: np.ndarray, y: np.ndarray) -> SessionTrace:
-        """Step through the rows of ``X`` and ``y`` and record every step."""
+        """Step through the rows of ``X`` and ``y`` and record every step.
+
+        Quadratic sessions advance in scan blocks (see the module
+        docstring); a block the scan declines, and every smooth-quantile
+        step, goes through the recursion as :meth:`step` does.
+        """
+        if self._stack is None:
+            raise ParameterError("session states not initialised")
         T, C = len(y), len(self.columns)
         trace = SessionTrace(np.empty((T, C)), np.empty((T, C)), np.empty(T, dtype=bool))
-        for t in range(T):
-            out = self.step(X[t], y[t])
-            trace.losses[t] = [loss for _, loss in out.values()]
-            trace.ewma[t] = self._stack.ewma.value
-            trace.ready[t] = self._stack.all_ready
+        block = self._scan_steps() if self.spec.is_quadratic else max(T, 1)
+        for start in range(0, T, block):
+            rows = slice(start, min(start + block, T))
+            out = None
+            if self.spec.is_quadratic:
+                out = self._stack.scan(self._gather_rows(X[rows]), y[rows], self.lam)
+            if out is None:
+                self._recurse(X, y, rows, trace)
+            else:
+                trace.losses[rows], trace.ewma[rows], trace.ready[rows] = out
         return trace
+
+    def _scan_steps(self) -> int:
+        """Steps per scan block: the rescale and the float budget bound it."""
+        C, N = self._gather.shape
+        steps = max(1, SCAN_FLOATS // max(C * N * N, 1))
+        if self.lam < 1.0:
+            steps = min(steps, 1 + int(math.log(SCALE_LIMIT) / -math.log(self.lam)))
+        return steps
+
+    def _gather_rows(self, X: np.ndarray) -> np.ndarray:
+        padded = np.zeros((X.shape[0], X.shape[1] + 1))
+        padded[:, :-1] = X
+        return padded[:, self._gather]
+
+    def _recurse(self, X: np.ndarray, y: np.ndarray, rows: slice,
+                 trace: SessionTrace) -> None:
+        stack, row = self._stack, self._row
+        for t in range(rows.start, rows.stop):
+            row[:-1] = X[t]
+            trace.losses[t] = stack.advance(row[self._gather], y[t], self.lam, self.spec)[1]
+            trace.ewma[t] = stack.ewma.value
+            trace.ready[t] = stack.all_ready
 
     def ewma_losses(self) -> dict[frozenset, float]:
         if self._stack is None:

@@ -230,3 +230,47 @@ x4 = a3
     report = json.loads((out / "report.json").read_text())
     assert report["market"] == "oos"
     assert report["metrics"]["with_support"] <= report["metrics"]["without_support"]
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("[task]", "lamda = 0.9", "lamda"),
+    ("[task]", "horizon = 1", "horizon"),
+    ("[run]", "sead = 4", "sead"),
+])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, section, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(
+        f"{section}\n", f"{section}\n{line}\n"))
+    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"unknown {section} key(s) {key}" in err
+    assert "accepted keys:" in err and ("lambda" in err or section == "[run]")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lag_keys_stay_valid(tmp_path):
+    from regmarket.cli import load_config
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(
+        "[task]\n", "[task]\nlags_y = 1 2\nlags_x2 = 1\n"))
+    _, task, _ = load_config(cfg)
+    assert dict(task.lags) == {"y": (1, 2), "x2": (1,)}
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("[task]", "phi_oos = abc", "phi_oos"),
+    ("[task]", "warmup = 1.5", "warmup"),
+    ("[task]", "lags_y = 1 two", "lags_y"),
+    ("[run]", "rows = many", "rows"),
+])
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, section, line, key):
+    cfg = tmp_path / "run.cfg"
+    text = CONFIG.format(out=tmp_path / "out")
+    if key == "rows":
+        text = text.replace("rows = 600\n", "")
+    cfg.write_text(text.replace(f"{section}\n", f"{section}\n{line}\n"))
+    code = run_cli(["market", "--mechanism", "oos", "--config", str(cfg)])
+    assert code == 1
+    assert f"error: {key} = " in capsys.readouterr().err

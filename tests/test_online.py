@@ -373,3 +373,191 @@ def test_snapshot_round_trip_while_warming_up():
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.memory, b.memory)
         assert a.ewma.value == b.ewma.value
+
+
+# -- block scan ----------------------------------------------------------------
+
+def step_trace(session, X, y):
+    """The trace ``stream`` records, built from ``step`` and the public state."""
+    losses, ewma, ready = [], [], []
+    for t in range(len(y)):
+        out = session.step(X[t], y[t])
+        losses.append([out[c][1] for c in session.coalitions])
+        final = session.ewma_losses()
+        ewma.append([final[c] for c in session.coalitions])
+        ready.append(all(s.ready for s in session.states.values()))
+    return np.array(losses), np.array(ewma), np.array(ready)
+
+
+def assert_sessions_close(a, b):
+    sa, sb = a.states, b.states
+    for c in a.coalitions:
+        assert sa[c].ready == sb[c].ready
+        assert sa[c].step_count == sb[c].step_count
+        assert sa[c].min_warm_steps == sb[c].min_warm_steps
+        assert_close(sa[c].coefficients, sb[c].coefficients)
+        assert_close(sa[c].memory, sb[c].memory)
+        assert_close(sa[c].ewma.value, sb[c].ewma.value)
+        assert (sa[c].pending_gradient is None) == (sb[c].pending_gradient is None)
+        if sb[c].pending_gradient is not None:
+            assert_close(sa[c].pending_gradient, sb[c].pending_gradient)
+
+
+def twin_sessions(design, y, coalitions, lam, policy, spec=QUAD, warm=60):
+    X = design.values
+    pair = []
+    for _ in range(2):
+        session = OnlineSession(design, frozenset({"x1"}), coalitions, lam, spec)
+        if policy == WARM_START:
+            session.init_states(X[:warm], y[:warm], WARM_START, min_warm=warm)
+        else:
+            session.init_states(None, None, ZERO_START)
+        pair.append(session)
+    return pair, warm if policy == WARM_START else 0
+
+
+def assert_stream_matches_recursion(scan, recursion, X, y):
+    # every block must run as a scan: one replayed through the recursion
+    # would match the recursion whatever the scan got wrong
+    replays = []
+    advance = scan._stack.advance
+    scan._stack.advance = lambda *args: replays.append(args) or advance(*args)
+    trace = scan.stream(X, y)
+    assert not replays
+    losses, ewma, ready = step_trace(recursion, X, y)
+    assert np.array_equal(trace.ready, ready)
+    assert_close(trace.losses, losses)
+    assert_close(trace.ewma, ewma)
+    assert_sessions_close(scan, recursion)
+    return ready
+
+
+@pytest.mark.parametrize("policy", [WARM_START, ZERO_START])
+@pytest.mark.parametrize("lam", [0.4, 0.9, 0.999, 1.0])
+def test_stream_scan_matches_step_recursion(policy, lam):
+    # at lam = 0.4 an unreset padding block would round to zero after
+    # about 815 steps, and the memory would fail its Cholesky check
+    design, y, coalitions = unequal_width_setup(1000)
+    (scan, recursion), start = twin_sessions(design, y, coalitions, lam, policy)
+    assert len({len(idx) for idx in scan.columns.values()}) == 4
+    # several blocks at every lam: 8 steps at 0.4, 66 at 0.9, 163 above
+    assert scan._scan_steps() < (1000 - start) // 5
+    ready = assert_stream_matches_recursion(scan, recursion, design.values[start:],
+                                            y[start:])
+    assert ready.all() if policy == WARM_START else not ready[0] and ready[-1]
+
+
+def test_stream_scan_warm_up_across_block_boundaries(monkeypatch):
+    # three-step blocks end inside every zero-start warm-up (4 to 10 steps),
+    # and x4 is zero for the first 25 rows, so the designs holding it wait
+    # past their warm-up until their memory has a Cholesky factor
+    monkeypatch.setattr("regmarket.online.SCAN_FLOATS", 3 * 8 * 25)
+    design, y, coalitions = unequal_width_setup(200)
+    X = design.values.copy()
+    X[:25, [t.name for t in design.terms].index("x4")] = 0.0
+    (scan, recursion), _ = twin_sessions(design, y, coalitions, 0.95, ZERO_START)
+    assert scan._scan_steps() == 3
+    assert max(s.min_warm_steps for s in scan.states.values()) == 10
+    ready = assert_stream_matches_recursion(scan, recursion, X, y)
+    assert np.argmax(ready) + 1 == 26
+
+
+def test_stream_raises_singular_update_like_the_recursion():
+    # x4 is zero from the warm-up on, and each memory holding it keeps only
+    # a unit diagonal there: at lam = 0.5 that entry halves exactly on both
+    # paths until it rounds to zero at step 1075, inside a ten-step block
+    design, y, coalitions = unequal_width_setup(1300)
+    X = design.values.copy()
+    j = [t.name for t in design.terms].index("x4")
+    X[60:, j] = 0.0
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, 0.5, QUAD)
+    session.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    snap = session.to_snapshot()
+    for entry in snap["coalitions"]:
+        if "x4" in entry["members"]:
+            k = entry["terms"].index("x4")
+            memory = np.array(entry["memory"])
+            memory[k, :] = memory[:, k] = 0.0
+            memory[k, k] = 1.0
+            entry["memory"] = memory.tolist()
+            entry["coefficients"][k] = 0.0
+    scan, recursion = (OnlineSession.from_snapshot(snap, design) for _ in range(2))
+    assert scan._scan_steps() == 10
+    with pytest.raises(SingularUpdateError) as expected:
+        step_trace(recursion, X[60:], y[60:])
+    with pytest.raises(SingularUpdateError) as raised:
+        scan.stream(X[60:], y[60:])
+    assert raised.value.step == expected.value.step == 1075
+    assert str(raised.value) == str(expected.value)
+    assert "x4" in str(raised.value)
+    assert_sessions_close(scan, recursion)
+    assert {s.step_count for s in scan.states.values()} == {1074}
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "online step needs finite data"),
+    # finite, but its squared residual overflows
+    (1e155, "instantaneous loss must be finite"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_stream_raises_on_non_finite_data_like_the_recursion(value, message):
+    design, y, coalitions = unequal_width_setup(400)
+    X = design.values.copy()
+    X[250, [t.name for t in design.terms].index("x3")] = value
+    (scan, recursion), start = twin_sessions(design, y, coalitions, 0.99, WARM_START)
+    with pytest.raises(ParameterError, match=message):
+        step_trace(recursion, X[start:], y[start:])
+    with pytest.raises(ParameterError, match=message):
+        scan.stream(X[start:], y[start:])
+    assert_sessions_close(scan, recursion)
+    assert {s.step_count for s in scan.states.values()} == {250 - start}
+
+
+def test_snapshot_after_stream_resumes_with_step():
+    import json
+
+    design, y, coalitions = unequal_width_setup(300)
+    X = design.values
+    (scan, recursion), _ = twin_sessions(design, y, coalitions, 0.98, ZERO_START)
+    scan.stream(X[:200], y[:200])
+    step_trace(recursion, X[:200], y[:200])
+    snap = json.loads(json.dumps(scan.to_snapshot()))
+    resumed = OnlineSession.from_snapshot(snap, design)
+    assert_sessions_close(resumed, recursion)
+    for t in range(200, 300):
+        a, b = resumed.step(X[t], y[t]), recursion.step(X[t], y[t])
+        assert_close([a[c] for c in coalitions], [b[c] for c in coalitions])
+    assert_sessions_close(resumed, recursion)
+
+
+def test_session_rejects_zero_forgetting():
+    # lam = 0 keeps only the last row's outer product in memory, which no
+    # design wider than one column can factorise
+    design, y, coalitions = unequal_width_setup(50)
+    with pytest.raises(ParameterError, match="forgetting factor"):
+        OnlineSession(design, frozenset({"x1"}), coalitions, 0.0, QUAD)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.4, 0.9, 0.998, 1.0])
+def test_scan_block_respects_rescale_and_float_budget(lam):
+    from regmarket.online import SCALE_LIMIT, SCAN_FLOATS
+
+    design, y, coalitions = unequal_width_setup(50)
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, lam, QUAD)
+    steps = session._scan_steps()
+    assert 1 <= steps and steps * 8 * 5 * 5 <= SCAN_FLOATS
+    assert lam ** -(steps - 1) <= SCALE_LIMIT
+    assert steps == SCAN_FLOATS // 200 or lam ** -steps > SCALE_LIMIT
+
+
+@pytest.mark.parametrize("policy", [WARM_START, ZERO_START])
+def test_smooth_quantile_stream_is_the_step_recursion(policy):
+    design, y, coalitions = unequal_width_setup(300)
+    X = design.values
+    (stream, recursion), start = twin_sessions(design, y, coalitions, 0.99, policy,
+                                               spec=SMOOTH)
+    trace = stream.stream(X[start:], y[start:])
+    losses, ewma, ready = step_trace(recursion, X[start:], y[start:])
+    assert np.array_equal(trace.losses, losses)
+    assert np.array_equal(trace.ewma, ewma)
+    assert np.array_equal(trace.ready, ready)
