@@ -66,6 +66,7 @@ from .losses import (
 )
 from .market import (
     AuditResult,
+    Ledger,
     LedgerEntry,
     MarketReport,
     TaskSpec,

@@ -44,6 +44,7 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 CONFIG_VERSION = 1
+SECTIONS = ("run", "task", "ownership")
 RUN_KEYS = ("version", "csv", "scenario", "rows", "seed", "out", "screening",
             "model_source", "timestamp_column", "target_column", "capacities")
 TASK_KEYS = ("central_agent", "loss", "tau", "alpha", "derivative_variant", "degree",
@@ -210,6 +211,16 @@ def load_config(path) -> tuple[dict, TaskSpec, str | None]:
             parser.read_file(fh)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from None
+    # configparser would ignore an unknown section and copy every [DEFAULT]
+    # key into each section, so neither may hold a key nothing reads
+    unknown = [name for name in parser.sections() if name not in SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown section [{unknown[0]}]; accepted sections: "
+                          + ", ".join(f"[{name}]" for name in SECTIONS))
+    if parser.defaults():
+        raise ConfigError(f"section [{parser.default_section}] is not accepted: its "
+                          f"key(s) {', '.join(parser.defaults())} would apply to "
+                          "every section")
     if "run" not in parser or "task" not in parser:
         raise ConfigError("config needs [run] and [task] sections")
     run = dict(parser["run"])

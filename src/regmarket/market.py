@@ -30,9 +30,11 @@ import csv
 import io
 import json
 import math
+import weakref
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -136,6 +138,62 @@ class LedgerEntry:
     market: str
 
 
+LEDGER_COLUMNS = tuple(f.name for f in fields(LedgerEntry))
+
+
+class Ledger(Sequence):
+    """The ledger as one list per :class:`LedgerEntry` field.
+
+    It reads as a sequence of ``LedgerEntry`` values, built only when an
+    entry is read: ``len``, iteration, indexing, and slicing, which returns
+    a list.  It compares equal to a list of the same entries.  Markets
+    book into the columns directly; :meth:`append` books one entry.
+    """
+
+    __slots__ = LEDGER_COLUMNS
+
+    def __init__(self, entries: Iterable[LedgerEntry] = ()):
+        for name in LEDGER_COLUMNS:
+            setattr(self, name, [])
+        for entry in entries:
+            self.append(entry)
+
+    def append(self, entry: LedgerEntry) -> None:
+        for name in LEDGER_COLUMNS:
+            getattr(self, name).append(getattr(entry, name))
+
+    def extend_columns(self, time: Sequence, payer: Sequence, payee: Sequence,
+                       feature: Sequence, amount: Sequence, market: Sequence) -> None:
+        """Book many entries at once, given one sequence per column."""
+        columns = (time, payer, payee, feature, amount, market)
+        if len(set(map(len, columns))) > 1:
+            raise ParameterError("ledger columns must have equal lengths")
+        for col, values in zip(self._columns(), columns):
+            col.extend(values)
+
+    def _columns(self) -> list[list]:
+        return [getattr(self, name) for name in LEDGER_COLUMNS]
+
+    def __len__(self) -> int:
+        return len(self.amount)
+
+    def __iter__(self):
+        return map(LedgerEntry, *self._columns())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(LedgerEntry, *(col[index] for col in self._columns())))
+        return LedgerEntry(*(col[index] for col in self._columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, (Ledger, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Ledger({list(self)!r})"
+
+
 @dataclass
 class MarketReport:
     market: str
@@ -159,7 +217,7 @@ class MarketReport:
     loss_table: Mapping[str, float] = field(default_factory=dict)
     series: Mapping[str, object] = field(default_factory=dict)
     metrics: Mapping[str, object] = field(default_factory=dict)
-    ledger: list[LedgerEntry] = field(default_factory=list)
+    ledger: Ledger = field(default_factory=Ledger)
     screened_out: tuple[str, ...] = ()
     no_surplus: bool = False
     clamped_entries: int = 0
@@ -169,28 +227,28 @@ class MarketReport:
     audit: dict | None = None
     schema_version: int = SCHEMA_VERSION
 
+    def __setattr__(self, name, value):
+        # a ledger given as a list of entries, at construction or later,
+        # is stored as columns
+        if name == "ledger" and not isinstance(value, Ledger):
+            value = Ledger(value)
+        super().__setattr__(name, value)
+
     def to_dict(self) -> dict:
         """The report as JSON data, with the ledger as one list per column.
 
         The result is a new top-level dict with new lists for the tuple
-        fields and the ledger columns; every other container (``series``,
-        ``metrics``, ``notes``, ``audit``, the per-feature mappings) is the
-        report's own object, shared rather than copied.  Copy before
-        mutating it.
+        fields and a new dict of the ledger's column lists; every other
+        container (``series``, ``metrics``, ``notes``, ``audit``, the
+        per-feature mappings, the column lists) is the report's own object,
+        shared rather than copied.  Copy before mutating it.
         """
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["support"] = list(self.support)
         out["screened_out"] = list(self.screened_out)
         out["flag_duplicates"] = [list(g) for g in self.flag_duplicates]
         out["flag_dummies"] = list(self.flag_dummies)
-        out["ledger"] = {
-            "time": [e.time for e in self.ledger],
-            "payer": [e.payer for e in self.ledger],
-            "payee": [e.payee for e in self.ledger],
-            "feature": [e.feature for e in self.ledger],
-            "amount": [e.amount for e in self.ledger],
-            "market": [e.market for e in self.ledger],
-        }
+        out["ledger"] = dict(zip(LEDGER_COLUMNS, self.ledger._columns()))
         return out
 
 
@@ -320,12 +378,16 @@ def _book_steps(report: MarketReport, times: list[int], surplus: np.ndarray,
     the report gets the per-step series and the per-feature totals.
     """
     pay_series = {k: amounts[:, j].tolist() for j, k in enumerate(features)}
-    # ledger amounts reuse the series' float objects: one copy in memory, not two
     rows, cols = np.nonzero(amounts > 0.0)
-    report.ledger.extend(
-        LedgerEntry(times[i], payer, owners[features[j]], features[j],
-                    pay_series[features[j]][i], report.market)
-        for i, j in zip(rows.tolist(), cols.tolist()))
+    n = len(rows)
+    # object arrays gather references: the ledger's times and amounts are
+    # the series' own int and float objects, one copy in memory, not two
+    report.ledger.extend_columns(
+        time=np.array(times, dtype=object)[rows].tolist(), payer=[payer] * n,
+        payee=np.array([owners[k] for k in features], dtype=object)[cols].tolist(),
+        feature=np.array(features, dtype=object)[cols].tolist(),
+        amount=np.array(list(pay_series.values()), dtype=object)[cols, rows].tolist(),
+        market=[report.market] * n)
     report.series = {
         "step": times,
         "surplus": surplus.tolist(),
@@ -713,7 +775,7 @@ def audit_ledger(report: MarketReport) -> AuditResult:
     """Verify the market-design properties on a finished report."""
     checks: dict[str, dict] = {}
 
-    ledger_total = math.fsum(e.amount for e in report.ledger)
+    ledger_total = math.fsum(report.ledger.amount)
     gap = abs(report.central_total - ledger_total)
     tol = 1e-9 * max(abs(report.central_total), 1e-12)
     checks["budget_balance"] = {
@@ -723,7 +785,7 @@ def audit_ledger(report: MarketReport) -> AuditResult:
         "shortfall_vs_benchmark": report.benchmark_payment - report.central_total,
     }
 
-    min_amount = min((e.amount for e in report.ledger), default=0.0)
+    min_amount = min(report.ledger.amount, default=0.0)
     neg_payments = [k for k, v in report.payments.items() if v < 0]
     checks["individual_rationality"] = {
         "passed": bool(min_amount >= 0.0 and not neg_payments),
@@ -773,30 +835,106 @@ def audit_ledger(report: MarketReport) -> AuditResult:
 def report_to_json(report: MarketReport, path) -> None:
     """Write ``report.to_dict()`` to ``path`` as ``report.json``.
 
-    Byte-format contract: the file is exactly
-    ``json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\\n"`` --
-    a one-space indent per level, keys sorted at every level, ``","`` and
-    ``": "`` as separators, non-ASCII characters as ``\\uXXXX`` escapes,
-    floats by ``repr`` with ``NaN``, ``Infinity`` and ``-Infinity`` for the
-    non-finite ones, and ``[]``/``{}`` for empty containers.  The pieces
+    Byte-format contract, unchanged by how the writer gets there: the file
+    is exactly ``json.dumps(report.to_dict(), indent=1, sort_keys=True) +
+    "\\n"`` -- a one-space indent per level, keys sorted at every level,
+    ``","`` and ``": "`` as separators, non-ASCII characters as ``\\uXXXX``
+    escapes, floats by ``repr`` with ``NaN``, ``Infinity`` and
+    ``-Infinity`` for the non-finite ones, and ``[]``/``{}`` for empty
+    containers.  The ledger is written as one list per column.  The pieces
     are streamed to the file, so the text is never held as one string.
+
+    The float lists that a CSV file writes as well (the series' payments
+    and cumulative payments, the ledger's amounts) are formatted once, for
+    this file and the CSV writers together (see :func:`_report_texts`).
     """
+    texts = _report_texts(report)
+    shared = [report.ledger.amount]
+    for name in ("payments", "cumulative"):
+        group = report.series.get(name)
+        if isinstance(group, dict):
+            shared += group.values()
+    for values in shared:
+        if _is_float_list(values):
+            _float_text(values, texts)
     with open(path, "w") as fh:
-        fh.writelines(_iter_json(report.to_dict(), 0))
+        fh.writelines(_iter_json(report.to_dict(), 0, texts))
         fh.write("\n")
 
 
+# The float texts of the report written last: (weak reference to it, texts).
+_last_written: tuple[weakref.ref, dict[bytes, str]] | None = None
+
+
+def _report_texts(report: MarketReport) -> dict[bytes, str]:
+    """The memo of float-list texts for ``report``.
+
+    It maps the float64 bytes of a list whose items are all exactly
+    ``float`` to ``"\\n".join(map(repr, values))``.  Only the report
+    written last keeps its memo: writing another report starts a new one,
+    and the texts are dropped when their report is garbage-collected.  The
+    memo holds no reference to the report or its lists, and as it is keyed
+    by content, a list changed in place gets a new text, never a stale one.
+    """
+    global _last_written
+    memo = _last_written
+    if memo is None or memo[0]() is not report:
+        texts: dict[bytes, str] = {}
+        memo = _last_written = (weakref.ref(report, lambda _: texts.clear()), texts)
+    return memo[1]
+
+
+def _is_float_list(values) -> bool:
+    """Whether ``values`` is a non-empty list whose items are all exactly
+    ``float``: only such a list has its text in the memo, because an
+    ``int`` has the float64 bytes of its float but not its text."""
+    return isinstance(values, list) and bool(values) and set(map(type, values)) == {float}
+
+
+def _float_text(values: list, texts: dict[bytes, str]) -> str:
+    """``"\\n".join(map(repr, values))`` for a list of floats, made once
+    per content and kept in ``texts``."""
+    key = np.array(values, dtype=float).tobytes()
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = "\n".join(map(repr, values))
+    return text
+
+
+def _repr_lines(values, texts: dict[bytes, str]) -> list[str]:
+    """``[repr(v) for v in values]``, from the memo for a list of floats."""
+    if _is_float_list(values):
+        return _float_text(values, texts).split("\n")
+    return [repr(v) for v in values]
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(text: str, sep: str) -> str:
+    """The items of a ``"\\n"``-joined float text, joined by ``sep`` and
+    spelled as JSON spells them."""
+    # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf hold an "n"
+    if "n" not in text:
+        return text.replace("\n", sep)
+    return sep.join([_JSON_NONFINITE.get(item, item) for item in text.split("\n")])
+
+
 _CONTAINERS = (dict, list, tuple)
+# rows of a CSV file joined for one write: the text of all rows at once
+# would cost as much memory again as the float texts
+ROWS_PER_WRITE = 4096
 
 
-def _iter_json(obj, level: int):
+def _iter_json(obj, level: int, texts: dict[bytes, str] | None = None):
     """Yield the pieces of ``json.dumps(obj, indent=1, sort_keys=True)``
     for ``obj`` at indent ``level``.
 
-    A container of scalars goes to the C encoder in one call, with the
-    newline and indent of its items in the item separator; only
-    containers that hold containers are walked here, item by item, and
-    their keys must be strings, as every key of a report is.
+    A container of scalars is made in one step: from its text in the memo
+    ``texts`` for a list of floats that has one, otherwise by the C encoder
+    in one call, with the newline and indent of its items in the item
+    separator.  Only containers that hold containers are walked here, item
+    by item, and their keys must be strings, as every key of a report is.
     """
     if not isinstance(obj, _CONTAINERS):
         yield json.dumps(obj)
@@ -808,7 +946,16 @@ def _iter_json(obj, level: int):
     inner = "\n" + " " * (level + 1)
     close = "\n" + " " * level + ("}" if is_dict else "]")
     items = obj.values() if is_dict else obj
-    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+    types = set(map(type, items))
+    text = None
+    if texts and not is_dict and types == {float}:
+        text = texts.get(np.array(obj, dtype=float).tobytes())
+    if text is not None:
+        yield "[" + inner
+        yield _json_floats(text, "," + inner)
+        yield close
+        return
+    if not any(issubclass(t, _CONTAINERS) for t in types):
         text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
         yield text[0] + inner
         yield text[1:-1]
@@ -818,12 +965,12 @@ def _iter_json(obj, level: int):
     if is_dict:
         for key, value in sorted(obj.items()):
             yield sep + encode_basestring_ascii(key) + ": "
-            yield from _iter_json(value, level + 1)
+            yield from _iter_json(value, level + 1, texts)
             sep = "," + inner
     else:
         for value in obj:
             yield sep
-            yield from _iter_json(value, level + 1)
+            yield from _iter_json(value, level + 1, texts)
             sep = "," + inner
     yield close
 
@@ -840,19 +987,28 @@ def _csv_cells(*cells: str) -> str:
 
 def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF line
-    ends.  The quoted text cells are made once per distinct combination."""
+    ends.  The quoted text cells are made once per distinct combination,
+    the amounts come from the float texts ``report_to_json`` made, and
+    the rows are written in blocks of ``ROWS_PER_WRITE``."""
+    ledger = report.ledger
+    columns = (ledger.time, ledger.payer, ledger.payee, ledger.feature,
+               _repr_lines(ledger.amount, _report_texts(report)), ledger.market)
     quoted: dict[tuple, tuple[str, str]] = {}
-    rows = []
-    for e in report.ledger:
-        key = (e.payer, e.payee, e.feature, e.market)
-        cells = quoted.get(key)
-        if cells is None:
-            cells = quoted[key] = (_csv_cells(*key[:3]), _csv_cells(e.market))
-        time = _csv_cells(e.time) if isinstance(e.time, str) else e.time
-        rows.append(f"{time},{cells[0]},{e.amount!r},{cells[1]}\r\n")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["time", "payer", "payee", "feature", "amount", "market"])
-        fh.write("".join(rows))
+        for lo in range(0, len(ledger), ROWS_PER_WRITE):
+            rows = []
+            for time, payer, payee, feature, amount, market in zip(
+                    *(col[lo:lo + ROWS_PER_WRITE] for col in columns)):
+                key = (payer, payee, feature, market)
+                cells = quoted.get(key)
+                if cells is None:
+                    cells = quoted[key] = (_csv_cells(payer, payee, feature),
+                                           _csv_cells(market))
+                if isinstance(time, str):
+                    time = _csv_cells(time)
+                rows.append(f"{time},{cells[0]},{amount},{cells[1]}\r\n")
+            fh.write("".join(rows))
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
@@ -862,18 +1018,25 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
     and floats by ``repr``, grouped by feature in sorted order, one per
     (integer) step; a report with no per-step series has one ``batch`` row
     per feature in ``payments``.  The quoted ``agent,feature`` cells are
-    made once per feature.
+    made once per feature, the floats come from the texts
+    ``report_to_json`` made, and the rows are written in blocks of
+    ``ROWS_PER_WRITE``.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
         series = report.series
         if series and "payments" in series:
+            texts = _report_texts(report)
             steps = series["step"]
             for k in sorted(series["payments"]):
                 cells = _csv_cells(report.feature_owners.get(k, ""), k)
-                fh.write("".join([f"{t},{cells},{p!r},{c!r}\r\n" for t, p, c in zip(
-                    steps, series["payments"][k], series["cumulative"][k])]))
+                pays = _repr_lines(series["payments"][k], texts)
+                running = _repr_lines(series["cumulative"][k], texts)
+                for lo in range(0, len(steps), ROWS_PER_WRITE):
+                    block = slice(lo, lo + ROWS_PER_WRITE)
+                    fh.write("".join([f"{t},{cells},{p},{c}\r\n" for t, p, c in zip(
+                        steps[block], pays[block], running[block])]))
         else:
             running = 0.0
             for k in sorted(report.payments):

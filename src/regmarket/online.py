@@ -8,7 +8,9 @@ Each step applies the three-equation Newton-Raphson update
 
 where the residual is the one-step-ahead (prior) residual.  The memory
 solve is preceded by a Cholesky factorisation, which is the
-positive-definiteness assertion behind the feasibility of the step.
+positive-definiteness assertion behind the feasibility of the step, and
+followed by a check that the new coefficients are finite: a memory that
+overflowed to infinity passes the factorisation.
 
 Warm start fits a small batch slice and initialises the memory to the
 lambda-weighted h2 Gram of that slice, exactly what the recursion itself
@@ -43,11 +45,11 @@ one batched solve gives every ``beta_t``, and one ``einsum`` the prior
 residuals; the EWMA losses are the same scaled prefix sum.  B keeps
 ``lam^-(B-1)`` at most ``SCALE_LIMIT`` and the ``(B, C, N, N)`` memory
 block within ``SCAN_FLOATS`` floats, so working memory does not grow with
-the stream.  A block whose data or losses are not finite, or in which a
-ready estimator's memory fails its Cholesky check, is replayed step by
-step, so errors are raised at the recursion's step and leave the
-recursion's state.  :meth:`OnlineSession.step` and smooth-quantile
-streams keep the recursion.
+the stream.  A block whose data, coefficients or losses are not finite,
+or in which a ready estimator's memory fails its Cholesky check, is
+replayed step by step, so errors are raised at the recursion's step and
+leave the recursion's state.  :meth:`OnlineSession.step` and
+smooth-quantile streams keep the recursion.
 """
 
 from __future__ import annotations
@@ -167,13 +169,18 @@ class _StackedStates:
             pending_gradient=None if ready else self.pending_gradient[i, :n].copy(),
             min_warm_steps=int(self.min_warm_steps[i]))
 
+    def _label(self, i: int) -> str:
+        return f"{self.labels[i]}: " if self.labels else ""
+
     def advance(self, X: np.ndarray, y_t: float, lam: float,
                 spec: LossSpec) -> tuple[np.ndarray, np.ndarray]:
         """Advance every estimator by one observation.
 
         ``X`` holds each design's row, ``(C, N)`` and zero on padded
         dimensions.  Returns the prior residuals and their losses, ``(C,)``
-        each.  Nothing changes when the step raises.
+        each.  Raises SingularUpdateError when a ready memory is not
+        positive definite or the new coefficients are not finite (an
+        overflowed memory); nothing changes when the step raises.
         """
         if not (np.isfinite(X).all() and np.isfinite(y_t)):
             raise ParameterError("online step needs finite data")
@@ -193,11 +200,10 @@ class _StackedStates:
         failed = cholesky_failures(memory)
         if failed is not None and (failed & self.ready).any():
             i = int(np.argmax(failed & self.ready))
-            prefix = f"{self.labels[i]}: " if self.labels else ""
-            raise SingularUpdateError(f"{prefix}memory matrix not positive definite",
+            raise SingularUpdateError(f"{self._label(i)}memory matrix not positive definite",
                                       step=int(steps[i]))
         if self.all_ready:
-            self.coefficients = self.coefficients + np.linalg.solve(
+            coefficients = self.coefficients + np.linalg.solve(
                 memory, rhs[:, :, None])[:, :, 0]
         else:
             # a zero-start estimator takes its first step once its warm-up
@@ -208,13 +214,21 @@ class _StackedStates:
             delta = np.linalg.solve(
                 np.where(solved[:, None, None], memory, np.eye(memory.shape[-1])),
                 rhs[:, :, None])
-            self.coefficients = np.where(solved[:, None],
-                                         self.coefficients + delta[:, :, 0],
-                                         self.coefficients)
+            coefficients = np.where(solved[:, None], self.coefficients + delta[:, :, 0],
+                                    self.coefficients)
+        # Cholesky does not flag an infinite pivot: a memory that overflowed
+        # passes it and leaves coefficients that are not finite
+        if not np.isfinite(coefficients).all():
+            i = int(np.argmin(np.isfinite(coefficients).all(axis=1)))
+            raise SingularUpdateError(
+                f"{self._label(i)}memory overflowed: coefficients are not finite",
+                step=int(steps[i]))
+        if not self.all_ready:
             self.pending_gradient = np.where(solved[:, None], 0.0, rhs)
             self.min_warm_steps = np.where(solved, 0, self.min_warm_steps)
             self.ready = solved
             self.all_ready = bool(solved.all())
+        self.coefficients = coefficients
         self.memory = memory
         self.step_count = steps
         self.ewma = ewma
@@ -229,8 +243,8 @@ class _StackedStates:
         ``X`` holds each step's rows, ``(B, C, N)``.  Returns each step's
         losses and EWMA losses, ``(B, C)``, and whether every estimator is
         ready after it, ``(B,)``.  Returns None, changing nothing, when the
-        data or losses are not finite or a ready memory fails its Cholesky
-        check; the block is then for :meth:`advance` to replay.
+        data, coefficients or losses are not finite or a ready memory fails
+        its Cholesky check; the block is then for :meth:`advance` to replay.
         """
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             return None
@@ -275,6 +289,8 @@ class _StackedStates:
             beta = np.linalg.solve(np.where(ready[:, :, None, None], M, np.eye(N)),
                                    r[..., None])[..., 0]
             beta = np.where(ready[:, :, None], beta, self.coefficients)
+        if not np.isfinite(beta).all():
+            return None
         prior = np.concatenate([self.coefficients[None], beta[:-1]])
         eps = y[:, None] - np.einsum("bcn,bcn->bc", X, prior)
         losses = eps * eps

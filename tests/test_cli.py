@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -274,3 +275,24 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, section, lin
     code = run_cli(["market", "--mechanism", "oos", "--config", str(cfg)])
     assert code == 1
     assert f"error: {key} = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before, after, section", [
+    # a misspelt [task]: its lambda would be ignored
+    ("", "\n[tsk]\nlambda = 0.5\n", "[tsk]"),
+    # configparser would copy seed into [run], [task] and [ownership]
+    ("[DEFAULT]\nseed = 5\n\n", "", "[DEFAULT]"),
+])
+def test_unknown_or_default_section_is_config_error(tmp_path, capsys, before, after,
+                                                    section):
+    from regmarket.cli import load_config
+    from regmarket.errors import ConfigError
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(before + CONFIG.format(out=tmp_path / "out") + after)
+    with pytest.raises(ConfigError, match=re.escape(section)):
+        load_config(cfg)
+    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
+    assert code == 1
+    assert section in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -561,3 +561,32 @@ def test_smooth_quantile_stream_is_the_step_recursion(policy):
     assert np.array_equal(trace.losses, losses)
     assert np.array_equal(trace.ewma, ewma)
     assert np.array_equal(trace.ready, ready)
+
+
+@pytest.mark.parametrize("row", [250, 399])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowed_memory_raises_at_its_step(row):
+    # x4's coefficient is small, so at 3e154 the squared residual stays
+    # finite while the memory's x4 entry, the value squared, overflows;
+    # row 399 is the last step of the stream and of its scan block
+    design, y, coalitions = unequal_width_setup(400)
+    X = design.values.copy()
+    X[row, [t.name for t in design.terms].index("x4")] = 3e154
+    (scan, recursion), start = twin_sessions(design, y, coalitions, 0.99, WARM_START)
+    step_trace(recursion, X[start:row], y[start:row])
+    before = recursion.states
+    with pytest.raises(SingularUpdateError, match="memory overflowed") as stepped:
+        recursion.step(X[row], y[row])
+    after = recursion.states
+    for c in coalitions:
+        assert after[c].step_count == before[c].step_count
+        assert np.array_equal(after[c].coefficients, before[c].coefficients)
+        assert np.array_equal(after[c].memory, before[c].memory)
+        assert after[c].ewma.value == before[c].ewma.value
+    with pytest.raises(SingularUpdateError, match="memory overflowed") as streamed:
+        scan.stream(X[start:], y[start:])
+    assert streamed.value.step == stepped.value.step == row - start + 1
+    assert str(streamed.value) == str(stepped.value)
+    assert "coalition ['x4']" in str(streamed.value)
+    assert_sessions_close(scan, recursion)

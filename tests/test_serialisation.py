@@ -7,7 +7,10 @@ contract: ``dataclasses.asdict`` for the report dict, ``json.dump`` with
 """
 
 import csv
+import dataclasses
+import gc
 import json
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -24,9 +27,13 @@ from regmarket import (
     run_oos_market,
 )
 from regmarket.market import (
+    Ledger,
     LedgerEntry,
     MarketReport,
+    _float_text,
+    _is_float_list,
     _iter_json,
+    _report_texts,
     audit_ledger,
     report_to_json,
     write_cumulative_csv,
@@ -244,3 +251,128 @@ JSON_DATA = st.recursive(
 @given(JSON_DATA)
 def test_json_writer_matches_json_dumps(obj):
     assert "".join(_iter_json(obj, 0)) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+# -- the columnar ledger and the float texts ---------------------------------------
+
+def oos_report():
+    return run_oos_market(two_feature_dataset(400, 3),
+                          two_feature_task(phi_oos=1.5, train_rows=200),
+                          model_source="batch", n_windows=4)
+
+
+def test_oos_ledger_is_the_positive_payments_in_time_then_feature_order():
+    report = oos_report()
+    pays = report.series["payments"]
+    want = [LedgerEntry(t, report.central_agent, report.feature_owners[k], k,
+                        pays[k][i], "oos")
+            for i, t in enumerate(report.series["step"])
+            for k in sorted(pays) if pays[k][i] > 0.0]
+    assert len(want) > 100
+    assert list(report.ledger) == want
+    assert all(type(e.time) is int and type(e.amount) is float for e in report.ledger)
+
+
+def test_ledger_reads_as_a_sequence_of_frozen_entries():
+    entries = [LedgerEntry(0, "a1", "a2", "x2", 0.5, "oos"),
+               LedgerEntry(1, "a1", "a3", "x3", 0.25, "oos"),
+               LedgerEntry("batch", "a1", "a2", "x2", 1.0, "batch")]
+    report = MarketReport(market="oos", central_agent="a1", rows=2, phi=1.0,
+                          allocation_policy="shapley", game="support-coalitions",
+                          support=("x2", "x3"), feature_owners={"x2": "a2", "x3": "a3"},
+                          ledger=entries[:2])
+    ledger = report.ledger
+    assert isinstance(ledger, Ledger) and len(ledger) == 2
+    assert ledger == entries[:2] and entries[:2] == ledger and ledger != entries
+    assert ledger[0] == entries[0] and ledger[-1] == entries[1]
+    assert ledger[1:] == [entries[1]] and type(ledger[1:]) is list
+    assert list(ledger) == entries[:2] and entries[1] in ledger
+    with pytest.raises(IndexError):
+        ledger[2]
+    ledger.append(entries[2])
+    assert ledger == entries
+    assert ledger.time == [0, 1, "batch"] and ledger.amount == [0.5, 0.25, 1.0]
+    replaced = dataclasses.replace(report, ledger=entries[::-1])
+    assert isinstance(replaced.ledger, Ledger) and replaced.ledger == entries[::-1]
+    replaced.ledger = entries[:1]
+    assert isinstance(replaced.ledger, Ledger) and replaced.ledger == entries[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ledger[0].amount = 2.0
+    assert ledger[0].amount == 0.5
+
+
+def test_artifacts_are_identical_when_written_again_after_another_report(tmp_path):
+    a = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
+    b = oos_report()
+
+    def written(report, name):
+        out = tmp_path / name
+        out.mkdir()
+        for artifact, (write, _) in WRITERS.items():
+            write(report, out / artifact)
+        return {artifact: (out / artifact).read_bytes() for artifact in WRITERS}
+
+    first = written(a, "a")
+    other = written(b, "b")
+    assert written(a, "a-again") == first
+    assert written(b, "b-again") == other
+    assert_artifacts_match(a, tmp_path)
+
+
+@pytest.mark.parametrize("before, after", [
+    (0.0, -0.0),            # equal as floats, different bytes and text
+    (0.5, float("nan")),
+    (1.0, 1),               # the same float64 bytes, different text
+])
+def test_csv_writers_see_lists_changed_in_place_after_the_json(tmp_path, before, after):
+    report = oos_report()
+    pays = report.series["payments"]["x2"]
+    amounts = report.ledger.amount
+    pays[5] = amounts[5] = before
+    report_to_json(report, tmp_path / "report.json")
+    pays[5] = amounts[5] = after
+    for name in ("cumulative_revenues.csv", "ledger.csv"):
+        write, reference = WRITERS[name]
+        write(report, tmp_path / name)
+        reference(report, tmp_path / f"ref-{name}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+    assert_artifacts_match(report, tmp_path)
+
+
+def test_float_texts_are_kept_for_the_report_written_last_only(tmp_path):
+    a, b = oos_report(), oos_report()
+    report_to_json(a, tmp_path / "a.json")
+    texts = _report_texts(a)
+    assert texts and _report_texts(a) is texts
+    report_to_json(b, tmp_path / "b.json")
+    assert _report_texts(b) is not texts
+    # the memo holds no reference to its report: it goes, and its texts with it
+    texts = _report_texts(b)
+    gone = weakref.ref(b)
+    del b
+    gc.collect()
+    assert gone() is None and not texts
+
+
+def put_float_texts(obj, texts):
+    """Put the text of every list of floats in ``obj`` into ``texts``."""
+    if _is_float_list(obj):
+        _float_text(obj, texts)
+    for value in (obj.values() if isinstance(obj, dict) else
+                  obj if isinstance(obj, (list, tuple)) else ()):
+        put_float_texts(value, texts)
+
+
+FLOAT_LISTS = st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0),
+                       min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    SCALARS | FLOAT_LISTS,
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=20))
+def test_json_writer_with_float_texts_matches_json_dumps(obj):
+    texts = {}
+    put_float_texts(obj, texts)
+    assert "".join(_iter_json(obj, 0, texts)) == json.dumps(obj, indent=1, sort_keys=True)
