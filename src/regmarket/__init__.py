@@ -12,8 +12,6 @@ from .allocation import (
     AllocationVector,
     instant_allocation,
     loo_allocation,
-    loo_variance_allocation,
-    online_allocation_update,
     shapley_allocation,
     shapley_contributions,
     shapley_montecarlo,

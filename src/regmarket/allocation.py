@@ -8,10 +8,12 @@ to more or less than one.  A feature whose marginals never move any
 coalition loss beyond 1e-12 is snapped to an exact zero allocation, which
 keeps the zero-element market property exact under solver jitter.
 
-Per-step allocations (:func:`step_allocations`) take one loss series per
-coalition and allocate every step in one array pass, under the Shapley
-variants or either leave-one-out variant; the zero snap then applies step
-by step.  :func:`instant_allocation` is its one-step case.
+Per-step allocations take one loss series per coalition and work on every
+step in one array pass, under the Shapley variants or either leave-one-out
+variant: :func:`step_contributions` gives the unnormalised contributions
+and :func:`step_allocations` divides them by each step's surplus, with the
+zero snap applied step by step.  :func:`instant_allocation` is its one-step
+case.
 """
 
 from __future__ import annotations
@@ -154,20 +156,6 @@ def loo_allocation(table: CoalitionLossTable, variant: str = "drop-one") -> Allo
                             normalizer=normalizer)
 
 
-def loo_variance_allocation(coefficients: Mapping[str, float],
-                            feature_variances: Mapping[str, float]) -> AllocationVector:
-    """Variance-decomposition shares beta_k^2 Var[x_k] / sum, valid for the
-    separable linear quadratic case."""
-    if set(coefficients) != set(feature_variances):
-        raise ParameterError("coefficients and variances cover different features")
-    raw = {k: coefficients[k] ** 2 * feature_variances[k] for k in coefficients}
-    denom = sum(raw.values())
-    if denom <= 0:
-        raise NoSurplusError("all variance contributions are zero")
-    return AllocationVector(values={k: v / denom for k, v in raw.items()},
-                            policy="loo-variance", normalizer=denom)
-
-
 @dataclass(frozen=True)
 class AllocationSeries:
     """Per-feature surplus shares of every step, one array per feature."""
@@ -181,16 +169,16 @@ class AllocationSeries:
         return self.normalizer <= 0
 
 
-def step_allocations(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],
-                     variant: str = ORIGINAL) -> AllocationSeries:
-    """Shares of each step's surplus, for all steps in one array pass.
+def step_contributions(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],
+                       variant: str = ORIGINAL):
+    """Unnormalised contributions of each feature at every step, in one pass.
 
     ``losses`` maps every coalition to its loss series.  ``variant`` is a
-    Shapley variant, or ``DROP_ONE`` / ``ADD_ONE`` for leave-one-out from
-    the grand coalition or onto the central model.  A step's surplus may
-    have any sign; where it is not positive every share of that step is
-    zero.  Under Shapley a feature whose marginals at a step all stay
-    within 1e-12 of zero gets an exact zero share at that step.
+    Shapley variant, giving :func:`shapley_contributions` and each
+    feature's largest absolute marginal per step, or ``DROP_ONE`` /
+    ``ADD_ONE``, giving the loss change of leaving the feature out of the
+    grand coalition or adding it to the central model alone, and None for
+    the marginals.
     """
     if variant not in _VARIANT_LABEL:
         raise ParameterError(f"unknown allocation variant {variant!r}")
@@ -198,22 +186,32 @@ def step_allocations(losses: Mapping[frozenset, np.ndarray], features: Sequence[
     full = frozenset(features)
     if frozenset() not in losses or full not in losses:
         raise CoverageError("loss map must contain empty and grand coalitions")
-    normalizer = np.asarray(losses[frozenset()] - losses[full], dtype=float)
+    if variant == DROP_ONE:
+        return {k: losses[full - {k}] - losses[full] for k in features}, None
+    if variant == ADD_ONE:
+        return {k: losses[frozenset()] - losses[frozenset({k})] for k in features}, None
+    return shapley_contributions(losses, features, variant)
+
+
+def step_allocations(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],
+                     variant: str = ORIGINAL) -> AllocationSeries:
+    """Shares of each step's surplus: :func:`step_contributions` over the
+    step's surplus.
+
+    A step's surplus may have any sign; where it is not positive every
+    share of that step is zero.  Under Shapley a feature whose marginals at
+    a step all stay within 1e-12 of zero gets an exact zero share at that
+    step.
+    """
+    contribs, peaks = step_contributions(losses, features, variant)
+    normalizer = np.asarray(losses[frozenset()] - losses[frozenset(contribs)], dtype=float)
     positive = normalizer > 0
     divisor = np.where(positive, normalizer, 1.0)
+    snap = _DUMMY_SNAP * np.maximum(1.0, np.abs(normalizer))
     values = {}
-    if variant in (DROP_ONE, ADD_ONE):
-        for k in features:
-            if variant == DROP_ONE:
-                diff = losses[full - {k}] - losses[full]
-            else:
-                diff = losses[frozenset()] - losses[frozenset({k})]
-            values[k] = np.where(positive, diff / divisor, 0.0)
-    else:
-        contribs, peaks = shapley_contributions(losses, features, variant)
-        snap = _DUMMY_SNAP * np.maximum(1.0, np.abs(normalizer))
-        for k in features:
-            values[k] = np.where(positive & (peaks[k] > snap), contribs[k] / divisor, 0.0)
+    for k, c in contribs.items():
+        keep = positive if peaks is None else positive & (peaks[k] > snap)
+        values[k] = np.where(keep, c / divisor, 0.0)
     return AllocationSeries(values=values, policy=_VARIANT_LABEL[variant],
                             normalizer=normalizer)
 
@@ -233,22 +231,6 @@ def instant_allocation(per_coalition_losses: Mapping[frozenset, float],
     return AllocationVector(values={k: float(v[0]) for k, v in series.values.items()},
                             policy=series.policy, normalizer=float(series.normalizer[0]),
                             no_surplus=bool(series.no_surplus[0]))
-
-
-def online_allocation_update(prev: AllocationVector, instant: AllocationVector,
-                             lam: float) -> AllocationVector:
-    """Exponential smoothing of allocations:
-    psi_t = lam * psi_{t-1} + (1 - lam) * psi(l_t)."""
-    if set(prev.values) != set(instant.values):
-        raise ParameterError("allocation vectors cover different features")
-    if prev.policy != instant.policy:
-        raise ParameterError(
-            f"allocation policies differ: {prev.policy!r} vs {instant.policy!r}")
-    values = {k: lam * prev.values[k] + (1.0 - lam) * instant.values[k]
-              for k in prev.values}
-    return AllocationVector(values=values, policy=prev.policy,
-                            normalizer=instant.normalizer,
-                            no_surplus=instant.no_surplus)
 
 
 def shapley_montecarlo(loss_oracle: Callable[[frozenset], float],

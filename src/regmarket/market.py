@@ -1,27 +1,40 @@
 """Market mechanisms: batch, online and out-of-sample regression markets.
 
 A central agent posts a task (model recipe, loss, willingness to pay phi)
-and support agents' features are valued by coalition analysis.  Payments
-per feature are
+and support agents' features are valued by coalition analysis.  The three
+markets are one pipeline:
 
-    pi_k = (billable rows) * surplus * phi * psi_k        (batch)
-    pi_{k,t} = surplus_t * phi * psi_{k,t}                (online / OOS)
+1. design: the task's recipe applied to the dataset, split into central,
+   traded and screened-out support features (``_prepare``);
+2. loss series per coalition: one batch loss per coalition, the EWMA
+   losses of an online session per step, or realised out-of-sample losses
+   per evaluation step;
+3. allocation: a pre-clamp ``(steps, features)`` payment matrix,
 
-with the surplus measured by loss improvement and psi by an allocation
-policy.  Two market-level guarantees are enforced by construction rather
-than checked after the fact: per-feature payments are clamped at zero
-(individual rationality), and the central agent's debit is defined as the
-sum of the support credits (budget balance).  The pre-clamp full-surplus
-amount is always reported as a benchmark so discrepancies (e.g. the
-interaction-term shortfall on non-separable models) are visible.
+       pi_k = (billable rows) * surplus * phi * psi_k       (batch, one row)
+       pi_{k,t} = surplus_t * phi * psi_{k,t}               (online)
+       pi_{k,t} = phi * c_{k,t} where surplus_t > 0         (out-of-sample)
+
+   with the surplus measured by loss improvement, psi the shares and c the
+   unnormalised contributions of the allocation policy;
+4. clamp and book, then audit (``_settle``): per-feature payments are
+   clamped at zero (individual rationality), positive amounts become
+   ledger entries, and the central agent's debit is defined as the sum of
+   the support credits (budget balance).  The audit then checks the
+   market-design properties on the finished report.
+
+The pre-clamp full-surplus amount is always reported as a benchmark so
+discrepancies (e.g. the interaction-term shortfall on non-separable
+models) are visible.
 
 For separable models the coalition game runs over support features on top
 of the central agent's model (the classic Shapley allocation).  When the
-design mixes central and support features inside one term, allocations
-switch to a feature-level game in which the central agent's features,
-including its unit feature, are players as well: the support agents are
-then paid their share of the intercept-to-grand improvement and the
-central agent's own share appears as an explicit shortfall.
+design mixes central and support features inside one term, the batch
+market switches to a feature-level game in which the central agent's
+features, including its unit feature, are players as well: the support
+agents are then paid their share of the intercept-to-grand improvement and
+the central agent's own share appears as an explicit shortfall.  The
+online and out-of-sample markets require a separable model.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ from .allocation import (
     shapley_allocation,
     shapley_contributions,
     step_allocations,
+    step_contributions,
 )
 from .batch import (
     CAP_REMEDY,
@@ -283,12 +297,33 @@ def has_mixed_terms(design: AugmentedDesign, central: frozenset, support: Sequen
     return any(t.support & central and t.support & sup for t in design.terms)
 
 
-def fit_all_coalitions(dataset: Dataset, task: TaskSpec,
-                       support: Sequence[str] | None = None) -> CoalitionLossTable:
-    """Task-level wrapper: build the design, then fit every coalition."""
+def _prepare(dataset: Dataset, task: TaskSpec, support: Sequence[str] | None):
+    """The prologue every market shares: the dataset and design built from
+    the task, the central features, the traded support features (those in
+    ``support``, or all of them), the screened-out ones, and the owners."""
     ds, design = build_design(dataset, task)
     central, all_support = split_features(design, task)
     chosen = tuple(sorted(support)) if support is not None else all_support
+    screened_out = tuple(sorted(set(all_support) - set(chosen)))
+    return ds, design, central, chosen, screened_out, dict(design.feature_owners)
+
+
+def _require_separable(design, central, support, market: str) -> None:
+    if has_mixed_terms(design, central, support):
+        raise ParameterError(
+            f"{market} market requires a model without central/support interaction terms")
+
+
+def _loss_table(losses: Mapping[frozenset, float]) -> dict[str, float]:
+    """Coalition losses keyed by :func:`coalition_key`, smallest coalitions first."""
+    return {coalition_key(c): v for c, v in sorted(
+        losses.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}
+
+
+def fit_all_coalitions(dataset: Dataset, task: TaskSpec,
+                       support: Sequence[str] | None = None) -> CoalitionLossTable:
+    """Task-level wrapper: build the design, then fit every coalition."""
+    ds, design, central, chosen, _, _ = _prepare(dataset, task, support)
     return _fit_table(design, ds.target, central=central, support=chosen,
                       spec=task.loss, cap=task.enumeration_cap)
 
@@ -300,8 +335,7 @@ def fit_all_coalitions(dataset: Dataset, task: TaskSpec,
 def screen_features(dataset: Dataset, task: TaskSpec, method: str = "cv-loss",
                     folds: int = 5, burnin: int = 500) -> tuple[str, ...]:
     """Pre-market feature selection; returns the retained support features."""
-    ds, design = build_design(dataset, task)
-    central, support = split_features(design, task)
+    ds, design, central, support, _, _ = _prepare(dataset, task, None)
     if not support:
         return ()
     X, y = design.values, ds.target
@@ -349,71 +383,66 @@ def _cv_improvement(design, X, y, central, feature, spec, folds) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# shared payment helpers
+# settlement
 
 
-def _pay_and_book(report: MarketReport, psi: Mapping[str, float], pot: float,
-                  owners: Mapping[str, str], central_agent: str, time_tag,
-                  market: str) -> dict[str, float]:
-    """Clamp per-feature payments, append ledger entries, return amounts."""
-    amounts = {}
-    for k in sorted(psi):
-        amount = pot * psi[k]
-        if amount < 0.0:
-            amount = 0.0
-            report.clamped_entries += 1
-        amounts[k] = amount
-        if amount > 0.0:
-            report.ledger.append(LedgerEntry(time_tag, central_agent, owners[k],
-                                             k, amount, market))
-    return amounts
+def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: list,
+            surplus: np.ndarray | None = None) -> MarketReport:
+    """Clamp, book, total and audit a ``(steps, features)`` matrix of
+    pre-clamp payments, one column per feature of ``report.support``.
 
-
-def _book_steps(report: MarketReport, times: list[int], surplus: np.ndarray,
-                amounts: np.ndarray, features: Sequence[str],
-                owners: Mapping[str, str], payer: str) -> None:
-    """Book a (steps, features) matrix of clamped per-step payments.
-
-    Positive amounts become ledger entries in time, then feature order;
-    the report gets the per-step series and the per-feature totals.
+    Strictly negative amounts count as clamped, and every amount that is
+    not positive is paid as ``0.0``.  Positive amounts become ledger
+    entries in time, then feature order, tagged with ``times``.  Given the
+    per-step ``surplus``, the report gets the per-step series.  Each
+    feature is paid the exact sum of its column, a screened-out feature
+    zero, and the central agent is debited the sum of the support credits.
+    The task's flags are copied before the audit.
     """
-    pay_series = {k: amounts[:, j].tolist() for j, k in enumerate(features)}
-    rows, cols = np.nonzero(amounts > 0.0)
+    features, owners = report.support, report.feature_owners
+    report.clamped_entries = int(np.count_nonzero(amounts < 0.0))
+    paid = np.where(amounts <= 0.0, 0.0, amounts)
+    pay_series = {k: paid[:, j].tolist() for j, k in enumerate(features)}
+    rows, cols = np.nonzero(paid > 0.0)
     n = len(rows)
     # object arrays gather references: the ledger's times and amounts are
     # the series' own int and float objects, one copy in memory, not two
     report.ledger.extend_columns(
-        time=np.array(times, dtype=object)[rows].tolist(), payer=[payer] * n,
+        time=np.array(times, dtype=object)[rows].tolist(), payer=[task.central_agent] * n,
         payee=np.array([owners[k] for k in features], dtype=object)[cols].tolist(),
         feature=np.array(features, dtype=object)[cols].tolist(),
         amount=np.array(list(pay_series.values()), dtype=object)[cols, rows].tolist(),
         market=[report.market] * n)
-    report.series = {
-        "step": times,
-        "surplus": surplus.tolist(),
-        "central_payment": [math.fsum(row) for row in zip(*pay_series.values())],
-        "payments": pay_series,
-        "cumulative": {k: np.cumsum(pay_series[k]).tolist() for k in features},
-    }
-    _finalise_totals(report, {k: math.fsum(pay_series[k]) for k in features}, owners)
-
-
-def _finalise_totals(report: MarketReport, per_feature_totals: Mapping[str, float],
-                     owners: Mapping[str, str]) -> None:
-    report.payments = {k: per_feature_totals[k] for k in sorted(per_feature_totals)}
+    if surplus is not None:
+        report.series.update({
+            "step": times,
+            "surplus": surplus.tolist(),
+            "central_payment": [math.fsum(row) for row in zip(*pay_series.values())],
+            "payments": pay_series,
+            "cumulative": {k: np.cumsum(v).tolist() for k, v in pay_series.items()},
+        })
+    report.payments = {k: math.fsum(v) for k, v in pay_series.items()}
     agent_feats: dict[str, list[str]] = {}
-    for k in sorted(per_feature_totals):
+    for k in features:
         agent_feats.setdefault(owners[k], []).append(k)
-    report.per_agent = {a: math.fsum(per_feature_totals[k] for k in feats)
+    report.per_agent = {a: math.fsum(report.payments[k] for k in feats)
                         for a, feats in sorted(agent_feats.items())}
-    report.central_total = math.fsum(report.payments[k] for k in sorted(report.payments))
+    report.central_total = math.fsum(report.payments.values())
+    report.payments.update(dict.fromkeys(report.screened_out, 0.0))
+    report.flag_duplicates = task.flag_duplicates
+    report.flag_dummies = task.flag_dummies
+    report.audit = audit_ledger(report).to_dict()
+    return report
 
 
 def _empty_report(task: TaskSpec, market: str, rows: int, owners, phi) -> MarketReport:
-    return MarketReport(market=market, central_agent=task.central_agent, rows=rows,
-                        phi=phi, allocation_policy=task.allocation_policy,
-                        game="none", support=(), feature_owners=dict(owners),
-                        notes={"reason": "no support features"})
+    """The audited report of a market with no support feature to trade."""
+    report = MarketReport(market=market, central_agent=task.central_agent, rows=rows,
+                          phi=phi, allocation_policy=task.allocation_policy,
+                          game="none", support=(), feature_owners=dict(owners),
+                          notes={"reason": "no support features"})
+    report.audit = audit_ledger(report).to_dict()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -429,36 +458,22 @@ def clear_batch_market(dataset: Dataset, task: TaskSpec,
     ``previously_billed`` implements the sliding-window extension where
     only new rows are paid for.
     """
-    ds, design = build_design(dataset, task)
-    central, all_support = split_features(design, task)
-    chosen = tuple(sorted(support)) if support is not None else all_support
-    screened_out = tuple(sorted(set(all_support) - set(chosen)))
-    owners = dict(design.feature_owners)
-    phi = task.phi_insample
-    billable = max(design.T - previously_billed, 0)
-
+    ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
     if not chosen:
-        report = _empty_report(task, "batch", design.T, owners, phi)
-        report.audit = audit_ledger(report).to_dict()
-        return report
-
-    if has_mixed_terms(design, central, chosen):
-        report = _batch_feature_game(design, ds.target, task, central, chosen,
-                                     owners, billable)
-    else:
-        report = _batch_support_game(design, ds.target, task, central, chosen,
-                                     owners, billable)
+        return _empty_report(task, "batch", design.T, owners, task.phi_insample)
+    billable = max(design.T - previously_billed, 0)
+    game = (_batch_feature_game if has_mixed_terms(design, central, chosen)
+            else _batch_support_game)
+    report, pot = game(design, ds.target, task, central, chosen, owners, billable)
     report.screened_out = screened_out
-    for k in screened_out:
-        report.payments = {**report.payments, k: 0.0}
-    report.flag_duplicates = task.flag_duplicates
-    report.flag_dummies = task.flag_dummies
-    report.audit = audit_ledger(report).to_dict()
-    return report
+    return _settle(report, task, np.array([[pot * report.allocations[k] for k in chosen]]),
+                   ["batch"])
 
 
 def _batch_support_game(design, y, task: TaskSpec, central, support, owners,
-                        billable) -> MarketReport:
+                        billable) -> tuple[MarketReport, float]:
+    """The report of the coalition game over support features, allocated,
+    and the pot its shares are paid from."""
     table = _fit_table(design, y, central=central, support=support,
                        spec=task.loss, cap=task.enumeration_cap)
     report = MarketReport(
@@ -466,25 +481,19 @@ def _batch_support_game(design, y, task: TaskSpec, central, support, owners,
         phi=task.phi_insample, allocation_policy=task.allocation_policy,
         game="support-coalitions", support=support, feature_owners=owners,
         central_loss=table.central_loss, full_loss=table.full_loss,
-        surplus=table.surplus,
-        loss_table={coalition_key(c): v for c, v in sorted(
-            table.losses.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
+        surplus=table.surplus, loss_table=_loss_table(table.losses),
         notes={"max_jitter": max(f.jitter for f in table.fits.values())})
     pot = billable * task.loss_scale * task.phi_insample * table.surplus
     report.benchmark_payment = max(pot, 0.0)
     if table.surplus <= 0:
         report.no_surplus = True
-        report.allocations = {k: 0.0 for k in support}
-        _finalise_totals(report, {k: 0.0 for k in support}, owners)
-        return report
+        report.allocations = dict.fromkeys(support, 0.0)
+        return report, 0.0
     alloc = _batch_policy(table, task.allocation_policy)
     report.allocations = dict(alloc.values)
     report.support_share_sum = alloc.total
     report.central_share = 1.0 - alloc.total
-    amounts = _pay_and_book(report, alloc.values, pot, owners,
-                            task.central_agent, "batch", "batch")
-    _finalise_totals(report, amounts, owners)
-    return report
+    return report, pot
 
 
 def _batch_policy(table: CoalitionLossTable, policy: str) -> AllocationVector:
@@ -494,7 +503,7 @@ def _batch_policy(table: CoalitionLossTable, policy: str) -> AllocationVector:
 
 
 def _batch_feature_game(design, y, task: TaskSpec, central, support, owners,
-                        billable) -> MarketReport:
+                        billable) -> tuple[MarketReport, float]:
     """Feature-level game for designs with central/support interaction terms.
 
     Players are the unit feature, the central agent's features and the
@@ -527,18 +536,15 @@ def _batch_feature_game(design, y, task: TaskSpec, central, support, owners,
         phi=task.phi_insample, allocation_policy=task.allocation_policy,
         game="feature-game", support=support, feature_owners=owners,
         central_loss=central_loss, full_loss=full_loss,
-        surplus=central_loss - full_loss,
-        loss_table={coalition_key(c): v for c, v in sorted(
-            values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
+        surplus=central_loss - full_loss, loss_table=_loss_table(values),
         notes={"players": list(players), "game_total": game_total,
                "intercept_only_loss": base_loss})
     scale = billable * task.loss_scale * task.phi_insample
     report.benchmark_payment = max(scale * (central_loss - full_loss), 0.0)
     if game_total <= 0 or central_loss - full_loss <= 0:
         report.no_surplus = True
-        report.allocations = {k: 0.0 for k in support}
-        _finalise_totals(report, {k: 0.0 for k in support}, owners)
-        return report
+        report.allocations = dict.fromkeys(support, 0.0)
+        return report, 0.0
     # leave-one-out has no feature-game analogue; fall back to Shapley
     variant = _POLICY_VARIANT.get(task.allocation_policy, ORIGINAL)
     contribs, peaks = shapley_contributions(values, players, variant)
@@ -548,11 +554,7 @@ def _batch_feature_game(design, y, task: TaskSpec, central, support, owners,
     report.allocations = {k: shares[k] for k in support}
     report.support_share_sum = math.fsum(shares[k] for k in support)
     report.central_share = 1.0 - report.support_share_sum
-    pot = scale * (base_loss - full_loss)
-    amounts = _pay_and_book(report, report.allocations, pot, owners,
-                            task.central_agent, "batch", "batch")
-    _finalise_totals(report, amounts, owners)
-    return report
+    return report, scale * (base_loss - full_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +565,11 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
                       support: Sequence[str] | None = None) -> MarketReport:
     """Stream the dataset through per-coalition recursive estimators and pay
     per step from time-varying loss estimates and allocations."""
-    ds, design = build_design(dataset, task)
-    central, all_support = split_features(design, task)
-    chosen = tuple(sorted(support)) if support is not None else all_support
-    owners = dict(design.feature_owners)
+    ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
     phi = task.phi_insample
     if not chosen:
-        report = _empty_report(task, "online", design.T, owners, phi)
-        report.audit = audit_ledger(report).to_dict()
-        return report
-    if has_mixed_terms(design, central, chosen):
-        raise ParameterError(
-            "online market requires a model without central/support interaction terms")
+        return _empty_report(task, "online", design.T, owners, phi)
+    _require_separable(design, central, chosen, "online")
 
     X, y = design.values, ds.target
     coalitions = list(enumerate_coalitions(chosen))
@@ -589,31 +584,19 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
     psi = step_allocations(ewma, chosen, _STEP_VARIANT[task.allocation_policy])
     surplus = ewma[frozenset()] - ewma[grand]
     pot = np.where(trace.ready, task.loss_scale * phi * np.maximum(surplus, 0.0), 0.0)
-    amounts = pot[:, None] * np.column_stack([psi.values[k] for k in chosen])
-    clamped = amounts < 0.0
-    amounts[clamped] = 0.0
-
+    final = session.ewma_losses()
     report = MarketReport(
         market="online", central_agent=task.central_agent, rows=design.T - w,
         phi=phi, allocation_policy=task.allocation_policy,
         game="support-coalitions", support=chosen, feature_owners=owners,
-        flag_duplicates=task.flag_duplicates, flag_dummies=task.flag_dummies,
-        clamped_entries=int(clamped.sum()))
-    _book_steps(report, list(range(w, design.T)), surplus, amounts, chosen, owners,
-                task.central_agent)
-    report.series["allocations"] = {k: psi.values[k].tolist() for k in chosen}
-
-    final = session.ewma_losses()
-    report.central_loss = final[frozenset()]
-    report.full_loss = final[grand]
-    report.surplus = report.central_loss - report.full_loss
-    report.loss_table = {coalition_key(c): v for c, v in sorted(
-        final.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}
-    report.allocations = {k: float(psi.values[k][-1]) for k in chosen}
+        screened_out=screened_out, central_loss=final[frozenset()],
+        full_loss=final[grand], surplus=final[frozenset()] - final[grand],
+        loss_table=_loss_table(final), benchmark_payment=math.fsum(pot.tolist()),
+        allocations={k: float(psi.values[k][-1]) for k in chosen},
+        series={"allocations": {k: psi.values[k].tolist() for k in chosen}})
     report.support_share_sum = math.fsum(report.allocations.values())
-    report.benchmark_payment = math.fsum(pot.tolist())
-    report.audit = audit_ledger(report).to_dict()
-    return report
+    amounts = pot[:, None] * np.column_stack([psi.values[k] for k in chosen])
+    return _settle(report, task, amounts, list(range(w, design.T)), surplus)
 
 
 def _start_session(design, X, y, central, coalitions,
@@ -643,20 +626,15 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     ``model_source`` selects where coalition coefficients come from: a
     batch fit over the training rows, or an online session whose estimates
     evolve through the evaluation period (the forecast residual of each
-    step is also its learning residual).
+    step is also its learning residual).  Each step with a positive
+    realised surplus pays every feature its contribution under
+    ``task.oos_allocation_policy``, clamped at zero.
     """
-    ds, design = build_design(dataset, task)
-    central, all_support = split_features(design, task)
-    chosen = tuple(sorted(support)) if support is not None else all_support
-    owners = dict(design.feature_owners)
+    ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
     phi = task.phi_oos
     if not chosen:
-        report = _empty_report(task, "oos", design.T, owners, phi)
-        report.audit = audit_ledger(report).to_dict()
-        return report
-    if has_mixed_terms(design, central, chosen):
-        raise ParameterError(
-            "out-of-sample market requires a model without central/support interaction terms")
+        return _empty_report(task, "oos", design.T, owners, phi)
+    _require_separable(design, central, chosen, "out-of-sample")
     if model_source not in ("batch", "online"):
         raise ParameterError(f"unknown model source {model_source!r}")
 
@@ -665,9 +643,6 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     train = task.train_rows if task.train_rows is not None else T // 2
     if model_source == "batch" and not 0 < train < T:
         raise ParameterError(f"training rows {train} must split the {T} available rows")
-    grand = frozenset(chosen)
-    variant_policy = task.oos_allocation_policy
-
     if model_source == "batch":
         eval_rows = np.arange(train, T)
         losses_by_coalition = _batch_oos_losses(design, X, y, train, central, chosen,
@@ -675,40 +650,32 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     else:
         eval_rows, losses_by_coalition = _online_oos_losses(
             design, X, y, central, chosen, task)
-    n_eval = len(eval_rows)
-    if n_eval < 1:
+    if len(eval_rows) < 1:
         raise ParameterError("no evaluation rows left for the out-of-sample market")
 
+    grand = frozenset(chosen)
     scale = task.loss_scale * phi
     surplus = losses_by_coalition[frozenset()] - losses_by_coalition[grand]
-    contribs, peaks = shapley_contributions(
-        losses_by_coalition, chosen, _POLICY_VARIANT.get(variant_policy, ORIGINAL))
-    positive = surplus > 0
-
+    contribs, _ = step_contributions(losses_by_coalition, chosen,
+                                     _STEP_VARIANT[task.oos_allocation_policy])
+    paid = {k: np.where(surplus > 0, contribs[k], 0.0) for k in chosen}
+    # period-level shares: summed paid contributions over summed surplus
+    total = float(np.sum(np.maximum(surplus, 0.0)))
+    shares = {k: float(np.sum(np.maximum(paid[k], 0.0))) / total if total > 0 else 0.0
+              for k in chosen}
     report = MarketReport(
-        market="oos", central_agent=task.central_agent, rows=n_eval,
-        phi=phi, allocation_policy=variant_policy, game="support-coalitions",
-        support=chosen, feature_owners=owners,
-        flag_duplicates=task.flag_duplicates, flag_dummies=task.flag_dummies,
+        market="oos", central_agent=task.central_agent, rows=len(eval_rows),
+        phi=phi, allocation_policy=task.oos_allocation_policy, game="support-coalitions",
+        support=chosen, feature_owners=owners, screened_out=screened_out,
+        allocations=shares, support_share_sum=math.fsum(shares.values()),
+        benchmark_payment=total * scale,
+        central_loss=float(np.mean(losses_by_coalition[frozenset()])),
+        full_loss=float(np.mean(losses_by_coalition[grand])),
+        metrics=_oos_metrics(losses_by_coalition, grand, n_windows),
         notes={"model_source": model_source})
-
-    amounts = np.column_stack([
-        np.where(positive, np.maximum(contribs[k], 0.0), 0.0) * scale for k in chosen])
-    _book_steps(report, [int(t) for t in eval_rows], surplus, amounts, chosen, owners,
-                task.central_agent)
-    report.clamped_entries = int(sum(
-        int(np.sum(positive & (np.asarray(contribs[k]) < 0))) for k in chosen))
-
-    psi_final = _oos_average_allocation(contribs, surplus, chosen)
-    report.allocations = psi_final
-    report.support_share_sum = math.fsum(psi_final.values())
-    report.benchmark_payment = float(np.sum(np.maximum(surplus, 0.0)) * scale)
-    report.central_loss = float(np.mean(losses_by_coalition[frozenset()]))
-    report.full_loss = float(np.mean(losses_by_coalition[grand]))
     report.surplus = report.central_loss - report.full_loss
-    report.metrics = _oos_metrics(losses_by_coalition, grand, n_windows)
-    report.audit = audit_ledger(report).to_dict()
-    return report
+    amounts = np.column_stack([paid[k] for k in chosen]) * scale
+    return _settle(report, task, amounts, [int(t) for t in eval_rows], surplus)
 
 
 def _batch_oos_losses(design, X, y, train, central, support, task):
@@ -726,16 +693,6 @@ def _online_oos_losses(design, X, y, central, support, task):
     losses = trace.losses[trace.ready]
     return (np.arange(w, design.T)[trace.ready],
             {c: losses[:, j] for j, c in enumerate(session.coalitions)})
-
-
-def _oos_average_allocation(contribs, surplus, support) -> dict[str, float]:
-    """Period-level shares: summed paid contributions over summed surplus."""
-    total = float(np.sum(np.maximum(surplus, 0.0)))
-    if total <= 0:
-        return {k: 0.0 for k in support}
-    positive = surplus > 0
-    return {k: float(np.sum(np.where(positive, np.maximum(contribs[k], 0.0), 0.0)) / total)
-            for k in support}
 
 
 def _oos_metrics(losses_by_coalition, grand, n_windows) -> dict:

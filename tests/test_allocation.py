@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
-    AllocationVector,
     CoalitionLossTable,
     NoSurplusError,
-    ParameterError,
     instant_allocation,
     loo_allocation,
-    loo_variance_allocation,
-    online_allocation_update,
     shapley_allocation,
     shapley_montecarlo,
 )
@@ -89,21 +85,6 @@ def test_loo_no_surplus_error():
         loo_allocation(table)
     with pytest.raises(NoSurplusError):
         shapley_allocation(table)
-
-
-def test_variance_decomposition_shares():
-    alloc = loo_variance_allocation(
-        {"x2": -0.5, "x3": 0.9, "x4": -0.2}, {"x2": 1.0, "x3": 1.0, "x4": 1.0})
-    assert alloc["x2"] == pytest.approx(0.25 / 1.10)
-    assert alloc["x3"] == pytest.approx(0.81 / 1.10)
-    assert alloc["x4"] == pytest.approx(0.04 / 1.10)
-
-
-def test_variance_decomposition_edge_cases():
-    alloc = loo_variance_allocation({"a": 1.0, "b": -1.0}, {"a": 2.0, "b": 2.0})
-    assert alloc["a"] == pytest.approx(0.5)
-    alloc = loo_variance_allocation({"a": 0.0, "b": 1.0}, {"a": 5.0, "b": 1.0})
-    assert alloc["a"] == 0.0
 
 
 # -- exact Shapley -----------------------------------------------------------
@@ -223,43 +204,6 @@ def test_montecarlo_deterministic_given_seed():
     m1 = shapley_montecarlo(lambda c: table.losses[c], features, 64, seed=9)
     m2 = shapley_montecarlo(lambda c: table.losses[c], features, 64, seed=9)
     assert m1.values == m2.values
-
-
-# -- online recursion --------------------------------------------------------
-
-def _vec(values, policy="shapley"):
-    return AllocationVector(values=values, policy=policy, normalizer=1.0)
-
-
-def test_online_update_fixed_point():
-    psi = _vec({"a": 0.3, "b": 0.7})
-    out = online_allocation_update(psi, psi, lam=0.95)
-    assert out.values == pytest.approx(psi.values)
-
-
-def test_online_update_no_memory():
-    prev = _vec({"a": 0.9, "b": 0.1})
-    inst = _vec({"a": 0.2, "b": 0.8})
-    out = online_allocation_update(prev, inst, lam=0.0)
-    assert out.values == pytest.approx(inst.values)
-
-
-def test_online_update_geometric_convergence():
-    target = _vec({"a": 0.25, "b": 0.75})
-    psi = _vec({"a": 1.0, "b": 0.0})
-    lam = 0.9
-    for k in range(1, 100):
-        psi = online_allocation_update(psi, target, lam)
-        expected = 0.25 + (1.0 - 0.25) * lam ** k
-        assert psi["a"] == pytest.approx(expected, rel=1e-10)
-
-
-def test_online_update_rejects_mismatch():
-    with pytest.raises(ParameterError):
-        online_allocation_update(_vec({"a": 1.0}), _vec({"b": 1.0}), 0.9)
-    with pytest.raises(ParameterError):
-        online_allocation_update(_vec({"a": 1.0}),
-                                 _vec({"a": 1.0}, policy="loo-a"), 0.9)
 
 
 # -- instantaneous allocation ------------------------------------------------

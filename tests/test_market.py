@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +286,25 @@ def test_screened_out_features_pay_zero():
     assert report.audit["checks"]["zero_element"]["passed"]
 
 
+@pytest.mark.parametrize("clear", [
+    run_online_market,
+    lambda ds, task, support: run_oos_market(ds, task, "batch", support=support),
+], ids=["online", "oos"])
+def test_screened_out_features_pay_zero_in_the_online_and_oos_markets(clear):
+    def extra(rng, T):
+        return {"junk": rng.normal(size=T)}
+
+    ds = linear_market_dataset(T=600, seed=3, extra=extra)
+    task = linear_task(ownership=dict(ds.ownership), lam=0.99, warmup=60,
+                       phi_oos=1.0, train_rows=300)
+    report = clear(ds, task, support=("x2", "x3", "x4"))
+    assert report.screened_out == ("junk",)
+    assert report.payments["junk"] == 0.0
+    assert "junk" not in report.ledger.feature
+    assert report.audit["checks"]["zero_element"] == {"passed": True,
+                                                      "payments": {"junk": 0.0}}
+
+
 # -- online market -----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -370,6 +391,32 @@ def test_online_zero_start_with_quantile_loss():
     assert report.full_loss < report.central_loss
 
 
+def test_unpaid_amounts_are_positive_zeros(tmp_path):
+    # on the steps before every estimator is ready, the pot is zero and a
+    # negative share would make the amount -0.0
+    from dataclasses import replace
+
+    from regmarket import scenarios
+    from regmarket.market import report_to_json, write_cumulative_csv
+
+    spec = scenarios.ScenarioSpec("online-arx", T=200, seed=2)
+    ds, _ = scenarios.generate(spec)
+    task = replace(scenarios.task_for_case(spec), init_policy="zero-start")
+    report = run_online_market(ds, task)
+    series = report.series
+    assert any(share < 0.0 and paid == 0.0 for k in report.support
+               for share, paid in zip(series["allocations"][k], series["central_payment"]))
+    amounts = [*report.payments.values(), *report.ledger.amount, *series["central_payment"]]
+    for k in report.support:
+        amounts += series["payments"][k] + series["cumulative"][k]
+    assert not any(math.copysign(1.0, v) < 0 for v in amounts)
+    report_to_json(report, tmp_path / "report.json")
+    write_cumulative_csv(report, tmp_path / "cumulative_revenues.csv")
+    assert not re.search(r"(?<![\w.])-0\.0(?![\w.])", (tmp_path / "report.json").read_text())
+    with open(tmp_path / "cumulative_revenues.csv", newline="") as fh:
+        assert not any("-0.0" in row for row in csv.reader(fh))
+
+
 @pytest.mark.parametrize("policy", ["shapley", "zero-shapley", "absolute-shapley",
                                     "loo-a", "loo-b"])
 def test_online_market_pays_each_step_on_its_instant_allocation(policy):
@@ -454,6 +501,44 @@ def test_oos_benchmark_is_clamped_surplus_identity(oos_setup):
     assert report.central_total >= expected - 1e-9
     assert report.central_total == pytest.approx(expected, rel=0.2)
     assert report.central_total == math.fsum(e.amount for e in report.ledger)
+
+
+@pytest.mark.parametrize("policy", ["loo-a", "loo-b"])
+def test_oos_leave_one_out_pays_each_step_its_leave_one_out_gain(oos_setup, policy):
+    # a coalition's step loss, from a fit of its columns on the training rows
+    from dataclasses import replace
+
+    from regmarket import fit_matrix, loss_value
+    from regmarket.market import split_features
+
+    ds, task = oos_setup
+    task = replace(task, oos_allocation_policy=policy)
+    report = run_oos_market(ds, task, model_source="batch")
+    assert report.allocation_policy == policy
+    dsl, design = build_design(ds, task)
+    central, support = split_features(design, task)
+    X, y, train = design.values, dsl.target, task.train_rows
+
+    def step_loss(coalition):
+        cols = list(design.columns_for(central | coalition))
+        beta = fit_matrix(X[:train][:, cols], y[:train], task.loss).coefficients
+        return loss_value(y[train:] - X[train:][:, cols] @ beta, task.loss)
+
+    grand = frozenset(support)
+    surplus = np.asarray(report.series["surplus"])
+    np.testing.assert_allclose(surplus, step_loss(frozenset()) - step_loss(grand),
+                               rtol=1e-9, atol=1e-12)
+    positive = surplus > 0
+    assert 0 < np.sum(positive) < len(surplus)
+    for k in support:
+        if policy == "loo-a":
+            gain = step_loss(grand - {k}) - step_loss(grand)
+        else:
+            gain = step_loss(frozenset()) - step_loss(frozenset({k}))
+        expected = np.where(positive, np.maximum(gain, 0.0) * task.phi_oos, 0.0)
+        np.testing.assert_allclose(report.series["payments"][k], expected,
+                                   rtol=1e-9, atol=1e-12)
+    assert report.audit["passed"]
 
 
 def test_oos_online_source_runs_and_balances(oos_setup):

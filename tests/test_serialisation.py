@@ -180,6 +180,39 @@ def test_empty_report_artifacts(tmp_path):
     assert_artifacts_match(report, tmp_path)
 
 
+def interaction_dataset(T=400, seed=31):
+    rng = np.random.default_rng(seed)
+    g = {k: rng.normal(size=T) for k in ("x1", "x2", "x3")}
+    y = 0.2 - 0.4 * g["x1"] + 0.6 * g["x2"] - 0.4 * g["x1"] * g["x3"] + rng.normal(0, 0.3, T)
+    return Dataset(np.arange(T), y, g, {"x1": "a1", "x2": "a2", "x3": "a3"}, target_owner="a1")
+
+
+@pytest.mark.parametrize("policy", ["shapley", "zero-shapley", "absolute-shapley",
+                                    "loo-a", "loo-b"])
+@pytest.mark.parametrize("game", ["support-coalitions", "feature-game"])
+def test_batch_amount_cells_are_plain_floats(tmp_path, game, policy):
+    if game == "feature-game":
+        ds = interaction_dataset()
+        task = TaskSpec(central_agent="a1", ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
+                        loss=LossSpec("quadratic"), degree=2, phi_insample=0.1,
+                        allocation_policy=policy)
+    else:
+        ds = two_feature_dataset(300, 1)
+        task = two_feature_task(phi_insample=0.1, allocation_policy=policy)
+    report = clear_batch_market(ds, task)
+    assert report.game == game and report.ledger
+    write_ledger_csv(report, tmp_path / "ledger.csv")
+    write_cumulative_csv(report, tmp_path / "cumulative_revenues.csv")
+    for name, columns in (("ledger.csv", ("amount",)),
+                          ("cumulative_revenues.csv", ("amount", "cumulative"))):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            for column in columns:
+                float(row[column])
+
+
 def hand_built_report() -> MarketReport:
     inf = float("inf")
     nan = float("nan")
