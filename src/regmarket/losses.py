@@ -110,6 +110,30 @@ def loss_h2(eps, spec: LossSpec):
     return out if np.ndim(eps) else float(out)
 
 
+def loss_terms(eps, spec: LossSpec):
+    """The loss, h1 and h2 of a residual array in one pass.
+
+    One finite check, and each ``expit`` computed once; the values are
+    bit for bit those of :func:`loss_value`, :func:`loss_h1` and
+    :func:`loss_h2`.
+    """
+    return _loss_terms(_check_finite(eps), spec)
+
+
+def _loss_terms(e: np.ndarray, spec: LossSpec):
+    """:func:`loss_terms` without the finite check."""
+    if spec.is_quadratic:
+        return e * e, e, np.ones_like(e)
+    upper = e / spec.alpha
+    lower = -e / spec.alpha
+    loss = spec.tau * e + spec.alpha * np.logaddexp(0.0, lower)
+    up, down = expit(upper), expit(lower)
+    s = up * down
+    if spec.derivative_variant == ANALYTIC:
+        return loss, spec.tau - down, s / spec.alpha
+    return loss, spec.tau + spec.alpha * up - down, (1.0 + spec.alpha) * s
+
+
 def pinball_loss(eps, tau: float):
     """Exact quantile (pinball) loss e*(tau - 1{e<=0}); the alpha -> 0 limit."""
     e = np.asarray(eps, dtype=float)

@@ -74,7 +74,7 @@ from .batch import (
     fit_matrix,
 )
 from .data import AugmentedDesign, Dataset, make_lags, polynomial_expand
-from .errors import EnumerationCapError, ParameterError
+from .errors import EnumerationCapError, FeatureLookupError, ParameterError
 from .losses import LossSpec, insample_loss
 from .online import WARM_START, ZERO_START, OnlineSession
 
@@ -303,6 +303,10 @@ def _prepare(dataset: Dataset, task: TaskSpec, support: Sequence[str] | None):
     ``support``, or all of them), the screened-out ones, and the owners."""
     ds, design = build_design(dataset, task)
     central, all_support = split_features(design, task)
+    unknown = sorted(set(support or ()) - set(all_support))
+    if unknown:
+        raise FeatureLookupError(f"support names {unknown}, which are not support features "
+                                 f"of the task: {list(all_support)}")
     chosen = tuple(sorted(support)) if support is not None else all_support
     screened_out = tuple(sorted(set(all_support) - set(chosen)))
     return ds, design, central, chosen, screened_out, dict(design.feature_owners)
@@ -435,10 +439,11 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
     return report
 
 
-def _empty_report(task: TaskSpec, market: str, rows: int, owners, phi) -> MarketReport:
+def _empty_report(task: TaskSpec, market: str, rows: int, owners, phi,
+                  policy: str) -> MarketReport:
     """The audited report of a market with no support feature to trade."""
     report = MarketReport(market=market, central_agent=task.central_agent, rows=rows,
-                          phi=phi, allocation_policy=task.allocation_policy,
+                          phi=phi, allocation_policy=policy,
                           game="none", support=(), feature_owners=dict(owners),
                           notes={"reason": "no support features"})
     report.audit = audit_ledger(report).to_dict()
@@ -460,7 +465,8 @@ def clear_batch_market(dataset: Dataset, task: TaskSpec,
     """
     ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
     if not chosen:
-        return _empty_report(task, "batch", design.T, owners, task.phi_insample)
+        return _empty_report(task, "batch", design.T, owners, task.phi_insample,
+                             task.allocation_policy)
     billable = max(design.T - previously_billed, 0)
     game = (_batch_feature_game if has_mixed_terms(design, central, chosen)
             else _batch_support_game)
@@ -568,7 +574,7 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
     ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
     phi = task.phi_insample
     if not chosen:
-        return _empty_report(task, "online", design.T, owners, phi)
+        return _empty_report(task, "online", design.T, owners, phi, task.allocation_policy)
     _require_separable(design, central, chosen, "online")
 
     X, y = design.values, ds.target
@@ -633,7 +639,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
     phi = task.phi_oos
     if not chosen:
-        return _empty_report(task, "oos", design.T, owners, phi)
+        return _empty_report(task, "oos", design.T, owners, phi, task.oos_allocation_policy)
     _require_separable(design, central, chosen, "out-of-sample")
     if model_source not in ("batch", "online"):
         raise ParameterError(f"unknown model source {model_source!r}")

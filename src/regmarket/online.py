@@ -28,9 +28,10 @@ coefficients and an identity block in the memory.  That block is reset to
 the identity on every step: left to decay as lam^t it would underflow at
 small lam.  The padded memory is block diagonal, so its Cholesky factor
 and solve give the design's own block unchanged, and every coalition
-advances with one gather of the row, one vectorised call to each loss
-function, one batched memory update, one batched Cholesky and one batched
-solve.  :func:`online_step` is the one-coalition case of the same kernel.
+advances with one gather of the row, one vectorised :func:`loss_terms`
+call for the loss, h1 and h2, one batched memory update, one batched
+Cholesky and one batched solve.  :func:`online_step` is the one-coalition
+case of the same kernel.
 
 Block scan.  With the quadratic loss (h1 = eps, h2 = 1) the update is
 recursive least squares, and both of its recursions are linear:
@@ -48,8 +49,18 @@ block within ``SCAN_FLOATS`` floats, so working memory does not grow with
 the stream.  A block whose data, coefficients or losses are not finite,
 or in which a ready estimator's memory fails its Cholesky check, is
 replayed step by step, so errors are raised at the recursion's step and
-leave the recursion's state.  :meth:`OnlineSession.step` and
-smooth-quantile streams keep the recursion.
+leave the recursion's state.  :meth:`OnlineSession.step` keeps the
+recursion.
+
+Newton blocks.  The smooth-quantile update has no linear recursion, so
+:meth:`OnlineSession.stream` runs it over blocks of the same length with
+the recursion's own arithmetic, one private kernel shared with the step,
+and makes the step's checks once per block: finite data, finite
+non-negative losses, finite final coefficients and one batched Cholesky
+check of every step's memory.  The loop runs with NumPy overflow, invalid
+and divide-by-zero errors raised.  A block that fails a check, or in which
+an estimator is not yet ready, is replayed step by step as for the scan,
+and the series and final state are bit for bit the recursion's.
 """
 
 from __future__ import annotations
@@ -63,14 +74,18 @@ import numpy as np
 from .batch import cholesky_failures, fit_matrix
 from .data import AugmentedDesign
 from .errors import ParameterError, SingularUpdateError
-from .losses import EwmaLoss, LossSpec, ewma_update, insample_loss, loss_h1, loss_h2, loss_value
+from .losses import (EwmaLoss, LossSpec, _loss_terms, ewma_update, insample_loss, loss_h2,
+                     loss_terms)
+# not called here since loss_terms replaced it, but benchmarks/tracing.py's
+# self-test reaches it through this module
+from .losses import loss_h1  # noqa: F401
 
 WARM_START = "warm-start"
 ZERO_START = "zero-start"
 # a scan block rescales its prefix sums by lam^-k up to this factor
 SCALE_LIMIT = 1e3
-# and holds about this many floats per (B, C, N, N) array (256 KiB); larger
-# blocks measured slower and grow peak memory
+# and a scan or Newton block holds about this many floats per (B, C, N, N)
+# array (256 KiB); larger blocks measured slower and grow peak memory
 SCAN_FLOATS = 1 << 15
 
 
@@ -172,6 +187,25 @@ class _StackedStates:
     def _label(self, i: int) -> str:
         return f"{self.labels[i]}: " if self.labels else ""
 
+    def _newton(self, coefficients: np.ndarray, memory: np.ndarray, X: np.ndarray,
+                y_t: float, lam: float, spec: LossSpec, terms=loss_terms):
+        """The arithmetic of one Newton step from the given coefficients and
+        memory, shared by :meth:`advance` and :meth:`newton_block`.
+
+        Returns the prior residuals, their losses, the updated memory and
+        the right-hand side of the Newton solve.  ``terms`` gives the loss,
+        h1 and h2 of the residuals, checked or not.
+        """
+        eps = y_t - np.einsum("cn,cn->c", coefficients, X)
+        losses, h1, h2 = terms(eps, spec)
+        memory = lam * memory + h2[:, None, None] * (X[:, :, None] * X[:, None, :])
+        memory = 0.5 * (memory + memory.transpose(0, 2, 1))
+        memory[self.padding] = 1.0
+        # ready estimators keep a zero pending gradient, so this is their
+        # plain Newton direction and the accumulated one of the others
+        rhs = lam * self.pending_gradient + X * h1[:, None]
+        return eps, losses, memory, rhs
+
     def advance(self, X: np.ndarray, y_t: float, lam: float,
                 spec: LossSpec) -> tuple[np.ndarray, np.ndarray]:
         """Advance every estimator by one observation.
@@ -184,18 +218,10 @@ class _StackedStates:
         """
         if not (np.isfinite(X).all() and np.isfinite(y_t)):
             raise ParameterError("online step needs finite data")
-        eps = y_t - np.einsum("cn,cn->c", self.coefficients, X)
-        losses = loss_value(eps, spec)
-        h1 = loss_h1(eps, spec)
-        h2 = loss_h2(eps, spec)
+        eps, losses, memory, rhs = self._newton(self.coefficients, self.memory, X, y_t,
+                                                lam, spec)
         ewma = ewma_update(self.ewma, losses)
-        memory = lam * self.memory + h2[:, None, None] * (X[:, :, None] * X[:, None, :])
-        memory = 0.5 * (memory + memory.transpose(0, 2, 1))
-        memory[self.padding] = 1.0
         steps = self.step_count + 1
-        # ready estimators keep a zero pending gradient, so this is their
-        # plain Newton direction and the accumulated one of the others
-        rhs = lam * self.pending_gradient + X * h1[:, None]
 
         failed = cholesky_failures(memory)
         if failed is not None and (failed & self.ready).any():
@@ -203,19 +229,14 @@ class _StackedStates:
             raise SingularUpdateError(f"{self._label(i)}memory matrix not positive definite",
                                       step=int(steps[i]))
         if self.all_ready:
-            coefficients = self.coefficients + np.linalg.solve(
-                memory, rhs[:, :, None])[:, :, 0]
+            coefficients = _newton_solve(self.coefficients, memory, rhs)
         else:
             # a zero-start estimator takes its first step once its warm-up
             # is over and its memory is positive definite
             solved = self.ready | (steps >= self.min_warm_steps)
             if failed is not None:
                 solved &= ~failed
-            delta = np.linalg.solve(
-                np.where(solved[:, None, None], memory, np.eye(memory.shape[-1])),
-                rhs[:, :, None])
-            coefficients = np.where(solved[:, None], self.coefficients + delta[:, :, 0],
-                                    self.coefficients)
+            coefficients = _newton_solve(self.coefficients, memory, rhs, solved)
         # Cholesky does not flag an infinite pivot: a memory that overflowed
         # passes it and leaves coefficients that are not finite
         if not np.isfinite(coefficients).all():
@@ -233,6 +254,53 @@ class _StackedStates:
         self.step_count = steps
         self.ewma = ewma
         return eps, losses
+
+    # an overflow or invalid value makes the block decline; its replay warns
+    @np.errstate(over="raise", invalid="raise", divide="raise")
+    def newton_block(self, X: np.ndarray, y: np.ndarray, lam: float,
+                     spec: LossSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Advance every estimator over a block of rows by the recursion of
+        :meth:`advance`, its checks made once for the block.
+
+        ``X`` holds each step's rows, ``(B, C, N)``.  Returns each step's
+        losses and EWMA losses, ``(B, C)``, and whether every estimator is
+        ready after it, ``(B,)``.  Returns None, changing nothing, when an
+        estimator is not ready, the data are not finite, a step overflows,
+        a loss is not finite or negative, a memory fails its Cholesky check
+        or the final coefficients are not finite; the block is then for
+        :meth:`advance` to replay, which raises at the step and with the
+        message of the recursion.
+        """
+        if not (self.all_ready and np.isfinite(X).all() and np.isfinite(y).all()):
+            return None
+        B, C, N = X.shape
+        losses, ewma = np.empty((B, C)), np.empty((B, C))
+        memories = np.empty((B, C, N, N))
+        coefficients, memory, value = self.coefficients, self.memory, self.ewma.value
+        try:
+            for b in range(B):
+                # einsum's sum depends on the row's alignment: a fresh row
+                # as in advance, not a view into the block
+                _, losses[b], memory, rhs = self._newton(coefficients, memory, X[b].copy(),
+                                                         y[b], lam, spec, _loss_terms)
+                coefficients = _newton_solve(coefficients, memory, rhs)
+                # ewma_update's recursion; the losses are checked below
+                value = lam * value + (1.0 - lam) * losses[b]
+                ewma[b] = value
+                memories[b] = memory
+            # a residual that is not finite has a loss that is not finite,
+            # and coefficients that are not finite stay so to the end
+            if not (np.isfinite(losses).all() and (losses >= 0).all()
+                    and np.isfinite(coefficients).all()):
+                return None
+            np.linalg.cholesky(memories)
+        except (FloatingPointError, np.linalg.LinAlgError):
+            return None
+        self.coefficients = coefficients
+        self.memory = memory
+        self.step_count = self.step_count + B
+        self.ewma = EwmaLoss(value, lam)
+        return losses, ewma, np.ones(B, dtype=bool)
 
     # an overflow makes the block decline, and its replay warns
     @np.errstate(over="ignore", invalid="ignore")
@@ -315,6 +383,17 @@ class _StackedStates:
         return losses, ewma, ready.all(axis=1)
 
 
+def _newton_solve(coefficients: np.ndarray, memory: np.ndarray, rhs: np.ndarray,
+                  solved: np.ndarray | None = None) -> np.ndarray:
+    """The Newton step's new coefficients, ``beta + M^{-1} rhs``, for the
+    estimators in ``solved`` (all of them when None); the others keep theirs."""
+    if solved is None:
+        return coefficients + np.linalg.solve(memory, rhs[:, :, None])[:, :, 0]
+    delta = np.linalg.solve(
+        np.where(solved[:, None, None], memory, np.eye(memory.shape[-1])), rhs[:, :, None])
+    return np.where(solved[:, None], coefficients + delta[:, :, 0], coefficients)
+
+
 def online_step(state: OnlineState, x_row: np.ndarray, y_t: float,
                 lam: float, spec: LossSpec) -> tuple[OnlineState, float, float]:
     """Advance one observation; returns (new state, prior residual, loss)."""
@@ -393,20 +472,21 @@ class OnlineSession:
     def stream(self, X: np.ndarray, y: np.ndarray) -> SessionTrace:
         """Step through the rows of ``X`` and ``y`` and record every step.
 
-        Quadratic sessions advance in scan blocks (see the module
-        docstring); a block the scan declines, and every smooth-quantile
-        step, goes through the recursion as :meth:`step` does.
+        Sessions advance in blocks (see the module docstring); a block that
+        declines goes through the recursion as :meth:`step` does.
         """
         if self._stack is None:
             raise ParameterError("session states not initialised")
         T, C = len(y), len(self.columns)
         trace = SessionTrace(np.empty((T, C)), np.empty((T, C)), np.empty(T, dtype=bool))
-        block = self._scan_steps() if self.spec.is_quadratic else max(T, 1)
+        block = self._scan_steps()
         for start in range(0, T, block):
             rows = slice(start, min(start + block, T))
-            out = None
+            block_rows = self._gather_rows(X[rows])
             if self.spec.is_quadratic:
-                out = self._stack.scan(self._gather_rows(X[rows]), y[rows], self.lam)
+                out = self._stack.scan(block_rows, y[rows], self.lam)
+            else:
+                out = self._stack.newton_block(block_rows, y[rows], self.lam, self.spec)
             if out is None:
                 self._recurse(X, y, rows, trace)
             else:
@@ -414,10 +494,11 @@ class OnlineSession:
         return trace
 
     def _scan_steps(self) -> int:
-        """Steps per scan block: the rescale and the float budget bound it."""
+        """Steps per block: the float budget bounds it, and the scan's
+        rescale bounds it for quadratic sessions."""
         C, N = self._gather.shape
         steps = max(1, SCAN_FLOATS // max(C * N * N, 1))
-        if self.lam < 1.0:
+        if self.spec.is_quadratic and self.lam < 1.0:
             steps = min(steps, 1 + int(math.log(SCALE_LIMIT) / -math.log(self.lam)))
         return steps
 

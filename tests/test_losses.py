@@ -17,6 +17,7 @@ from regmarket import (
     loss_value,
     pinball_loss,
 )
+from regmarket.losses import loss_terms
 
 QUAD = LossSpec("quadratic")
 
@@ -112,6 +113,26 @@ def test_h2_is_positive(e, tau, alpha):
         assert loss_h2(e, vspec) > 0
     assert loss_h2(e, spec) >= 0
     assert loss_h2(e, vspec) >= 0
+
+
+@given(e=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8),
+       tau=st.floats(0.0, 1.0), alpha=st.floats(0.01, 2),
+       variant=st.sampled_from(["analytic", "paper-verbatim"]))
+@settings(max_examples=80, deadline=None)
+def test_loss_terms_are_the_three_loss_functions(e, tau, alpha, variant):
+    e = np.array(e)
+    for spec in (QUAD, LossSpec("smooth-quantile", tau=tau, alpha=alpha,
+                                derivative_variant=variant)):
+        terms = loss_terms(e, spec)
+        for got, want in zip(terms, (loss_value(e, spec), loss_h1(e, spec), loss_h2(e, spec))):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loss_terms_reject_non_finite_residuals(bad):
+    for spec in (QUAD, LossSpec("smooth-quantile")):
+        with pytest.raises(ParameterError, match="residuals must be finite"):
+            loss_terms(np.array([0.5, bad]), spec)
 
 
 def test_insample_loss():

@@ -7,6 +7,7 @@ import pytest
 
 from regmarket import (
     Dataset,
+    FeatureLookupError,
     LossSpec,
     ParameterError,
     TaskSpec,
@@ -303,6 +304,34 @@ def test_screened_out_features_pay_zero_in_the_online_and_oos_markets(clear):
     assert "junk" not in report.ledger.feature
     assert report.audit["checks"]["zero_element"] == {"passed": True,
                                                       "payments": {"junk": 0.0}}
+
+
+@pytest.mark.parametrize("clear", [
+    clear_batch_market,
+    run_online_market,
+    lambda ds, task, support: run_oos_market(ds, task, "batch", support=support),
+], ids=["batch", "online", "oos"])
+@pytest.mark.parametrize("support", [
+    ("x2", "zz"),       # a name the design does not have
+    ("x2", "x1"),       # the central agent's own feature
+], ids=["unknown", "central"])
+def test_support_must_name_support_features(clear, support):
+    ds = linear_market_dataset(T=600, seed=3)
+    task = linear_task(lam=0.99, warmup=60, phi_oos=1.0, train_rows=300)
+    with pytest.raises(FeatureLookupError, match="not support features"):
+        clear(ds, task, support=support)
+
+
+def test_empty_oos_report_names_the_oos_policy():
+    rng = np.random.default_rng(1)
+    T = 200
+    ds = Dataset(np.arange(T), rng.normal(size=T), {"x1": rng.normal(size=T)},
+                 {"x1": "a1"}, target_owner="a1")
+    task = TaskSpec(central_agent="a1", ownership={"x1": "a1"},
+                    loss=LossSpec("quadratic"))
+    assert task.allocation_policy != task.oos_allocation_policy
+    assert run_oos_market(ds, task).allocation_policy == task.oos_allocation_policy
+    assert run_online_market(ds, task).allocation_policy == task.allocation_policy
 
 
 # -- online market -----------------------------------------------------------

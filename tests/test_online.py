@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmarket import (
     Dataset,
@@ -590,3 +592,138 @@ def test_overflowed_memory_raises_at_its_step(row):
     assert str(streamed.value) == str(stepped.value)
     assert "coalition ['x4']" in str(streamed.value)
     assert_sessions_close(scan, recursion)
+
+
+# -- smooth-quantile Newton blocks ----------------------------------------------
+
+def count_replays(session):
+    """How many steps ``advance`` replays in ``session``'s stream."""
+    replays = []
+    advance = session._stack.advance
+    session._stack.advance = lambda *args: replays.append(args) or advance(*args)
+    return replays
+
+
+def assert_sessions_equal(a, b):
+    sa, sb = a.states, b.states
+    for c in a.coalitions:
+        assert sa[c].ready == sb[c].ready
+        assert sa[c].step_count == sb[c].step_count
+        assert sa[c].min_warm_steps == sb[c].min_warm_steps
+        assert np.array_equal(sa[c].coefficients, sb[c].coefficients)
+        assert np.array_equal(sa[c].memory, sb[c].memory)
+        assert sa[c].ewma.value == sb[c].ewma.value
+        assert (sa[c].pending_gradient is None) == (sb[c].pending_gradient is None)
+        if sb[c].pending_gradient is not None:
+            assert np.array_equal(sa[c].pending_gradient, sb[c].pending_gradient)
+
+
+@given(lam=st.sampled_from([0.9, 0.97, 0.99, 0.999, 1.0]),
+       tau=st.floats(0.05, 0.95), alpha=st.floats(0.2, 2.0),
+       variant=st.sampled_from(["analytic", "paper-verbatim"]),
+       policy=st.sampled_from([WARM_START, ZERO_START]),
+       block=st.integers(2, 17), T=st.integers(61, 160))
+@settings(max_examples=40, deadline=None)
+def test_smooth_quantile_stream_equals_step(lam, tau, alpha, variant, policy, block, T):
+    spec = LossSpec("smooth-quantile", tau=tau, alpha=alpha, derivative_variant=variant)
+    design, y, coalitions = unequal_width_setup(T + 60)
+    X = design.values
+    (stream, recursion), start = twin_sessions(design, y, coalitions, lam, policy,
+                                               spec=spec)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of `block` steps: the stream spans several, with a remainder
+        mp.setattr("regmarket.online.SCAN_FLOATS", block * 8 * 25)
+        assert stream._scan_steps() == block
+        replays = count_replays(stream)
+        trace = stream.stream(X[start:], y[start:])
+    losses, ewma, ready = step_trace(recursion, X[start:], y[start:])
+    assert np.array_equal(trace.losses, losses)
+    assert np.array_equal(trace.ewma, ewma)
+    assert np.array_equal(trace.ready, ready)
+    assert_sessions_equal(stream, recursion)
+    # only the blocks that start before every estimator is ready replay
+    assert len(replays) < len(y) - start
+    if policy == WARM_START:
+        assert not replays
+
+
+def assert_stream_raises_like_step(stream, recursion, X, y):
+    """Both sessions raise the same error at the same step and keep the same state."""
+    replays = count_replays(stream)
+    with pytest.raises(Exception) as stepped:
+        step_trace(recursion, X, y)
+    with pytest.raises(type(stepped.value)) as streamed:
+        stream.stream(X, y)
+    assert str(streamed.value) == str(stepped.value)
+    assert getattr(streamed.value, "step", None) == getattr(stepped.value, "step", None)
+    assert_sessions_equal(stream, recursion)
+    return stepped.value, replays
+
+
+@pytest.mark.parametrize("column, value, error, message", [
+    ("x3", np.nan, ParameterError, "online step needs finite data"),
+    # x4's outer product overflows the memory
+    ("x4", 3e154, SingularUpdateError, "memory overflowed"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_smooth_quantile_stream_raises_mid_block_like_the_step(column, value, error,
+                                                               message):
+    design, y, coalitions = unequal_width_setup(400)
+    X = design.values.copy()
+    X[250, [t.name for t in design.terms].index(column)] = value
+    (stream, recursion), start = twin_sessions(design, y, coalitions, 0.99, WARM_START,
+                                               spec=SMOOTH)
+    block = stream._scan_steps()
+    step = 250 - start + 1
+    assert step % block not in (0, 1)
+    err, replays = assert_stream_raises_like_step(stream, recursion, X[start:], y[start:])
+    assert isinstance(err, error) and message in str(err)
+    # the blocks before the failing one run as blocks; that one is replayed
+    assert len(replays) == step - (step - 1) // block * block
+    assert {s.step_count for s in stream.states.values()} == {step - 1}
+
+
+def test_smooth_quantile_stream_raises_singular_update_mid_block(monkeypatch):
+    # x4 is zero after the warm-up, so the memory entry it keeps only halves
+    # each step at lam = 0.5; started at 2^-1050 it rounds to zero at step
+    # 25, inside the third ten-step block.  Long before step 1075, where
+    # a unit entry would reach zero, this estimator diverges at lam = 0.5.
+    monkeypatch.setattr("regmarket.online.SCAN_FLOATS", 10 * 8 * 25)
+    design, y, coalitions = unequal_width_setup(200)
+    X = design.values.copy()
+    j = [t.name for t in design.terms].index("x4")
+    X[60:, j] = 0.0
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, 0.5, SMOOTH)
+    session.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    snap = session.to_snapshot()
+    for entry in snap["coalitions"]:
+        if "x4" in entry["members"]:
+            k = entry["terms"].index("x4")
+            memory = np.array(entry["memory"])
+            memory[k, :] = memory[:, k] = 0.0
+            memory[k, k] = 2.0 ** -1050
+            entry["memory"] = memory.tolist()
+            entry["coefficients"][k] = 0.0
+    stream, recursion = (OnlineSession.from_snapshot(snap, design) for _ in range(2))
+    assert stream._scan_steps() == 10
+    err, replays = assert_stream_raises_like_step(stream, recursion, X[60:], y[60:])
+    assert isinstance(err, SingularUpdateError) and err.step == 25
+    assert "x4" in str(err) and "not positive definite" in str(err)
+    assert len(replays) == 5
+
+
+def test_smooth_quantile_stream_checks_every_memory():
+    # an indefinite memory that a solve still inverts: only the Cholesky
+    # check stops it, at the first step, as in the recursion
+    design, y, coalitions = unequal_width_setup(300)
+    X = design.values
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, 0.99, SMOOTH)
+    session.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    snap = session.to_snapshot()
+    bad = next(e for e in snap["coalitions"] if e["members"] == ["x3"])
+    bad["memory"] = (-np.eye(len(bad["terms"]))).tolist()
+    stream, recursion = (OnlineSession.from_snapshot(snap, design) for _ in range(2))
+    err, _ = assert_stream_raises_like_step(stream, recursion, X[60:], y[60:])
+    assert isinstance(err, SingularUpdateError) and err.step == 1
+    assert "coalition ['x3']: memory matrix not positive definite" in str(err)
