@@ -34,8 +34,10 @@ ABSOLUTE = "absolute"
 DROP_ONE = "drop-one"
 ADD_ONE = "add-one"
 
-_VARIANT_LABEL = {ORIGINAL: "shapley", ZERO: "zero-shapley", ABSOLUTE: "absolute-shapley",
-                  DROP_ONE: "loo-a", ADD_ONE: "loo-b"}
+# the allocation policies a task may name, and the variant each applies
+POLICY_VARIANT = {"shapley": ORIGINAL, "zero-shapley": ZERO, "absolute-shapley": ABSOLUTE,
+                  "loo-a": DROP_ONE, "loo-b": ADD_ONE}
+_VARIANT_LABEL = {variant: policy for policy, variant in POLICY_VARIANT.items()}
 _DUMMY_SNAP = 1e-12
 
 
@@ -196,7 +198,7 @@ def step_contributions(losses: Mapping[frozenset, np.ndarray], features: Sequenc
 def step_allocations(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],
                      variant: str = ORIGINAL) -> AllocationSeries:
     """Shares of each step's surplus: :func:`step_contributions` over the
-    step's surplus.
+    step's surplus.  Scalar losses are one step, and give 0-d shares.
 
     A step's surplus may have any sign; where it is not positive every
     share of that step is zero.  Under Shapley a feature whose marginals at

@@ -277,15 +277,20 @@ def enumerate_coalitions(support: tuple[str, ...]):
             yield frozenset(combo)
 
 
+def check_enumeration_cap(support, cap: int) -> None:
+    """Raise EnumerationCapError when ``support`` has more features than ``cap``."""
+    if len(support) > cap:
+        raise EnumerationCapError(
+            f"{len(support)} support features exceed the exact enumeration cap "
+            f"({cap}); {CAP_REMEDY}")
+
+
 def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
                        central: frozenset[str], support: tuple[str, ...],
                        spec: LossSpec, cap: int = 15) -> CoalitionLossTable:
     """Fit the 2^m coalition models; the table keeps each fit and its optimal loss."""
     support = tuple(sorted(support))
-    if len(support) > cap:
-        raise EnumerationCapError(
-            f"{len(support)} support features exceed the exact enumeration cap "
-            f"({cap}); {CAP_REMEDY}")
+    check_enumeration_cap(support, cap)
     central = frozenset(central)
     coalition_design(design, central, support)   # checks the features
     coalitions = list(enumerate_coalitions(support))

@@ -20,7 +20,8 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DataError,
-    ParameterError,
+    EnumerationCapError,
+    FeatureLookupError,
     RegMarketError,
     SingularDesignError,
     SingularUpdateError,
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
         if args.command == "market":
             return _cmd_market(args)
         return _cmd_report(args)
-    except (ConfigError, ParameterError) as err:
+    except (ConfigError, EnumerationCapError, FeatureLookupError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, DataError) as err:

@@ -16,7 +16,9 @@ markets are one pipeline:
        pi_{k,t} = phi * c_{k,t} where surplus_t > 0         (out-of-sample)
 
    with the surplus measured by loss improvement, psi the shares and c the
-   unnormalised contributions of the allocation policy;
+   unnormalised contributions of the allocation policy.  Batch and online
+   shares come from one call (``_allocate_and_pay``): the batch market is
+   its one-step case, with a scalar loss per coalition and a scalar pot;
 4. clamp and book, then audit (``_settle``): per-feature payments are
    clamped at zero (individual rationality), positive amounts become
    ledger entries, and the central agent's debit is defined as the sum of
@@ -52,14 +54,9 @@ from typing import Mapping
 import numpy as np
 
 from .allocation import (
-    ABSOLUTE,
     ADD_ONE,
     DROP_ONE,
-    ORIGINAL,
-    ZERO,
-    AllocationVector,
-    loo_allocation,
-    shapley_allocation,
+    POLICY_VARIANT,
     shapley_contributions,
     step_allocations,
     step_contributions,
@@ -67,6 +64,7 @@ from .allocation import (
 from .batch import (
     CAP_REMEDY,
     CoalitionLossTable,
+    check_enumeration_cap,
     coalition_losses,
     enumerate_coalitions,
     fit_all_coalitions as _fit_table,
@@ -80,11 +78,6 @@ from .online import WARM_START, ZERO_START, OnlineSession
 
 SCHEMA_VERSION = 1
 UNIT_PLAYER = "__unit__"
-
-_POLICY_VARIANT = {"shapley": ORIGINAL, "zero-shapley": ZERO, "absolute-shapley": ABSOLUTE}
-_LOO_VARIANT = {"loo-a": DROP_ONE, "loo-b": ADD_ONE}
-_STEP_VARIANT = {**_POLICY_VARIANT, **_LOO_VARIANT}
-_POLICIES = tuple(_STEP_VARIANT)
 
 
 @dataclass(frozen=True)
@@ -115,9 +108,9 @@ class TaskSpec:
             raise ParameterError("willingness to pay must be >= 0")
         if not 0.0 < self.lam <= 1.0:
             raise ParameterError("forgetting factor must lie in (0, 1]")
-        if self.allocation_policy not in _POLICIES:
+        if self.allocation_policy not in POLICY_VARIANT:
             raise ParameterError(f"unknown allocation policy {self.allocation_policy!r}")
-        if self.oos_allocation_policy not in _POLICIES:
+        if self.oos_allocation_policy not in POLICY_VARIANT:
             raise ParameterError(f"unknown allocation policy {self.oos_allocation_policy!r}")
         if self.loss_unit not in ("raw", "percent"):
             raise ParameterError("loss_unit must be 'raw' or 'percent'")
@@ -401,7 +394,8 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
     per-step ``surplus``, the report gets the per-step series.  Each
     feature is paid the exact sum of its column, a screened-out feature
     zero, and the central agent is debited the sum of the support credits.
-    The task's flags are copied before the audit.
+    ``support_share_sum`` is the exact sum of ``report.allocations``.  The
+    task's flags are copied before the audit.
     """
     features, owners = report.support, report.feature_owners
     report.clamped_entries = int(np.count_nonzero(amounts < 0.0))
@@ -426,6 +420,7 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
             "cumulative": {k: np.cumsum(v).tolist() for k, v in pay_series.items()},
         })
     report.payments = {k: math.fsum(v) for k, v in pay_series.items()}
+    report.support_share_sum = math.fsum(report.allocations.values())
     agent_feats: dict[str, list[str]] = {}
     for k in features:
         agent_feats.setdefault(owners[k], []).append(k)
@@ -470,16 +465,15 @@ def clear_batch_market(dataset: Dataset, task: TaskSpec,
     billable = max(design.T - previously_billed, 0)
     game = (_batch_feature_game if has_mixed_terms(design, central, chosen)
             else _batch_support_game)
-    report, pot = game(design, ds.target, task, central, chosen, owners, billable)
+    report, players, losses, pot = game(design, ds.target, task, central, chosen, owners,
+                                        billable)
     report.screened_out = screened_out
-    return _settle(report, task, np.array([[pot * report.allocations[k] for k in chosen]]),
-                   ["batch"])
+    return _allocate_and_pay(report, task, players, losses, pot, ["batch"])
 
 
-def _batch_support_game(design, y, task: TaskSpec, central, support, owners,
-                        billable) -> tuple[MarketReport, float]:
-    """The report of the coalition game over support features, allocated,
-    and the pot its shares are paid from."""
+def _batch_support_game(design, y, task: TaskSpec, central, support, owners, billable):
+    """The coalition game over support features: its report, players,
+    coalition losses and the pot its shares are paid from."""
     table = _fit_table(design, y, central=central, support=support,
                        spec=task.loss, cap=task.enumeration_cap)
     report = MarketReport(
@@ -491,31 +485,17 @@ def _batch_support_game(design, y, task: TaskSpec, central, support, owners,
         notes={"max_jitter": max(f.jitter for f in table.fits.values())})
     pot = billable * task.loss_scale * task.phi_insample * table.surplus
     report.benchmark_payment = max(pot, 0.0)
-    if table.surplus <= 0:
-        report.no_surplus = True
-        report.allocations = dict.fromkeys(support, 0.0)
-        return report, 0.0
-    alloc = _batch_policy(table, task.allocation_policy)
-    report.allocations = dict(alloc.values)
-    report.support_share_sum = alloc.total
-    report.central_share = 1.0 - alloc.total
-    return report, pot
+    return report, support, table.losses, pot
 
 
-def _batch_policy(table: CoalitionLossTable, policy: str) -> AllocationVector:
-    if policy in _POLICY_VARIANT:
-        return shapley_allocation(table, _POLICY_VARIANT[policy])
-    return loo_allocation(table, _LOO_VARIANT[policy])
-
-
-def _batch_feature_game(design, y, task: TaskSpec, central, support, owners,
-                        billable) -> tuple[MarketReport, float]:
+def _batch_feature_game(design, y, task: TaskSpec, central, support, owners, billable):
     """Feature-level game for designs with central/support interaction terms.
 
     Players are the unit feature, the central agent's features and the
     support features; the value of a coalition is the batch loss of the
     terms it can build.  Support agents receive their Shapley share of the
-    improvement from the intercept-only model to the grand model.
+    improvement from the intercept-only model to the grand model.  Leave-one-out
+    has no feature-game analogue: ``loo-a`` and ``loo-b`` apply ``shapley``.
     """
     players = (UNIT_PLAYER,) + tuple(sorted(central)) + tuple(support)
     if len(players) > task.enumeration_cap:
@@ -535,32 +515,44 @@ def _batch_feature_game(design, y, task: TaskSpec, central, support, owners,
     central_loss = values[frozenset({UNIT_PLAYER} | central)]
     full_loss = values[frozenset(players)]
     base_loss = values[frozenset({UNIT_PLAYER})]
-    game_total = values[frozenset()] - full_loss
-
+    policy = task.allocation_policy
+    applied = "shapley" if POLICY_VARIANT[policy] in (DROP_ONE, ADD_ONE) else policy
     report = MarketReport(
         market="batch", central_agent=task.central_agent, rows=billable,
-        phi=task.phi_insample, allocation_policy=task.allocation_policy,
+        phi=task.phi_insample, allocation_policy=applied,
         game="feature-game", support=support, feature_owners=owners,
         central_loss=central_loss, full_loss=full_loss,
         surplus=central_loss - full_loss, loss_table=_loss_table(values),
-        notes={"players": list(players), "game_total": game_total,
-               "intercept_only_loss": base_loss})
+        notes={"players": list(players), "game_total": values[frozenset()] - full_loss,
+               "intercept_only_loss": base_loss, "requested_policy": policy})
     scale = billable * task.loss_scale * task.phi_insample
     report.benchmark_payment = max(scale * (central_loss - full_loss), 0.0)
-    if game_total <= 0 or central_loss - full_loss <= 0:
-        report.no_surplus = True
-        report.allocations = dict.fromkeys(support, 0.0)
-        return report, 0.0
-    # leave-one-out has no feature-game analogue; fall back to Shapley
-    variant = _POLICY_VARIANT.get(task.allocation_policy, ORIGINAL)
-    contribs, peaks = shapley_contributions(values, players, variant)
-    snap = 1e-12 * max(1.0, abs(game_total))
-    shares = {p: (0.0 if peaks[p] <= snap else contribs[p] / game_total)
-              for p in players}
-    report.allocations = {k: shares[k] for k in support}
-    report.support_share_sum = math.fsum(shares[k] for k in support)
-    report.central_share = 1.0 - report.support_share_sum
-    return report, scale * (base_loss - full_loss)
+    return report, players, values, scale * (base_loss - full_loss)
+
+
+def _allocate_and_pay(report: MarketReport, task: TaskSpec, players, losses, pot,
+                      times: list, surplus: np.ndarray | None = None) -> MarketReport:
+    """Pay each feature of ``report.support`` ``pot`` times its share of the
+    game ``losses`` over ``players`` under the report's policy, and settle.
+
+    The online market passes a loss series per coalition and a pot per
+    step.  The batch market is the one-step case, with scalars and no
+    ``surplus`` series: without a positive game or report surplus it flags
+    ``no_surplus`` and pays nothing, else it reports the central share.
+    """
+    shares = step_allocations(losses, players, POLICY_VARIANT[report.allocation_policy])
+    psi = np.column_stack([shares.values[k] for k in report.support])
+    if surplus is None:
+        report.no_surplus = bool(shares.no_surplus) or report.surplus <= 0
+        if report.no_surplus:
+            pot, psi = 0.0, np.zeros_like(psi)
+    else:
+        report.series["allocations"] = {k: shares.values[k].tolist() for k in report.support}
+    report.allocations = dict(zip(report.support, psi[-1].tolist()))
+    report = _settle(report, task, np.reshape(pot, (-1, 1)) * psi, times, surplus)
+    if surplus is None and not report.no_surplus:
+        report.central_share = 1.0 - report.support_share_sum
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +570,7 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
     _require_separable(design, central, chosen, "online")
 
     X, y = design.values, ds.target
-    coalitions = list(enumerate_coalitions(chosen))
-    session, w = _start_session(design, X, y, central, coalitions, task)
+    session, w = _start_session(design, X, y, central, chosen, task)
     trace = session.stream(X[w:], y[w:])
     # allocate on the recursively maintained loss estimates: by the
     # linearity of Shapley values this equals exponential smoothing of
@@ -587,7 +578,6 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
     # tails that smoothing the normalised per-step shares would inject
     ewma = {c: trace.ewma[:, j] for j, c in enumerate(session.coalitions)}
     grand = frozenset(chosen)
-    psi = step_allocations(ewma, chosen, _STEP_VARIANT[task.allocation_policy])
     surplus = ewma[frozenset()] - ewma[grand]
     pot = np.where(trace.ready, task.loss_scale * phi * np.maximum(surplus, 0.0), 0.0)
     final = session.ewma_losses()
@@ -597,18 +587,18 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
         game="support-coalitions", support=chosen, feature_owners=owners,
         screened_out=screened_out, central_loss=final[frozenset()],
         full_loss=final[grand], surplus=final[frozenset()] - final[grand],
-        loss_table=_loss_table(final), benchmark_payment=math.fsum(pot.tolist()),
-        allocations={k: float(psi.values[k][-1]) for k in chosen},
-        series={"allocations": {k: psi.values[k].tolist() for k in chosen}})
-    report.support_share_sum = math.fsum(report.allocations.values())
-    amounts = pot[:, None] * np.column_stack([psi.values[k] for k in chosen])
-    return _settle(report, task, amounts, list(range(w, design.T)), surplus)
+        loss_table=_loss_table(final), benchmark_payment=math.fsum(pot.tolist()))
+    return _allocate_and_pay(report, task, chosen, ewma, pot, list(range(w, design.T)),
+                             surplus)
 
 
-def _start_session(design, X, y, central, coalitions,
+def _start_session(design, X, y, central, support,
                    task: TaskSpec) -> tuple[OnlineSession, int]:
-    """A session initialised by the task's policy, and its first streamed row."""
-    session = OnlineSession(design, central, coalitions, task.lam, task.loss)
+    """A session over every coalition of ``support``, within the task's
+    enumeration cap and initialised by its policy, and its first streamed row."""
+    check_enumeration_cap(support, task.enumeration_cap)
+    session = OnlineSession(design, central, list(enumerate_coalitions(support)),
+                            task.lam, task.loss)
     if task.init_policy == WARM_START:
         w = task.warmup
         if w >= design.T:
@@ -663,7 +653,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     scale = task.loss_scale * phi
     surplus = losses_by_coalition[frozenset()] - losses_by_coalition[grand]
     contribs, _ = step_contributions(losses_by_coalition, chosen,
-                                     _STEP_VARIANT[task.oos_allocation_policy])
+                                     POLICY_VARIANT[task.oos_allocation_policy])
     paid = {k: np.where(surplus > 0, contribs[k], 0.0) for k in chosen}
     # period-level shares: summed paid contributions over summed surplus
     total = float(np.sum(np.maximum(surplus, 0.0)))
@@ -673,8 +663,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
         market="oos", central_agent=task.central_agent, rows=len(eval_rows),
         phi=phi, allocation_policy=task.oos_allocation_policy, game="support-coalitions",
         support=chosen, feature_owners=owners, screened_out=screened_out,
-        allocations=shares, support_share_sum=math.fsum(shares.values()),
-        benchmark_payment=total * scale,
+        allocations=shares, benchmark_payment=total * scale,
         central_loss=float(np.mean(losses_by_coalition[frozenset()])),
         full_loss=float(np.mean(losses_by_coalition[grand])),
         metrics=_oos_metrics(losses_by_coalition, grand, n_windows),
@@ -693,8 +682,7 @@ def _batch_oos_losses(design, X, y, train, central, support, task):
 
 
 def _online_oos_losses(design, X, y, central, support, task):
-    coalitions = list(enumerate_coalitions(support))
-    session, w = _start_session(design, X, y, central, coalitions, task)
+    session, w = _start_session(design, X, y, central, support, task)
     trace = session.stream(X[w:], y[w:])
     losses = trace.losses[trace.ready]
     return (np.arange(w, design.T)[trace.ready],

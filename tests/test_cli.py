@@ -296,3 +296,19 @@ def test_unknown_or_default_section_is_config_error(tmp_path, capsys, before, af
     assert code == 1
     assert section in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lags_zz = 1", "zz"),
+    ("enumeration_cap = 1", "exceed the exact enumeration cap (1)"),
+], ids=["unknown-lag-series", "enumeration-cap"])
+@pytest.mark.parametrize("mechanism", ["batch", "online", "oos"])
+def test_feature_lookup_and_enumeration_cap_errors_are_config_errors(tmp_path, capsys,
+                                                                    mechanism, line,
+                                                                    message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("[task]\n", f"[task]\n{line}\n"))
+    code = run_cli(["market", "--mechanism", mechanism, "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

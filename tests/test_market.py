@@ -648,3 +648,120 @@ def test_build_design_marks_ownership():
     _, design = build_design(ds, linear_task())
     assert design.feature_owners["x2"] == "a2"
     assert design.market_features == ("x1", "x2", "x3", "x4")
+
+
+# -- one allocate-and-pay step for batch and online ----------------------------
+
+@pytest.mark.parametrize("policy", ["shapley", "zero-shapley", "absolute-shapley",
+                                    "loo-a", "loo-b"])
+def test_batch_support_game_pays_the_pot_times_the_tables_shares(policy):
+    # the batch market is the one-step case of the online market's
+    # allocation; its shares must still be exactly those of the table
+    from regmarket import loo_allocation, shapley_allocation
+    from regmarket.allocation import POLICY_VARIANT
+
+    ds = linear_market_dataset(T=800, seed=21, beta={"x1": -0.3, "x2": 0.5,
+                                                     "x3": -0.9, "x4": 0.02})
+    task = linear_task(allocation_policy=policy)
+    report = clear_batch_market(ds, task)
+    table = fit_all_coalitions(ds, task)
+    allocate = loo_allocation if policy.startswith("loo") else shapley_allocation
+    shares = allocate(table, POLICY_VARIANT[policy]).values
+    assert report.allocation_policy == policy and not report.no_surplus
+    assert report.allocations == shares
+    pot = ds.T * task.loss_scale * task.phi_insample * table.surplus
+    assert report.payments == {k: max(pot * v, 0.0) for k, v in shares.items()}
+    assert report.clamped_entries == sum(pot * v < 0.0 for v in shares.values())
+    assert report.support_share_sum == math.fsum(shares.values())
+    assert report.central_share == 1.0 - report.support_share_sum
+
+
+def poly_dataset(T=800, seed=31):
+    rng = np.random.default_rng(seed)
+    g = {k: rng.normal(size=T) for k in ("x1", "x2", "x3")}
+    y = (0.2 - 0.4 * g["x1"] + 0.6 * g["x2"] + 0.3 * g["x3"]
+         - 0.4 * g["x1"] * g["x3"] + rng.normal(0, 0.3, T))
+    return Dataset(np.arange(T), y, g, {"x1": "a1", "x2": "a2", "x3": "a3"},
+                   target_owner="a1")
+
+
+def poly_task(**kw):
+    return TaskSpec(central_agent="a1", ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
+                    loss=LossSpec("quadratic"), degree=2, phi_insample=0.1, **kw)
+
+
+def test_batch_feature_game_shares_are_snapped_contributions_over_the_game_total():
+    from regmarket import shapley_contributions
+
+    ds = poly_dataset()
+    report = clear_batch_market(ds, poly_task())
+    assert report.game == "feature-game"
+    losses = {frozenset(key.split("|")) if key else frozenset(): v
+              for key, v in report.loss_table.items()}
+    contribs, peaks = shapley_contributions(losses, report.notes["players"])
+    total = report.notes["game_total"]
+    snap = 1e-12 * max(1.0, abs(total))
+    for k in report.support:
+        expected = 0.0 if peaks[k] <= snap else contribs[k] / total
+        assert report.allocations[k] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    pot = ds.T * 0.1 * (report.notes["intercept_only_loss"] - report.full_loss)
+    assert report.payments == {k: max(pot * v, 0.0) for k, v in report.allocations.items()}
+    assert report.support_share_sum == math.fsum(report.allocations.values())
+
+
+@pytest.mark.parametrize("policy", ["loo-a", "loo-b"])
+def test_feature_game_reports_the_shapley_policy_it_applies(policy):
+    ds = poly_dataset()
+    shapley = clear_batch_market(ds, poly_task())
+    loo = clear_batch_market(ds, poly_task(allocation_policy=policy))
+    assert loo.game == "feature-game"
+    assert loo.allocation_policy == "shapley"
+    assert loo.notes["requested_policy"] == policy
+    assert shapley.notes["requested_policy"] == "shapley"
+    assert loo.allocations == shapley.allocations
+    assert loo.payments == shapley.payments
+
+
+@pytest.mark.parametrize("game", ["support-coalitions", "feature-game"])
+@pytest.mark.parametrize("policy", ["shapley", "zero-shapley", "absolute-shapley",
+                                    "loo-a", "loo-b"])
+def test_batch_without_surplus_allocates_and_books_nothing(game, policy):
+    # a support column of zeros adds nothing: the surplus is zero up to the
+    # jitter of the singular fits, never positive
+    rng = np.random.default_rng(2)
+    T = 60
+    feats = {"x1": rng.normal(size=T), "x2": np.zeros(T)}
+    ds = Dataset(np.arange(T), 0.5 * feats["x1"], feats, {"x1": "a1", "x2": "a2"},
+                 target_owner="a1")
+    task = linear_task(ownership={"x1": "a1", "x2": "a2"}, allocation_policy=policy,
+                       degree=2 if game == "feature-game" else 1)
+    report = clear_batch_market(ds, task)
+    assert report.game == game
+    assert report.surplus <= 0 and report.no_surplus
+    if game == "feature-game":
+        # the game's own total is positive: the report's surplus decides
+        assert report.notes["game_total"] > 0
+    assert report.allocations == {"x2": 0.0}
+    assert report.payments == {"x2": 0.0}
+    assert report.support_share_sum == 0.0 and report.central_share == 0.0
+    assert len(report.ledger) == 0 and report.central_total == 0.0
+    assert report.audit["passed"]
+
+
+@pytest.mark.parametrize("clear", [
+    run_online_market,
+    lambda ds, task: run_oos_market(ds, task, model_source="online"),
+], ids=["online", "oos-online"])
+def test_online_paths_honour_the_enumeration_cap(clear):
+    from regmarket import EnumerationCapError
+
+    ds = linear_market_dataset(T=300, seed=23)
+    task = linear_task(enumeration_cap=1, warmup=40)
+    with pytest.raises(EnumerationCapError) as batch_err:
+        clear_batch_market(ds, task)
+    with pytest.raises(EnumerationCapError) as err:
+        clear(ds, task)
+    assert str(err.value) == str(batch_err.value)
+    assert "3 support features exceed" in str(err.value)
+    # the remedy the message names still works above the cap
+    assert screen_features(ds, task, method="cv-loss") == ("x2", "x3", "x4")
