@@ -124,9 +124,6 @@ def _cmd_market(args) -> int:
         return EXIT_IO
     run_cfg, task, screening = load_config(cfg_path)
     dataset = _resolve_dataset(run_cfg, task)
-    outdir = Path(args.out if args.out is not None else
-                  run_cfg.get("out", _default_out()))
-    outdir.mkdir(parents=True, exist_ok=True)
 
     support = None
     if screening:
@@ -139,6 +136,10 @@ def _cmd_market(args) -> int:
         report = run_oos_market(dataset, task,
                                 model_source=run_cfg.get("model_source", "batch"),
                                 support=support)
+    # made only now, so that a configuration error leaves no empty directory
+    outdir = Path(args.out if args.out is not None else
+                  run_cfg.get("out", _default_out()))
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_artifacts(report, outdir)
     print(f"{args.mechanism} market cleared: central pays "
           f"{report.central_total:.2f} to {len(report.per_agent)} agent(s)")

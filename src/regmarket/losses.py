@@ -13,6 +13,10 @@ package carries two variants of (h1, h2):
 
 The analytic variant is validated against finite differences in the test
 suite; the verbatim variant's deviation is measured there as well.
+
+Only the smooth quantile loss needs scipy (its ``expit``): the first
+smooth-quantile :class:`LossSpec` imports ``scipy.special`` and binds the
+ufunc to this module's ``expit``, so quadratic losses never load scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError
 
@@ -52,6 +55,9 @@ class LossSpec:
             raise ParameterError("alpha must be positive")
         if self.derivative_variant not in (ANALYTIC, PAPER_VERBATIM):
             raise ParameterError(f"unknown derivative variant {self.derivative_variant!r}")
+        if not self.is_quadratic:
+            # import here, in set-up, rather than in the first loss evaluation
+            _bind_expit()
 
     @property
     def is_quadratic(self) -> bool:
@@ -59,6 +65,19 @@ class LossSpec:
 
     def analytic(self) -> "LossSpec":
         return replace(self, derivative_variant=ANALYTIC)
+
+
+def _bind_expit() -> None:
+    """Bind ``expit`` to scipy's logistic ufunc."""
+    global expit
+    from scipy.special import expit
+
+
+def expit(x):
+    """Stand-in until :func:`_bind_expit` runs, for a smooth-quantile spec
+    that was never constructed in this process (one unpickled, say)."""
+    _bind_expit()
+    return expit(x)
 
 
 def _check_finite(eps):

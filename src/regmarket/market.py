@@ -347,6 +347,7 @@ def screen_features(dataset: Dataset, task: TaskSpec, method: str = "cv-loss",
                 retained.append(k)
         return tuple(retained)
     if method == "burn-in-shapley":
+        check_enumeration_cap(support, task.enumeration_cap)
         if burnin > design.T:
             raise ParameterError(f"burn-in of {burnin} rows exceeds the {design.T} available")
         coalitions = list(enumerate_coalitions(support))

@@ -312,3 +312,26 @@ def test_feature_lookup_and_enumeration_cap_errors_are_config_errors(tmp_path, c
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_burn_in_screening_above_the_enumeration_cap_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("seed = 4\n", "seed = 4\nscreening = burn-in-shapley\n")
+                   .replace("[task]\n", "[task]\nenumeration_cap = 1\n"))
+    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "3 support features exceed the exact enumeration cap (1)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_error_while_clearing_leaves_no_output_directory(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("[task]\n", "[task]\nenumeration_cap = 1\n"))
+    code = run_cli(["market", "--mechanism", "online", "--config", str(cfg)])
+    assert code == 1
+    assert "exceed the exact enumeration cap (1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -2,9 +2,14 @@ import ast
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from regmarket import losses
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,6 +39,86 @@ def test_package_import_does_not_load_scipy_linalg_signal_or_optimize():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert json.loads(out.stdout) == []
+
+
+def _fresh(probe: str, stdin: bytes = b"") -> bytes:
+    """Standard output of ``probe`` run in a fresh interpreter on the package in ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, input=stdin, timeout=120).stdout
+
+
+# clears a quadratic batch, online and out-of-sample market on a small
+# online-arx study, then prints the scipy modules loaded
+QUADRATIC_MARKETS = """\
+import json, sys
+{prelude}
+import regmarket, regmarket.cli
+from regmarket import ScenarioSpec, generate, scenarios
+from regmarket.market import clear_batch_market, run_oos_market, run_online_market
+spec = ScenarioSpec("online-arx", T=500, seed=3)
+dataset, _ = generate(spec)
+task = scenarios.task_for_case(spec)
+assert task.loss.is_quadratic
+for report in (clear_batch_market(dataset, task), run_online_market(dataset, task),
+               run_oos_market(dataset, task, model_source="online")):
+    assert report.audit["passed"], report.market
+print(json.dumps(sorted(m for m, module in sys.modules.items() if module is not None
+                        and (m == "scipy" or m.startswith("scipy.")))))
+"""
+
+
+def test_quadratic_markets_load_no_scipy_module():
+    out = _fresh(QUADRATIC_MARKETS.format(prelude=""))
+    assert json.loads(out) == []
+
+
+def test_quadratic_markets_and_cli_run_with_scipy_blocked(tmp_path):
+    # a None entry makes every import of scipy raise ImportError
+    block = "sys.modules['scipy'] = None"
+    assert json.loads(_fresh(QUADRATIC_MARKETS.format(prelude=block))) == []
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nversion = 1\nscenario = online-arx\nrows = 500\nseed = 3\n\n"
+                   "[task]\ncentral_agent = a1\nloss = quadratic\nlags_y = 1\n\n"
+                   "[ownership]\nx2 = a2\nx3 = a3\nx4 = a3\n")
+    out = tmp_path / "out"
+    _fresh(f"import sys; {block}; from regmarket.cli import main; "
+           f"sys.exit(main(['market', '--mechanism', 'online', '--config', {str(cfg)!r}, "
+           f"'--out', {str(out)!r}]))")
+    assert json.loads((out / "report.json").read_text())["market"] == "online"
+
+
+def test_smooth_quantile_spec_loads_scipy_special():
+    probe = ("import json, sys; from regmarket.losses import LossSpec; "
+             "before = 'scipy.special' in sys.modules; LossSpec('smooth-quantile'); "
+             "print(json.dumps([before, 'scipy.special' in sys.modules]))")
+    assert json.loads(_fresh(probe)) == [False, True]
+
+
+# unpickles residuals and specs from standard input, no spec constructed in
+# the process, and pickles the bytes of the three loss functions' values
+UNPICKLED_SPECS = """\
+import pickle, sys
+from regmarket import losses
+e, specs = pickle.load(sys.stdin.buffer)
+assert "scipy" not in sys.modules
+sys.stdout.buffer.write(pickle.dumps([
+    [a.tobytes() for a in (*losses.loss_terms(e, spec), losses.loss_h1(e, spec),
+                           losses.loss_h2(e, spec))]
+    for spec in specs]))
+"""
+
+
+def test_unpickled_smooth_quantile_spec_gives_identical_losses():
+    e = np.array([-800.0, -3.1, -0.2, -1e-9, 0.0, 1e-9, 0.2, 3.1, 800.0])
+    specs = [losses.LossSpec("smooth-quantile", tau=0.3, alpha=0.15, derivative_variant=v)
+             for v in (losses.ANALYTIC, losses.PAPER_VERBATIM)]
+    expected = [[a.tobytes() for a in (*losses.loss_terms(e, spec), losses.loss_h1(e, spec),
+                                       losses.loss_h2(e, spec))]
+                for spec in specs]
+    out = _fresh(UNPICKLED_SPECS, stdin=pickle.dumps((e, specs)))
+    assert pickle.loads(out) == expected
 
 
 # names a module imports for others to read through it, with the reason

@@ -765,3 +765,20 @@ def test_online_paths_honour_the_enumeration_cap(clear):
     assert "3 support features exceed" in str(err.value)
     # the remedy the message names still works above the cap
     assert screen_features(ds, task, method="cv-loss") == ("x2", "x3", "x4")
+
+
+def test_burn_in_screening_honours_the_enumeration_cap():
+    from regmarket import EnumerationCapError
+
+    ds = linear_market_dataset(T=1200, seed=23)
+    task = linear_task(enumeration_cap=1, warmup=40)
+    with pytest.raises(EnumerationCapError) as batch_err:
+        clear_batch_market(ds, task)
+    with pytest.raises(EnumerationCapError) as err:
+        screen_features(ds, task, method="burn-in-shapley", burnin=700)
+    assert str(err.value) == str(batch_err.value)
+    # cv-loss fits one feature at a time, so it still runs above the cap
+    assert screen_features(ds, task, method="cv-loss") == ("x2", "x3", "x4")
+    # at the cap, burn-in screening runs as before
+    assert screen_features(ds, linear_task(enumeration_cap=3, warmup=40),
+                           method="burn-in-shapley", burnin=700) == ("x2", "x3", "x4")
