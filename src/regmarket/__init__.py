@@ -14,7 +14,6 @@ from .allocation import (
     loo_allocation,
     shapley_allocation,
     shapley_contributions,
-    shapley_montecarlo,
     step_allocations,
 )
 from .batch import (
@@ -23,7 +22,6 @@ from .batch import (
     enumerate_coalitions,
     fit_batch,
     fit_matrix,
-    predict,
 )
 from .data import (
     AugmentedDesign,

@@ -1,7 +1,8 @@
 """Allocation policies: how the loss-improvement surplus splits over features.
 
-All policies return an :class:`AllocationVector` whose values are fractions
-of the surplus ``L*_central - L*_grand``.  The Shapley policy weighs every
+Every policy's values are fractions of the surplus ``L*_central -
+L*_grand``.  The Shapley policy is exact: it enumerates every coalition,
+whose number the task's enumeration cap bounds, and weighs each
 coalition's marginal contribution by ``|w|! (m - |w| - 1)! / m!``; the zero
 and absolute variants clamp or rectify negative marginals and may then sum
 to more or less than one.  A feature whose marginals never move any
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,7 +50,6 @@ class AllocationVector:
     policy: str
     normalizer: float
     no_surplus: bool = False
-    stderr: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def features(self) -> tuple[str, ...]:
@@ -233,61 +233,3 @@ def instant_allocation(per_coalition_losses: Mapping[frozenset, float],
     return AllocationVector(values={k: float(v[0]) for k, v in series.values.items()},
                             policy=series.policy, normalizer=float(series.normalizer[0]),
                             no_surplus=bool(series.no_surplus[0]))
-
-
-def shapley_montecarlo(loss_oracle: Callable[[frozenset], float],
-                       features: Sequence[str], samples: int,
-                       seed: int) -> AllocationVector:
-    """Monte-Carlo Shapley over sampled feature orderings.
-
-    Permutations are drawn in antithetic pairs (each followed by its
-    reverse) to cut variance; asking for at least m! samples switches to
-    exact enumeration of all orders.  Deterministic given the seed; the
-    reported standard error is the per-permutation spread of each
-    feature's marginal contribution.
-    """
-    if samples < 1:
-        raise ParameterError("need at least one permutation sample")
-    features = tuple(sorted(features))
-    m = len(features)
-    cache: dict[frozenset, float] = {}
-
-    def value(coalition: frozenset) -> float:
-        if coalition not in cache:
-            cache[coalition] = float(loss_oracle(coalition))
-        return cache[coalition]
-
-    normalizer = value(frozenset()) - value(frozenset(features))
-    if normalizer <= 0:
-        raise NoSurplusError(
-            f"loss improvement is {normalizer:.3e}; market clears at zero")
-
-    if samples >= math.factorial(m):
-        perms = list(itertools.permutations(range(m)))
-    else:
-        rng = np.random.default_rng(seed)
-        perms = []
-        while len(perms) < samples:
-            p = tuple(rng.permutation(m))
-            perms.append(p)
-            if len(perms) < samples:
-                perms.append(p[::-1])
-
-    draws = {k: [] for k in features}
-    for perm in perms:
-        members: set[str] = set()
-        prev = value(frozenset())
-        for idx in perm:
-            members.add(features[idx])
-            cur = value(frozenset(members))
-            draws[features[idx]].append(prev - cur)
-            prev = cur
-    values = {}
-    stderr = {}
-    for k in features:
-        arr = np.asarray(draws[k])
-        values[k] = float(arr.mean()) / normalizer
-        spread = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        stderr[k] = spread / math.sqrt(arr.size) / normalizer
-    return AllocationVector(values=values, policy="mc-shapley",
-                            normalizer=normalizer, stderr=stderr)

@@ -57,9 +57,6 @@ class FitResult:
     iterations: int = 0
     gradient_norm: float = 0.0
 
-    def residuals(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return y - X @ self.coefficients
-
 
 def cholesky_failures(stack: np.ndarray) -> np.ndarray | None:
     """None when every matrix of a stack has a Cholesky factor, else which ones lack one."""
@@ -222,16 +219,6 @@ def _newton_fit(X, y, spec, beta, names, jitter0) -> FitResult:
 def fit_batch(design: AugmentedDesign, y: np.ndarray, spec: LossSpec) -> FitResult:
     """Fit a design; loss_star is recomputed from the returned coefficients."""
     return fit_matrix(design.values, y, spec, design.term_names)
-
-
-def predict(coefficients: np.ndarray, x_row: np.ndarray) -> float:
-    """Point forecast: the inner product of coefficients and augmented row."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    x_row = np.asarray(x_row, dtype=float)
-    if coefficients.shape != x_row.shape:
-        raise ParameterError(
-            f"dimension mismatch: {coefficients.shape} vs {x_row.shape}")
-    return float(coefficients @ x_row)
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ def _cmd_market(args) -> int:
 
     support = None
     if screening:
-        support = screen_features(dataset, task, method=screening)
+        support = screen_features(dataset, task)
     if args.mechanism == "batch":
         report = clear_batch_market(dataset, task, support=support)
     elif args.mechanism == "online":
@@ -265,7 +265,7 @@ def load_config(path) -> tuple[dict, TaskSpec, str | None]:
         loss_unit=task_section.get("loss_unit", "raw"),
         enumeration_cap=_number(task_section, "enumeration_cap", int, 15))
     screening = run.get("screening") or None
-    if screening not in (None, "cv-loss", "burn-in-shapley"):
+    if screening not in (None, "cv-loss"):
         raise ConfigError(f"unknown screening method {screening!r}")
     return run, task, screening
 

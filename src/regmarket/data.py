@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -399,11 +398,6 @@ def coalition_design(design: AugmentedDesign, central: frozenset[str] | set[str]
     if missing:
         raise FeatureLookupError(f"unknown coalition features: {sorted(missing)}")
     return design.subset(design.columns_for(central | coalition))
-
-
-def expected_term_count(n_features: int, degree: int) -> int:
-    """C(K + d, d): the size of a full interaction design, intercept included."""
-    return math.comb(n_features + degree, degree)
 
 
 def dataset_to_csv(dataset: Dataset, path, timestamp: str = "ts") -> None:

@@ -51,8 +51,8 @@ class LossSpec:
             raise ParameterError(f"unknown loss family {self.family!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise ParameterError("tau must lie in [0, 1]")
-        if self.alpha <= 0.0:
-            raise ParameterError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ParameterError("alpha must be positive and finite")
         if self.derivative_variant not in (ANALYTIC, PAPER_VERBATIM):
             raise ParameterError(f"unknown derivative variant {self.derivative_variant!r}")
         if not self.is_quadratic:
@@ -129,18 +129,14 @@ def loss_h2(eps, spec: LossSpec):
     return out if np.ndim(eps) else float(out)
 
 
-def loss_terms(eps, spec: LossSpec):
+def loss_terms(e: np.ndarray, spec: LossSpec):
     """The loss, h1 and h2 of a residual array in one pass.
 
-    One finite check, and each ``expit`` computed once; the values are
-    bit for bit those of :func:`loss_value`, :func:`loss_h1` and
-    :func:`loss_h2`.
+    Each ``expit`` is computed once, and the values are bit for bit those
+    of :func:`loss_value`, :func:`loss_h1` and :func:`loss_h2`.  Unlike
+    them it does not check the residuals: a residual that is not finite
+    gives a loss that is not finite, which the caller checks.
     """
-    return _loss_terms(_check_finite(eps), spec)
-
-
-def _loss_terms(e: np.ndarray, spec: LossSpec):
-    """:func:`loss_terms` without the finite check."""
     if spec.is_quadratic:
         return e * e, e, np.ones_like(e)
     upper = e / spec.alpha
@@ -172,7 +168,7 @@ def insample_loss(residuals, spec: LossSpec) -> float:
 class EwmaLoss:
     """Exponentially weighted loss estimate with forgetting factor lam.
 
-    The effective window is n_eff = 1/(1-lam); lam = 1 degenerates to a
+    The effective window is 1/(1-lam) steps; lam = 1 degenerates to a
     frozen value (infinite window), which the recursive-least-squares
     equivalence tests rely on.  ``value`` may also be an array holding one
     estimate per coalition, all with the same forgetting factor.
@@ -184,10 +180,6 @@ class EwmaLoss:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ParameterError("forgetting factor must lie in [0, 1]")
-
-    @property
-    def n_eff(self) -> float:
-        return float("inf") if self.lam == 1.0 else 1.0 / (1.0 - self.lam)
 
 
 def ewma_update(state: EwmaLoss, l_t) -> EwmaLoss:

@@ -1,11 +1,14 @@
 """Market mechanisms: batch, online and out-of-sample regression markets.
 
 A central agent posts a task (model recipe, loss, willingness to pay phi)
-and support agents' features are valued by coalition analysis.  The three
-markets are one pipeline:
+and support agents' features are valued by coalition analysis, exact over
+every coalition of the traded features.  The three markets are one
+pipeline:
 
 1. design: the task's recipe applied to the dataset, split into central,
-   traded and screened-out support features (``_prepare``);
+   traded and screened-out support features (``_prepare``); the traded
+   ones are given, or those :func:`screen_features` retains by 5-fold
+   cross-validation;
 2. loss series per coalition: one batch loss per coalition, the EWMA
    losses of an online session per step, or realised out-of-sample losses
    per evaluation step;
@@ -57,7 +60,6 @@ from .allocation import (
     ADD_ONE,
     DROP_ONE,
     POLICY_VARIANT,
-    shapley_contributions,
     step_allocations,
     step_contributions,
 )
@@ -78,6 +80,7 @@ from .online import WARM_START, ZERO_START, OnlineSession
 
 SCHEMA_VERSION = 1
 UNIT_PLAYER = "__unit__"
+SCREEN_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,11 @@ class TaskSpec:
     flag_dummies: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.phi_insample < 0 or self.phi_oos < 0:
-            raise ParameterError("willingness to pay must be >= 0")
+        # a NaN fails every comparison, so each test is for the accepted range
+        if not (0.0 <= self.phi_insample < math.inf and 0.0 <= self.phi_oos < math.inf):
+            raise ParameterError("willingness to pay must be finite and >= 0")
+        if not self.warmup >= 0:
+            raise ParameterError("warm-up must be >= 0 rows")
         if not 0.0 < self.lam <= 1.0:
             raise ParameterError("forgetting factor must lie in (0, 1]")
         if self.allocation_policy not in POLICY_VARIANT:
@@ -329,44 +335,32 @@ def fit_all_coalitions(dataset: Dataset, task: TaskSpec,
 # screening
 
 
-def screen_features(dataset: Dataset, task: TaskSpec, method: str = "cv-loss",
-                    folds: int = 5, burnin: int = 500) -> tuple[str, ...]:
-    """Pre-market feature selection; returns the retained support features."""
+def screen_features(dataset: Dataset, task: TaskSpec) -> tuple[str, ...]:
+    """Pre-market feature selection; returns the retained support features.
+
+    A feature is retained when adding it to the central model lowers the
+    loss of a 5-fold cross-validation.  Each feature is fitted on its own,
+    so screening runs above the enumeration cap.
+    """
     ds, design, central, support, _, _ = _prepare(dataset, task, None)
-    if not support:
-        return ()
     X, y = design.values, ds.target
-    if method == "cv-loss":
-        retained = []
-        for k in support:
-            reduction, base = _cv_improvement(design, X, y, central, k,
-                                              task.loss, folds)
-            # "> 0" up to solver noise, so an exactly valueless column with
-            # a jittered fit still reads as zero
-            if reduction > 1e-12 * max(1.0, abs(base)):
-                retained.append(k)
-        return tuple(retained)
-    if method == "burn-in-shapley":
-        check_enumeration_cap(support, task.enumeration_cap)
-        if burnin > design.T:
-            raise ParameterError(f"burn-in of {burnin} rows exceeds the {design.T} available")
-        coalitions = list(enumerate_coalitions(support))
-        session = OnlineSession(design, central, coalitions, task.lam, task.loss)
-        warm = min(task.warmup, max(burnin // 4, 2 * design.n))
-        session.init_states(X[:warm], y[:warm], WARM_START, min_warm=warm)
-        session.stream(X[warm:burnin], y[warm:burnin])
-        contribs, _ = shapley_contributions(session.ewma_losses(), support)
-        return tuple(k for k in support if contribs[k] >= 0)
-    raise ParameterError(f"unknown screening method {method!r}")
+    retained = []
+    for k in support:
+        reduction, base = _cv_improvement(design, X, y, central, k, task.loss)
+        # "> 0" up to solver noise, so an exactly valueless column with
+        # a jittered fit still reads as zero
+        if reduction > 1e-12 * max(1.0, abs(base)):
+            retained.append(k)
+    return tuple(retained)
 
 
-def _cv_improvement(design, X, y, central, feature, spec, folds) -> tuple[float, float]:
+def _cv_improvement(design, X, y, central, feature, spec) -> tuple[float, float]:
     T = X.shape[0]
     base_idx = list(design.columns_for(central))
     plus_idx = list(design.columns_for(central | {feature}))
-    bounds = np.linspace(0, T, folds + 1).astype(int)
+    bounds = np.linspace(0, T, SCREEN_FOLDS + 1).astype(int)
     base_loss = plus_loss = 0.0
-    for i in range(folds):
+    for i in range(SCREEN_FOLDS):
         lo, hi = bounds[i], bounds[i + 1]
         train = np.r_[0:lo, hi:T]
         val = np.r_[lo:hi]
@@ -459,6 +453,8 @@ def clear_batch_market(dataset: Dataset, task: TaskSpec,
     ``previously_billed`` implements the sliding-window extension where
     only new rows are paid for.
     """
+    if not previously_billed >= 0:
+        raise ParameterError("previously billed rows must be >= 0")
     ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
     if not chosen:
         return _empty_report(task, "batch", design.T, owners, task.phi_insample,

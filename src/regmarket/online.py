@@ -6,11 +6,12 @@ Each step applies the three-equation Newton-Raphson update
     M   = lam * M + x_t x_t' * h2(eps)
     beta = beta + M^{-1} x_t * h1(eps)
 
-where the residual is the one-step-ahead (prior) residual.  The memory
-solve is preceded by a Cholesky factorisation, which is the
-positive-definiteness assertion behind the feasibility of the step, and
-followed by a check that the new coefficients are finite: a memory that
-overflowed to infinity passes the factorisation.
+where the residual is the one-step-ahead (prior) residual.  A residual or
+loss that overflows fails the step.  The memory solve is preceded by a
+Cholesky factorisation, which is the positive-definiteness assertion
+behind the feasibility of the step, and followed by a check that the new
+coefficients are finite: a memory that overflowed to infinity passes the
+factorisation.
 
 Warm start fits a small batch slice and initialises the memory to the
 lambda-weighted h2 Gram of that slice, exactly what the recursion itself
@@ -67,15 +68,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .batch import cholesky_failures, fit_matrix
 from .data import AugmentedDesign
 from .errors import ParameterError, SingularUpdateError
-from .losses import (EwmaLoss, LossSpec, _loss_terms, ewma_update, insample_loss, loss_h2,
-                     loss_terms)
+from .losses import EwmaLoss, LossSpec, ewma_update, insample_loss, loss_h2, loss_terms
 # not called here since loss_terms replaced it, but benchmarks/tracing.py's
 # self-test reaches it through this module
 from .losses import loss_h1  # noqa: F401
@@ -188,16 +188,15 @@ class _StackedStates:
         return f"{self.labels[i]}: " if self.labels else ""
 
     def _newton(self, coefficients: np.ndarray, memory: np.ndarray, X: np.ndarray,
-                y_t: float, lam: float, spec: LossSpec, terms=loss_terms):
+                y_t: float, lam: float, spec: LossSpec):
         """The arithmetic of one Newton step from the given coefficients and
         memory, shared by :meth:`advance` and :meth:`newton_block`.
 
         Returns the prior residuals, their losses, the updated memory and
-        the right-hand side of the Newton solve.  ``terms`` gives the loss,
-        h1 and h2 of the residuals, checked or not.
+        the right-hand side of the Newton solve, none of them checked.
         """
         eps = y_t - np.einsum("cn,cn->c", coefficients, X)
-        losses, h1, h2 = terms(eps, spec)
+        losses, h1, h2 = loss_terms(eps, spec)
         memory = lam * memory + h2[:, None, None] * (X[:, :, None] * X[:, None, :])
         memory = 0.5 * (memory + memory.transpose(0, 2, 1))
         memory[self.padding] = 1.0
@@ -206,22 +205,31 @@ class _StackedStates:
         rhs = lam * self.pending_gradient + X * h1[:, None]
         return eps, losses, memory, rhs
 
+    # every overflow below raises a typed error, so NumPy need not warn
+    @np.errstate(over="ignore", invalid="ignore")
     def advance(self, X: np.ndarray, y_t: float, lam: float,
                 spec: LossSpec) -> tuple[np.ndarray, np.ndarray]:
         """Advance every estimator by one observation.
 
         ``X`` holds each design's row, ``(C, N)`` and zero on padded
         dimensions.  Returns the prior residuals and their losses, ``(C,)``
-        each.  Raises SingularUpdateError when a ready memory is not
-        positive definite or the new coefficients are not finite (an
-        overflowed memory); nothing changes when the step raises.
+        each.  Raises ParameterError when the data are not finite, and
+        SingularUpdateError when finite data overflow a residual or its
+        loss, a ready memory is not positive definite or the new
+        coefficients are not finite (an overflowed memory); nothing changes
+        when the step raises.
         """
         if not (np.isfinite(X).all() and np.isfinite(y_t)):
             raise ParameterError("online step needs finite data")
         eps, losses, memory, rhs = self._newton(self.coefficients, self.memory, X, y_t,
                                                 lam, spec)
-        ewma = ewma_update(self.ewma, losses)
         steps = self.step_count + 1
+        # a residual that is not finite has a loss that is not finite
+        if not np.isfinite(losses).all():
+            i = int(np.argmin(np.isfinite(losses)))
+            raise SingularUpdateError(
+                f"{self._label(i)}residual or loss overflowed: not finite", step=int(steps[i]))
+        ewma = ewma_update(self.ewma, losses)
 
         failed = cholesky_failures(memory)
         if failed is not None and (failed & self.ready).any():
@@ -255,7 +263,8 @@ class _StackedStates:
         self.ewma = ewma
         return eps, losses
 
-    # an overflow or invalid value makes the block decline; its replay warns
+    # an overflow or invalid value makes the block decline; its replay
+    # raises the recursion's typed error
     @np.errstate(over="raise", invalid="raise", divide="raise")
     def newton_block(self, X: np.ndarray, y: np.ndarray, lam: float,
                      spec: LossSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -282,7 +291,7 @@ class _StackedStates:
                 # einsum's sum depends on the row's alignment: a fresh row
                 # as in advance, not a view into the block
                 _, losses[b], memory, rhs = self._newton(coefficients, memory, X[b].copy(),
-                                                         y[b], lam, spec, _loss_terms)
+                                                         y[b], lam, spec)
                 coefficients = _newton_solve(coefficients, memory, rhs)
                 # ewma_update's recursion; the losses are checked below
                 value = lam * value + (1.0 - lam) * losses[b]
@@ -302,7 +311,8 @@ class _StackedStates:
         self.ewma = EwmaLoss(value, lam)
         return losses, ewma, np.ones(B, dtype=bool)
 
-    # an overflow makes the block decline, and its replay warns
+    # an overflow makes the block decline, and its replay raises the
+    # recursion's typed error
     @np.errstate(over="ignore", invalid="ignore")
     def scan(self, X: np.ndarray, y: np.ndarray,
              lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -428,8 +438,6 @@ class OnlineSession:
         self.spec = spec
         self.central = central
         self.columns = {c: design.columns_for(central | c) for c in coalitions}
-        self.term_names = {c: tuple(design.terms[i].name for i in self.columns[c])
-                           for c in coalitions}
         # gather the row into (C, N); padded slots read the trailing zero
         width = max((len(idx) for idx in self.columns.values()), default=0)
         self._gather = np.array(
@@ -520,58 +528,3 @@ class OnlineSession:
         if self._stack is None:
             return {}
         return dict(zip(self.columns, self._stack.ewma.value.tolist()))
-
-    # -- checkpointing ----------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        states = self.states
-        coalitions = sorted(self.columns, key=lambda c: (len(c), sorted(c)))
-        return {
-            "format": "regmarket-online-session",
-            "version": 1,
-            "lam": self.lam,
-            "loss": {"family": self.spec.family, "tau": self.spec.tau,
-                     "alpha": self.spec.alpha,
-                     "derivative_variant": self.spec.derivative_variant},
-            "central": sorted(self.central),
-            "coalitions": [
-                {
-                    "members": sorted(c),
-                    "terms": list(self.term_names[c]),
-                    "coefficients": states[c].coefficients.tolist(),
-                    "memory": states[c].memory.tolist(),
-                    "ewma_loss": states[c].ewma.value,
-                    "step_count": states[c].step_count,
-                    "ready": states[c].ready,
-                    "pending_gradient": None if states[c].pending_gradient is None
-                    else states[c].pending_gradient.tolist(),
-                    "min_warm_steps": states[c].min_warm_steps,
-                }
-                for c in coalitions
-            ],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping, design: AugmentedDesign) -> "OnlineSession":
-        if snapshot.get("version") != 1:
-            raise ParameterError("unsupported session snapshot version")
-        loss = snapshot["loss"]
-        spec = LossSpec(family=loss["family"], tau=loss["tau"], alpha=loss["alpha"],
-                        derivative_variant=loss["derivative_variant"])
-        central = frozenset(snapshot["central"])
-        coalitions = [frozenset(entry["members"]) for entry in snapshot["coalitions"]]
-        session = cls(design, central, coalitions, snapshot["lam"], spec)
-        states = []
-        for c, entry in zip(coalitions, snapshot["coalitions"]):
-            if list(session.term_names[c]) != entry["terms"]:
-                raise ParameterError(f"design terms changed for coalition {sorted(c)}")
-            states.append(OnlineState(
-                coefficients=np.asarray(entry["coefficients"], dtype=float),
-                memory=np.asarray(entry["memory"], dtype=float),
-                ewma=EwmaLoss(entry["ewma_loss"], snapshot["lam"]),
-                step_count=entry["step_count"], ready=entry["ready"],
-                pending_gradient=None if entry["pending_gradient"] is None
-                else np.asarray(entry["pending_gradient"], dtype=float),
-                min_warm_steps=entry["min_warm_steps"]))
-        session._set_states(states)
-        return session

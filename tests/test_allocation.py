@@ -12,7 +12,6 @@ from regmarket import (
     instant_allocation,
     loo_allocation,
     shapley_allocation,
-    shapley_montecarlo,
 )
 from regmarket.allocation import (
     ABSOLUTE,
@@ -163,47 +162,6 @@ def test_vectorised_contributions_match_scalar_loop():
         scal, _ = shapley_contributions(point, features)
         for k in features:
             assert vec[k][t] == pytest.approx(scal[k], abs=1e-14)
-
-
-# -- Monte-Carlo -------------------------------------------------------------
-
-def test_montecarlo_exhaustive_equals_exact():
-    features = ("a", "b", "c")
-    table = random_table(features, seed=2)
-    exact = shapley_allocation(table)
-    mc = shapley_montecarlo(lambda c: table.losses[c], features,
-                            samples=math.factorial(3), seed=0)
-    for k in features:
-        assert mc[k] == pytest.approx(exact[k], abs=1e-12)
-
-
-def test_montecarlo_symmetric_pair_is_exact_for_any_seed():
-    losses = {frozenset(): 1.0, frozenset({"a"}): 0.5,
-              frozenset({"b"}): 0.5, frozenset({"a", "b"}): 0.0}
-    for seed in (0, 1, 99):
-        mc = shapley_montecarlo(lambda c: losses[c], ("a", "b"),
-                                samples=4, seed=seed)
-        assert mc["a"] == pytest.approx(0.5)
-        assert mc["b"] == pytest.approx(0.5)
-
-
-def test_montecarlo_within_three_stderr_of_exact():
-    features = tuple(f"f{i}" for i in range(5))
-    table = random_table(features, seed=17)
-    exact = shapley_allocation(table)
-    mc = shapley_montecarlo(lambda c: table.losses[c], features,
-                            samples=2000, seed=5)
-    for k in features:
-        bound = 3 * mc.stderr[k] + 1e-12
-        assert abs(mc[k] - exact[k]) <= bound
-
-
-def test_montecarlo_deterministic_given_seed():
-    features = ("a", "b", "c", "d")
-    table = random_table(features, seed=4)
-    m1 = shapley_montecarlo(lambda c: table.losses[c], features, 64, seed=9)
-    m2 = shapley_montecarlo(lambda c: table.losses[c], features, 64, seed=9)
-    assert m1.values == m2.values
 
 
 # -- instantaneous allocation ------------------------------------------------

@@ -10,7 +10,6 @@ from regmarket import (
     fit_batch,
     insample_loss,
     polynomial_expand,
-    predict,
 )
 from regmarket.batch import enumerate_coalitions, fit_all_coalitions, fit_matrix
 
@@ -104,14 +103,6 @@ def test_jitter_recorded_for_collinear_design():
     y = x + rng.normal(0, 0.1, T)
     fit = fit_matrix(X, y, QUAD)
     assert fit.jitter > 0
-
-
-def test_predict_is_inner_product():
-    assert predict(np.array([0.5]), np.array([1.0])) == 0.5
-    beta = np.array([0.0, 1.0, 0.0])
-    assert predict(beta, np.array([9.0, 4.0, 7.0])) == 4.0
-    with pytest.raises(ParameterError):
-        predict(np.ones(2), np.ones(3))
 
 
 def test_coalition_enumeration_sizes():

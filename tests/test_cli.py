@@ -314,16 +314,44 @@ def test_feature_lookup_and_enumeration_cap_errors_are_config_errors(tmp_path, c
     assert err.startswith("error: ") and message in err
 
 
-def test_burn_in_screening_above_the_enumeration_cap_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("line, message", [
+    ("phi_insample = nan", "willingness to pay must be finite"),
+    ("phi_oos = inf", "willingness to pay must be finite"),
+    ("warmup = -5", "warm-up must be >= 0"),
+    ("alpha = nan", "alpha must be positive and finite"),
+])
+def test_out_of_range_task_value_is_config_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    key = line.partition(" = ")[0]
+    text = re.sub(rf"^{key} = .*\n", "", CONFIG.format(out=tmp_path / "out"), flags=re.M)
+    cfg.write_text(text.replace("[task]\n", f"[task]\n{line}\n"))
+    code = run_cli(["market", "--mechanism", "online", "--config", str(cfg)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_online_step_is_a_numeric_error(tmp_path, capsys):
+    # 1e155 is finite, but its squared residual overflows: the step fails
+    # as a numeric error naming its step and coalition, without a warning
+    assert run_cli(["simulate", "--case", "batch-linear", "--seed", "2",
+                    "--rows", "300", "--out", str(tmp_path)]) == 0
+    data = tmp_path / "dataset.csv"
+    lines = data.read_text().splitlines(keepends=True)
+    header = lines[0].strip().split(",")
+    cells = lines[201].rstrip("\n").split(",")
+    cells[header.index("x3")] = "1e155"
+    lines[201] = ",".join(cells) + "\n"
+    data.write_text("".join(lines))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(out=tmp_path / "out")
-                   .replace("seed = 4\n", "seed = 4\nscreening = burn-in-shapley\n")
-                   .replace("[task]\n", "[task]\nenumeration_cap = 1\n"))
-    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
-    assert code == 1
+                   .replace("scenario = batch-linear\n", f"csv = {data}\n")
+                   .replace("rows = 600\nseed = 4\n", ""))
+    code = run_cli(["market", "--mechanism", "online", "--config", str(cfg)])
+    assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "3 support features exceed the exact enumeration cap (1)" in err
+    assert err.startswith("numeric error: step 101: coalition ['x3']: ")
+    assert "overflowed" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,3 +150,53 @@ def test_no_module_level_import_goes_unused():
     assert len(modules) > 5
     unused = {p.name: names for p in modules if (names := _unused_module_imports(p))}
     assert unused == {}
+
+
+ROOT = SRC.parent
+
+
+def _definitions(path: Path) -> list[str]:
+    """The module-level functions and classes of ``path``, and the
+    non-dunder methods of those classes as ``Class.method``."""
+    out = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out.append(node.name)
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return out
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name ``path`` mentions: identifiers, attributes, imported names,
+    and string constants that spell a name or a dotted path, such as the
+    benchmark tracer's ``"online_step"`` and ``"OnlineSession.step"``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_is_reached_outside_tests():
+    # a definition only the tests call is API no market, CLI path, demo or
+    # benchmark runs: delete it with its tests, or use it
+    package = sorted((SRC / "regmarket").glob("*.py"))
+    readers = ([p for p in package if p.name != "__init__.py"]
+               + sorted((ROOT / "demos").glob("*.py"))
+               + sorted((ROOT / "benchmarks").rglob("*.py")))
+    read = set().union(*map(_names_read, readers))
+    unreached = [f"{p.stem}.{name}" for p in package for name in _definitions(p)
+                 if name.rpartition(".")[2] not in read]
+    assert len(package) > 5
+    assert not unreached, f"reached only from tests: {', '.join(unreached)}"

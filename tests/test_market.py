@@ -95,6 +95,14 @@ def test_batch_sliding_window_bills_only_new_rows():
     assert partial.central_total == pytest.approx(full.central_total / 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("billed", [-100, math.nan])
+def test_batch_market_rejects_negative_previously_billed(billed):
+    # a negative count would bill more rows than the dataset has
+    ds = linear_market_dataset(T=400, seed=5)
+    with pytest.raises(ParameterError, match="previously billed"):
+        clear_batch_market(ds, linear_task(), previously_billed=billed)
+
+
 def test_batch_loo_policy_close_to_shapley_on_separable_model():
     ds = linear_market_dataset(T=4000, seed=7)
     sh = clear_batch_market(ds, linear_task(allocation_policy="shapley"))
@@ -153,6 +161,20 @@ def test_flag_on_a_feature_the_market_does_not_pay_for_is_rejected(flags):
     # x2b and dead are not in ownership; x1 belongs to the central agent
     with pytest.raises(ParameterError, match="not support features"):
         linear_task(**flags)
+
+
+@pytest.mark.parametrize("field", ["phi_insample", "phi_oos"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_willingness_to_pay_must_be_finite(field, value):
+    # a NaN or infinite phi would put NaN or infinite amounts in the ledger
+    with pytest.raises(ParameterError, match="willingness to pay"):
+        linear_task(**{field: value})
+
+
+def test_negative_warmup_is_rejected():
+    # a negative warm-up would stream from before the first row
+    with pytest.raises(ParameterError, match="warm-up"):
+        linear_task(warmup=-5)
 
 
 def test_agent_split_leaves_feature_payments_unchanged():
@@ -240,7 +262,7 @@ def test_screening_always_drops_valueless_column_and_keeps_signal():
     for seed in range(5):
         ds = linear_market_dataset(T=1200, seed=seed, extra=extra)
         task = linear_task(ownership=dict(ds.ownership))
-        retained = screen_features(ds, task, method="cv-loss")
+        retained = screen_features(ds, task)
         assert "dead" not in retained
         assert {"x2", "x3", "x4"} <= set(retained)
 
@@ -256,23 +278,10 @@ def test_screening_rejects_pure_noise_regularly_and_never_signal():
 
         ds = linear_market_dataset(T=1500, seed=seed, extra=extra)
         task = linear_task(ownership=dict(ds.ownership))
-        retained = screen_features(ds, task, method="cv-loss")
+        retained = screen_features(ds, task)
         dropped += "junk" not in retained
         assert {"x2", "x3", "x4"} <= set(retained)
     assert dropped >= 2
-
-
-def test_screening_burn_in_retains_informative_features():
-    ds = linear_market_dataset(T=1500, seed=41)
-    retained = screen_features(ds, linear_task(), method="burn-in-shapley",
-                               burnin=700)
-    assert set(retained) == {"x2", "x3", "x4"}
-
-
-def test_screening_rejects_overlong_burn_in():
-    ds = linear_market_dataset(T=300, seed=1)
-    with pytest.raises(ParameterError):
-        screen_features(ds, linear_task(), method="burn-in-shapley", burnin=900)
 
 
 def test_screened_out_features_pay_zero():
@@ -764,21 +773,4 @@ def test_online_paths_honour_the_enumeration_cap(clear):
     assert str(err.value) == str(batch_err.value)
     assert "3 support features exceed" in str(err.value)
     # the remedy the message names still works above the cap
-    assert screen_features(ds, task, method="cv-loss") == ("x2", "x3", "x4")
-
-
-def test_burn_in_screening_honours_the_enumeration_cap():
-    from regmarket import EnumerationCapError
-
-    ds = linear_market_dataset(T=1200, seed=23)
-    task = linear_task(enumeration_cap=1, warmup=40)
-    with pytest.raises(EnumerationCapError) as batch_err:
-        clear_batch_market(ds, task)
-    with pytest.raises(EnumerationCapError) as err:
-        screen_features(ds, task, method="burn-in-shapley", burnin=700)
-    assert str(err.value) == str(batch_err.value)
-    # cv-loss fits one feature at a time, so it still runs above the cap
-    assert screen_features(ds, task, method="cv-loss") == ("x2", "x3", "x4")
-    # at the cap, burn-in screening runs as before
-    assert screen_features(ds, linear_task(enumeration_cap=3, warmup=40),
-                           method="burn-in-shapley", burnin=700) == ("x2", "x3", "x4")
+    assert screen_features(ds, task) == ("x2", "x3", "x4")
