@@ -90,14 +90,9 @@ def _check_finite(eps):
 def loss_value(eps, spec: LossSpec):
     """Pointwise loss of a residual (scalar or array).
 
-    The smooth quantile loss is evaluated as tau*e + alpha*softplus(-e/alpha)
-    via logaddexp, which is exact in the linear asymptotes.
+    The smooth quantile loss is evaluated by :func:`loss_array`.
     """
-    e = _check_finite(eps)
-    if spec.is_quadratic:
-        out = e * e
-    else:
-        out = spec.tau * e + spec.alpha * np.logaddexp(0.0, -e / spec.alpha)
+    out = loss_array(_check_finite(eps), spec)
     return out if out.ndim else float(out)
 
 
@@ -129,24 +124,37 @@ def loss_h2(eps, spec: LossSpec):
     return out if np.ndim(eps) else float(out)
 
 
-def loss_terms(e: np.ndarray, spec: LossSpec):
-    """The loss, h1 and h2 of a residual array in one pass.
+def loss_array(e: np.ndarray, spec: LossSpec) -> np.ndarray:
+    """The loss of a residual array, unchecked: a residual that is not
+    finite gives a loss that is not finite, which the caller checks.
 
-    Each ``expit`` is computed once, and the values are bit for bit those
-    of :func:`loss_value`, :func:`loss_h1` and :func:`loss_h2`.  Unlike
-    them it does not check the residuals: a residual that is not finite
-    gives a loss that is not finite, which the caller checks.
+    The smooth quantile loss is evaluated as tau*e + alpha*softplus(-e/alpha)
+    via logaddexp, which is exact in the linear asymptotes.  At tau = 1 the
+    two terms cancel for large negative residuals and can round below zero,
+    so the loss is clamped at zero, which changes no other value.
     """
     if spec.is_quadratic:
-        return e * e, e, np.ones_like(e)
-    upper = e / spec.alpha
-    lower = -e / spec.alpha
-    loss = spec.tau * e + spec.alpha * np.logaddexp(0.0, lower)
-    up, down = expit(upper), expit(lower)
+        return e * e
+    loss = spec.tau * e + spec.alpha * np.logaddexp(0.0, -e / spec.alpha)
+    return np.maximum(loss, 0.0)
+
+
+def loss_derivatives(e: np.ndarray, spec: LossSpec):
+    """The h1 and h2 of a residual array, unchecked, bit for bit those of
+    :func:`loss_h1` and :func:`loss_h2`; each ``expit`` is computed once."""
+    if spec.is_quadratic:
+        return e, np.ones_like(e)
+    up, down = expit(e / spec.alpha), expit(-e / spec.alpha)
     s = up * down
     if spec.derivative_variant == ANALYTIC:
-        return loss, spec.tau - down, s / spec.alpha
-    return loss, spec.tau + spec.alpha * up - down, (1.0 + spec.alpha) * s
+        return spec.tau - down, s / spec.alpha
+    return spec.tau + spec.alpha * up - down, (1.0 + spec.alpha) * s
+
+
+def loss_terms(e: np.ndarray, spec: LossSpec):
+    """The loss, h1 and h2 of a residual array, unchecked, bit for bit
+    those of :func:`loss_value`, :func:`loss_h1` and :func:`loss_h2`."""
+    return (loss_array(e, spec), *loss_derivatives(e, spec))
 
 
 def pinball_loss(eps, tau: float):

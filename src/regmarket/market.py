@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import weakref
@@ -794,17 +795,18 @@ def report_to_json(report: MarketReport, path) -> None:
 
     The float lists that a CSV file writes as well (the series' payments
     and cumulative payments, the ledger's amounts) are formatted once, for
-    this file and the CSV writers together (see :func:`_report_texts`).
+    this file and the CSV writers together (see :func:`_report_texts`), and
+    the ledger's amounts take the text of the payments they are (see
+    :func:`_amount_text`).
     """
     texts = _report_texts(report)
-    shared = [report.ledger.amount]
     for name in ("payments", "cumulative"):
         group = report.series.get(name)
         if isinstance(group, dict):
-            shared += group.values()
-    for values in shared:
-        if _is_float_list(values):
-            _float_text(values, texts)
+            for values in group.values():
+                if _is_float_list(values):
+                    _float_text(values, texts)
+    _amount_text(report, texts)
     with open(path, "w") as fh:
         fh.writelines(_iter_json(report.to_dict(), 0, texts))
         fh.write("\n")
@@ -847,6 +849,44 @@ def _float_text(values: list, texts: dict[bytes, str]) -> str:
     if text is None:
         text = texts[key] = "\n".join(map(repr, values))
     return text
+
+
+def _amount_text(report: MarketReport, texts: dict[bytes, str]) -> str | None:
+    """The text of the ledger's amounts, as :func:`_float_text` makes it,
+    or None when they are not a list of floats.
+
+    :func:`_settle` books a streamed report's positive payments in time,
+    then feature order, as the payment series' own float objects.  An
+    amount that is the series float in its place takes that float's line of
+    the series' text rather than going through ``repr`` again; any other,
+    such as a batch ledger's, one booked by hand or one edited in, is put
+    through ``repr``.
+    """
+    amounts = report.ledger.amount
+    if not _is_float_list(amounts):
+        return None
+    key = np.array(amounts, dtype=float).tobytes()
+    text = texts.get(key)
+    if text is None:
+        booked = itertools.chain(_positive_payment_lines(report, texts),
+                                 itertools.repeat((None, None)))
+        text = texts[key] = "\n".join([line if paid is amount else repr(amount)
+                                        for amount, (paid, line) in zip(amounts, booked)])
+    return text
+
+
+def _positive_payment_lines(report: MarketReport, texts: dict[bytes, str]):
+    """Yield each positive float of the payment series, with its line of
+    the series' text, in time, then feature order."""
+    payments = report.series.get("payments")
+    if not (isinstance(payments, dict) and all(map(_is_float_list, payments.values()))):
+        return
+    columns = [zip(values, _float_text(values, texts).split("\n"))
+               for values in payments.values()]
+    for step in zip(*columns):
+        for paid, line in step:
+            if paid > 0.0:
+                yield paid, line
 
 
 def _repr_lines(values, texts: dict[bytes, str]) -> list[str]:
@@ -936,11 +976,13 @@ def _csv_cells(*cells: str) -> str:
 def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF line
     ends.  The quoted text cells are made once per distinct combination,
-    the amounts come from the float texts ``report_to_json`` made, and
-    the rows are written in blocks of ``ROWS_PER_WRITE``."""
+    the amounts come from :func:`_amount_text`, and the rows are written
+    in blocks of ``ROWS_PER_WRITE``."""
     ledger = report.ledger
-    columns = (ledger.time, ledger.payer, ledger.payee, ledger.feature,
-               _repr_lines(ledger.amount, _report_texts(report)), ledger.market)
+    text = _amount_text(report, _report_texts(report))
+    amounts = text.split("\n") if text is not None else [repr(a) for a in ledger.amount]
+    columns = (ledger.time, ledger.payer, ledger.payee, ledger.feature, amounts,
+               ledger.market)
     quoted: dict[tuple, tuple[str, str]] = {}
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["time", "payer", "payee", "feature", "amount", "market"])

@@ -31,8 +31,9 @@ small lam.  The padded memory is block diagonal, so its Cholesky factor
 and solve give the design's own block unchanged, and every coalition
 advances with one gather of the row, one vectorised :func:`loss_terms`
 call for the loss, h1 and h2, one batched memory update, one batched
-Cholesky and one batched solve.  :func:`online_step` is the one-coalition
-case of the same kernel.
+Cholesky and one batched solve.  The update keeps the memory exactly
+symmetric: ``lam * M + h2 * x x'`` is elementwise on a symmetric ``M``.
+:func:`online_step` is the one-coalition case of the same kernel.
 
 Block scan.  With the quadratic loss (h1 = eps, h2 = 1) the update is
 recursive least squares, and both of its recursions are linear:
@@ -57,11 +58,23 @@ Newton blocks.  The smooth-quantile update has no linear recursion, so
 :meth:`OnlineSession.stream` runs it over blocks of the same length with
 the recursion's own arithmetic, one private kernel shared with the step,
 and makes the step's checks once per block: finite data, finite
-non-negative losses, finite final coefficients and one batched Cholesky
-check of every step's memory.  The loop runs with NumPy overflow, invalid
-and divide-by-zero errors raised.  A block that fails a check, or in which
-an estimator is not yet ready, is replayed step by step as for the scan,
-and the series and final state are bit for bit the recursion's.
+non-negative losses, finite final coefficients, no memory entry above
+``HALF_MAX`` and one batched Cholesky check of every step's memory.  Only
+the recursion runs per step: prior residual, h1 and h2, memory update,
+padding reset, right-hand side and solve.  The rest is elementwise in the
+step, so it runs once per block with the same operations and gives the
+same bits: one ``(B, C, N, N)`` multiply for the rows' outer products, one
+:func:`loss_array` call over the ``(B, C)`` residuals, and the EWMA as one
+``(1 - lam) * loss`` multiply and a ``lam * v + w`` loop.  The step
+symmetrises its memory, ``0.5 * (M + M')``, which on an exactly symmetric
+memory changes no bit unless an entry exceeds ``HALF_MAX`` and the sum
+overflows.  The block symmetrises on its first step, where the entering
+memory may not be symmetric, and drops it after that; the ``HALF_MAX``
+check declines where the step would have overflowed.  The loop runs with
+NumPy overflow, invalid and divide-by-zero errors raised.  A block that
+fails a check, or in which an estimator is not yet ready, is replayed
+step by step as for the scan, and the series and final state are bit for
+bit the recursion's.
 """
 
 from __future__ import annotations
@@ -75,7 +88,8 @@ import numpy as np
 from .batch import cholesky_failures, fit_matrix
 from .data import AugmentedDesign
 from .errors import ParameterError, SingularUpdateError
-from .losses import EwmaLoss, LossSpec, ewma_update, insample_loss, loss_h2, loss_terms
+from .losses import (EwmaLoss, LossSpec, ewma_update, insample_loss, loss_array,
+                     loss_derivatives, loss_h2, loss_terms)
 # not called here since loss_terms replaced it, but benchmarks/tracing.py's
 # self-test reaches it through this module
 from .losses import loss_h1  # noqa: F401
@@ -87,6 +101,9 @@ SCALE_LIMIT = 1e3
 # and a scan or Newton block holds about this many floats per (B, C, N, N)
 # array (256 KiB); larger blocks measured slower and grow peak memory
 SCAN_FLOATS = 1 << 15
+# a memory entry above half the largest float overflows when the step
+# symmetrises it
+HALF_MAX = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -187,23 +204,25 @@ class _StackedStates:
     def _label(self, i: int) -> str:
         return f"{self.labels[i]}: " if self.labels else ""
 
-    def _newton(self, coefficients: np.ndarray, memory: np.ndarray, X: np.ndarray,
-                y_t: float, lam: float, spec: LossSpec):
-        """The arithmetic of one Newton step from the given coefficients and
-        memory, shared by :meth:`advance` and :meth:`newton_block`.
+    def _newton(self, memory: np.ndarray, X: np.ndarray, outer: np.ndarray,
+                h1: np.ndarray, h2: np.ndarray, lam: float, symmetrise: bool):
+        """The memory update and Newton right-hand side of one step, shared
+        by :meth:`advance` and :meth:`newton_block`, neither checked.
 
-        Returns the prior residuals, their losses, the updated memory and
-        the right-hand side of the Newton solve, none of them checked.
+        ``outer`` holds the outer products of the rows ``X``, and ``h1`` and
+        ``h2`` the loss derivatives at their prior residuals.  The memory is
+        symmetrised when ``symmetrise`` is set.  The update keeps a memory
+        exactly symmetric, and symmetrising one that is changes no bit
+        unless an entry exceeds ``HALF_MAX``, where it overflows.
         """
-        eps = y_t - np.einsum("cn,cn->c", coefficients, X)
-        losses, h1, h2 = loss_terms(eps, spec)
-        memory = lam * memory + h2[:, None, None] * (X[:, :, None] * X[:, None, :])
-        memory = 0.5 * (memory + memory.transpose(0, 2, 1))
+        memory = lam * memory + h2[:, None, None] * outer
+        if symmetrise:
+            memory = 0.5 * (memory + memory.transpose(0, 2, 1))
         memory[self.padding] = 1.0
         # ready estimators keep a zero pending gradient, so this is their
         # plain Newton direction and the accumulated one of the others
         rhs = lam * self.pending_gradient + X * h1[:, None]
-        return eps, losses, memory, rhs
+        return memory, rhs
 
     # every overflow below raises a typed error, so NumPy need not warn
     @np.errstate(over="ignore", invalid="ignore")
@@ -221,8 +240,10 @@ class _StackedStates:
         """
         if not (np.isfinite(X).all() and np.isfinite(y_t)):
             raise ParameterError("online step needs finite data")
-        eps, losses, memory, rhs = self._newton(self.coefficients, self.memory, X, y_t,
-                                                lam, spec)
+        eps = _prior_residuals(self.coefficients, X, y_t)
+        losses, h1, h2 = loss_terms(eps, spec)
+        memory, rhs = self._newton(self.memory, X, X[:, :, None] * X[:, None, :], h1, h2,
+                                   lam, symmetrise=True)
         steps = self.step_count + 1
         # a residual that is not finite has a loss that is not finite
         if not np.isfinite(losses).all():
@@ -279,30 +300,40 @@ class _StackedStates:
         or the final coefficients are not finite; the block is then for
         :meth:`advance` to replay, which raises at the step and with the
         message of the recursion.
+
+        Only the recursion runs step by step; the module docstring says
+        what runs once per block and why the bits are the step's.
         """
         if not (self.all_ready and np.isfinite(X).all() and np.isfinite(y).all()):
             return None
         B, C, N = X.shape
-        losses, ewma = np.empty((B, C)), np.empty((B, C))
-        memories = np.empty((B, C, N, N))
+        eps, memories = np.empty((B, C)), np.empty((B, C, N, N))
         coefficients, memory, value = self.coefficients, self.memory, self.ewma.value
         try:
+            outer = X[:, :, :, None] * X[:, :, None, :]
             for b in range(B):
                 # einsum's sum depends on the row's alignment: a fresh row
                 # as in advance, not a view into the block
-                _, losses[b], memory, rhs = self._newton(coefficients, memory, X[b].copy(),
-                                                         y[b], lam, spec)
+                row = X[b].copy()
+                eps[b] = _prior_residuals(coefficients, row, y[b])
+                memory, rhs = self._newton(memory, row, outer[b],
+                                           *loss_derivatives(eps[b], spec), lam,
+                                           symmetrise=b == 0)
                 coefficients = _newton_solve(coefficients, memory, rhs)
-                # ewma_update's recursion; the losses are checked below
-                value = lam * value + (1.0 - lam) * losses[b]
-                ewma[b] = value
                 memories[b] = memory
+            losses = loss_array(eps, spec)
             # a residual that is not finite has a loss that is not finite,
             # and coefficients that are not finite stay so to the end
             if not (np.isfinite(losses).all() and (losses >= 0).all()
-                    and np.isfinite(coefficients).all()):
+                    and np.isfinite(coefficients).all()
+                    and np.abs(memories).max() <= HALF_MAX):
                 return None
             np.linalg.cholesky(memories)
+            # ewma_update's recursion
+            ewma, gain = np.empty((B, C)), (1.0 - lam) * losses
+            for b in range(B):
+                value = lam * value + gain[b]
+                ewma[b] = value
         except (FloatingPointError, np.linalg.LinAlgError):
             return None
         self.coefficients = coefficients
@@ -391,6 +422,11 @@ class _StackedStates:
         self.step_count = self.step_count + B
         self.ewma = EwmaLoss(ewma[-1].copy(), lam)
         return losses, ewma, ready.all(axis=1)
+
+
+def _prior_residuals(coefficients: np.ndarray, X: np.ndarray, y_t: float) -> np.ndarray:
+    """Each estimator's one-step-ahead residual on its row of ``X``."""
+    return y_t - np.einsum("cn,cn->c", coefficients, X)
 
 
 def _newton_solve(coefficients: np.ndarray, memory: np.ndarray, rhs: np.ndarray,

@@ -134,6 +134,24 @@ def test_loss_terms_are_the_three_loss_functions(e, tau, alpha, variant):
             assert np.array_equal(got, want)
 
 
+@given(e=st.floats(-1e6, 1e6), alpha=st.floats(0.01, 5.0), tau=st.sampled_from([0.0, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_smooth_quantile_loss_is_non_negative_at_the_ends_of_tau(e, alpha, tau):
+    # at tau = 1, tau*e and alpha*softplus(-e/alpha) cancel for large
+    # negative e and rounded below zero, e.g. -3.6e-15 at e = -27.3
+    spec = LossSpec("smooth-quantile", tau=tau, alpha=alpha)
+    assert loss_value(e, spec) >= 0.0
+    assert (loss_value(np.array([e, -e]), spec) >= 0.0).all()
+
+
+def test_loss_at_tau_one_is_clamped_only_where_it_rounded_below_zero():
+    spec = LossSpec("smooth-quantile", tau=1.0, alpha=0.2)
+    e = np.linspace(-40.0, 40.0, 20001)
+    raw = e + 0.2 * np.logaddexp(0.0, -e / 0.2)
+    assert (raw < 0).any()
+    assert np.array_equal(loss_value(e, spec), np.where(raw < 0, 0.0, raw))
+
+
 def test_insample_loss():
     assert insample_loss([1.0, -1.0], QUAD) == 1.0
     assert insample_loss(np.zeros(5), QUAD) == 0.0

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from regmarket import (
     screen_features,
 )
 from regmarket.market import MarketReport, build_design, fit_all_coalitions
+from regmarket.scenarios import ScenarioSpec, generate, task_for_case
 
 
 def linear_market_dataset(T=2000, seed=0, beta=None, sigma=0.3, extra=None):
@@ -427,6 +429,18 @@ def test_online_zero_start_with_quantile_loss():
     assert report.central_total > 0
     assert report.audit["passed"]
     assert report.full_loss < report.central_loss
+
+
+def test_online_market_clears_at_tau_one():
+    # the smooth-quantile loss rounded below zero for large negative
+    # residuals at tau = 1, and the EWMA update rejected it
+    spec = ScenarioSpec("online-quantile", T=3000, seed=2)
+    dataset, _ = generate(spec)
+    task = task_for_case(spec)
+    task = replace(task, loss=replace(task.loss, tau=1.0))
+    report = run_online_market(dataset, task)
+    assert report.audit["passed"]
+    assert len(report.series["step"]) > 0
 
 
 def test_unpaid_amounts_are_positive_zeros(tmp_path):

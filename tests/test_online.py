@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from regmarket import (
     Dataset,
@@ -21,7 +22,8 @@ from regmarket import (
     polynomial_expand,
 )
 from regmarket.batch import enumerate_coalitions, fit_matrix
-from regmarket.online import WARM_START, ZERO_START
+from regmarket.losses import loss_terms
+from regmarket.online import HALF_MAX, WARM_START, ZERO_START
 
 QUAD = LossSpec("quadratic")
 
@@ -689,3 +691,143 @@ def test_smooth_quantile_stream_checks_every_memory():
     err, _ = assert_stream_raises_like_step(stream, recursion, X[60:], y[60:])
     assert isinstance(err, SingularUpdateError) and err.step == 1
     assert "coalition ['x3']: memory matrix not positive definite" in str(err)
+
+
+# -- the Newton block against the step it replaced -------------------------------
+
+def per_step_newton(session, X, y):
+    """The Newton recursion of a ready session over the rows of ``X`` and
+    ``y``, written out apart from the package's kernel as one step made it
+    before the block took its elementwise work out of the loop: every step
+    forms its outer products, symmetrises the memory and computes its loss,
+    h1, h2 and EWMA.  Returns the losses and EWMA losses, ``(T, C)``, and
+    the final coefficients, memory and EWMA value, all stacked and padded."""
+    stack, spec, lam = session._stack, session.spec, session.lam
+    beta, M, value = stack.coefficients, stack.memory, stack.ewma.value
+    losses, ewma = [], []
+    for x, y_t in zip(session._gather_rows(X), y):
+        x = x.copy()
+        eps = y_t - np.einsum("cn,cn->c", beta, x)
+        upper, lower = eps / spec.alpha, -eps / spec.alpha
+        loss = np.maximum(spec.tau * eps + spec.alpha * np.logaddexp(0.0, lower), 0.0)
+        up, down = expit(upper), expit(lower)
+        if spec.derivative_variant == "analytic":
+            h1, h2 = spec.tau - down, up * down / spec.alpha
+        else:
+            h1, h2 = spec.tau + spec.alpha * up - down, (1.0 + spec.alpha) * (up * down)
+        M = lam * M + h2[:, None, None] * (x[:, :, None] * x[:, None, :])
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+        M[stack.padding] = 1.0
+        rhs = lam * stack.pending_gradient + x * h1[:, None]
+        beta = beta + np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        value = lam * value + (1.0 - lam) * loss
+        losses.append(loss)
+        ewma.append(value)
+    return np.array(losses), np.array(ewma), beta, M, value
+
+
+def assert_stream_is_per_step_newton(session, X, y):
+    """``session.stream`` runs every block as a block and gives the bits of
+    :func:`per_step_newton`; returns the trace."""
+    losses, ewma, beta, M, value = per_step_newton(session, X, y)
+    replays = count_replays(session)
+    trace = session.stream(X, y)
+    assert not replays
+    assert trace.ready.all()
+    assert np.array_equal(trace.losses, losses)
+    assert np.array_equal(trace.ewma, ewma)
+    stack = session._stack
+    assert np.array_equal(stack.coefficients, beta)
+    assert np.array_equal(stack.memory, M)
+    assert np.array_equal(stack.ewma.value, value)
+    return trace
+
+
+def assert_memory_exactly_symmetric(session):
+    memory = session._stack.memory
+    assert np.array_equal(memory, memory.transpose(0, 2, 1))
+
+
+@given(lam=st.sampled_from([0.9, 0.97, 0.99, 0.999, 1.0]),
+       tau=st.floats(0.0, 1.0), alpha=st.floats(0.2, 2.0),
+       variant=st.sampled_from(["analytic", "paper-verbatim"]),
+       block=st.integers(2, 17), T=st.integers(61, 160))
+@settings(max_examples=40, deadline=None)
+def test_newton_blocks_are_the_per_step_arithmetic(lam, tau, alpha, variant, block, T):
+    spec = LossSpec("smooth-quantile", tau=tau, alpha=alpha, derivative_variant=variant)
+    design, y, coalitions = unequal_width_setup(T + 60)
+    X = design.values
+    (session, _), start = twin_sessions(design, y, coalitions, lam, WARM_START, spec=spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("regmarket.online.SCAN_FLOATS", block * 8 * 25)
+        assert session._scan_steps() == block
+        assert_stream_is_per_step_newton(session, X[start:], y[start:])
+    assert_memory_exactly_symmetric(session)
+
+
+def skew_memories(session):
+    """Raise every memory's (0, 1) entry by one ulp: not exactly symmetric."""
+    def edit(c, s):
+        memory = s.memory.copy()
+        memory[0, 1] = np.nextafter(memory[0, 1], np.inf)
+        return replace(s, memory=memory)
+    edit_states(session, edit)
+    assert not np.array_equal(session._stack.memory,
+                              session._stack.memory.transpose(0, 2, 1))
+
+
+def test_newton_block_symmetrises_a_skewed_entry_memory_like_the_step(monkeypatch):
+    # the block symmetrises on its first step only, so a memory that enters
+    # it not exactly symmetric must come out of that step as the step's does
+    monkeypatch.setattr("regmarket.online.SCAN_FLOATS", 7 * 8 * 25)
+    design, y, coalitions = unequal_width_setup(200)
+    X = design.values
+    (stream, recursion), start = twin_sessions(design, y, coalitions, 0.99, WARM_START,
+                                               spec=SMOOTH)
+    skew_memories(stream)
+    skew_memories(recursion)
+    assert_stream_is_per_step_newton(copy.deepcopy(stream), X[start:], y[start:])
+    trace = stream.stream(X[start:], y[start:])
+    losses, ewma, _ = step_trace(recursion, X[start:], y[start:])
+    assert np.array_equal(trace.losses, losses)
+    assert np.array_equal(trace.ewma, ewma)
+    assert_sessions_equal(stream, recursion)
+    assert_memory_exactly_symmetric(stream)
+    assert_memory_exactly_symmetric(recursion)
+
+
+def test_newton_block_losses_are_the_per_row_loss_terms():
+    # the block computes its (B, C) losses in one call after its loop
+    spec = LossSpec("smooth-quantile", tau=0.9, alpha=0.3, derivative_variant="paper-verbatim")
+    design, y, coalitions = unequal_width_setup(400)
+    X = design.values
+    (stream, recursion), start = twin_sessions(design, y, coalitions, 0.98, WARM_START,
+                                               spec=spec)
+    replays = count_replays(stream)
+    trace = stream.stream(X[start:], y[start:])
+    assert not replays
+    eps = np.array([[out[c][0] for c in coalitions]
+                    for out in (recursion.step(X[t], y[t]) for t in range(start, len(y)))])
+    for t, row in enumerate(eps):
+        assert np.array_equal(trace.losses[t], loss_terms(row, spec)[0])
+
+
+def test_newton_block_declines_where_the_step_symmetrisation_overflows(monkeypatch):
+    # x4's memory entry starts at exactly half the largest float, which the
+    # first step's symmetrisation keeps, and x4 = 1e150 at step 15, the
+    # fifth of the second ten-step block, lifts it just above half: it stays
+    # finite, but the step's symmetrisation doubles it to infinity
+    monkeypatch.setattr("regmarket.online.SCAN_FLOATS", 10 * 8 * 25)
+    design, y, coalitions = unequal_width_setup(200)
+    X = design.values.copy()
+    j = [t.name for t in design.terms].index("x4")
+    X[60 + 14, j] = 1e150
+    stream = OnlineSession(design, frozenset({"x1"}), coalitions, 1.0, SMOOTH)
+    stream.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    decouple_column(stream, j, HALF_MAX)
+    recursion = copy.deepcopy(stream)
+    err, replays = assert_stream_raises_like_step(stream, recursion, X[60:], y[60:])
+    assert isinstance(err, SingularUpdateError) and err.step == 15
+    assert "x4" in str(err)
+    # the first block ran as a block; the second declined and was replayed
+    assert len(replays) == 5

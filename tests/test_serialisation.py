@@ -6,6 +6,8 @@ contract: ``dataclasses.asdict`` for the report dict, ``json.dump`` with
 ``csv.writer.writerow`` per row for the CSV files.
 """
 
+import builtins
+import collections
 import csv
 import dataclasses
 import gc
@@ -26,6 +28,7 @@ from regmarket import (
     run_online_market,
     run_oos_market,
 )
+from regmarket import market
 from regmarket.market import (
     Ledger,
     LedgerEntry,
@@ -409,3 +412,33 @@ def test_json_writer_with_float_texts_matches_json_dumps(obj):
     texts = {}
     put_float_texts(obj, texts)
     assert "".join(_iter_json(obj, 0, texts)) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("first", ["report.json", "ledger.csv"])
+def test_streamed_ledger_amounts_are_formatted_once(tmp_path, monkeypatch, first):
+    # the ledger's amounts are the payment series' own floats: each is put
+    # through repr once, for the series, and the ledger reuses that text
+    report = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
+    assert report.ledger
+    calls = collections.Counter()
+
+    def counting_repr(value):
+        calls[id(value)] += 1
+        return builtins.repr(value)
+
+    monkeypatch.setattr(market, "repr", counting_repr, raising=False)
+    WRITERS[first][0](report, tmp_path / first)
+    for name in ("report.json", "ledger.csv"):
+        WRITERS[name][0](report, tmp_path / name)
+    monkeypatch.undo()
+    assert {calls[id(a)] for a in report.ledger.amount} == {1}
+    assert_artifacts_match(report, tmp_path)
+
+
+def test_ledger_amounts_not_in_the_series_are_formatted_by_repr(tmp_path):
+    # a ledger edited after settling holds floats that no series holds
+    report = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
+    amounts = report.ledger.amount
+    amounts[0] = amounts[0] + 1.0
+    amounts[1] = float(repr(amounts[1]))
+    assert_artifacts_match(report, tmp_path)
