@@ -46,12 +46,6 @@ EXIT_NUMERIC = 3
 
 CONFIG_VERSION = 1
 SECTIONS = ("run", "task", "ownership")
-RUN_KEYS = ("version", "csv", "scenario", "rows", "seed", "out", "screening",
-            "model_source", "timestamp_column", "target_column", "capacities")
-TASK_KEYS = ("central_agent", "loss", "tau", "alpha", "derivative_variant", "degree",
-             "interactions", "phi_insample", "phi_oos", "lambda", "allocation",
-             "oos_allocation", "init_policy", "warmup", "train_rows", "loss_unit",
-             "enumeration_cap", "lags_<series>")
 
 
 def _default_out() -> str:
@@ -65,8 +59,10 @@ def main(argv=None) -> int:
 
     sim = sub.add_parser("simulate", help="generate a scenario dataset")
     sim.add_argument("--case", required=True, choices=scenarios.CASES)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--rows", type=int, default=None)
+    # left out, ScenarioSpec's own defaults apply
+    sim.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sim.add_argument("--rows", type=int, dest="T", metavar="ROWS",
+                     default=argparse.SUPPRESS)
     sim.add_argument("--out", default=None)
 
     mkt = sub.add_parser("market", help="run a market mechanism from a config")
@@ -107,7 +103,8 @@ def main(argv=None) -> int:
 def _cmd_simulate(args) -> int:
     outdir = Path(args.out if args.out is not None else _default_out())
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = scenarios.ScenarioSpec(case=args.case, T=args.rows, seed=args.seed)
+    spec = scenarios.ScenarioSpec(**{k: v for k, v in vars(args).items()
+                                     if k in ("case", "T", "seed")})
     dataset, truth = scenarios.generate(spec)
     dataset_to_csv(dataset, outdir / "dataset.csv")
     with open(outdir / "truth.json", "w") as fh:
@@ -133,12 +130,10 @@ def _cmd_market(args) -> int:
     elif args.mechanism == "online":
         report = run_online_market(dataset, task, support=support)
     else:
-        report = run_oos_market(dataset, task,
-                                model_source=run_cfg.get("model_source", "batch"),
-                                support=support)
+        report = run_oos_market(dataset, task, support=support, **run_cfg["oos"])
     # made only now, so that a configuration error leaves no empty directory
     outdir = Path(args.out if args.out is not None else
-                  run_cfg.get("out", _default_out()))
+                  run_cfg["run"].get("out", _default_out()))
     outdir.mkdir(parents=True, exist_ok=True)
     _write_artifacts(report, outdir)
     print(f"{args.mechanism} market cleared: central pays "
@@ -205,8 +200,67 @@ def _print_table(header, rows) -> None:
 # configuration
 
 
+def _parse(kind, key: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} = {text!r} is not {noun}") from None
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"not a boolean: {text!r}")
+
+
+def _parse_capacities(text: str):
+    if not text:
+        return None
+    out = {}
+    for part in text.split(","):
+        name, _, value = part.partition("=")
+        if not value:
+            raise ConfigError(f"capacity entry {part!r} is not name=value")
+        out[name.strip()] = _parse(float, "capacities", value)
+    return out
+
+
+# Each table maps what its keys set to {key: (field, parser)}.  Only keys
+# present in the file are passed on, so a key left out keeps the default of
+# the spec, schema or function whose field it sets.
+TASK_KEYS = {
+    "loss": {"loss": ("family", str), "tau": ("tau", float), "alpha": ("alpha", float),
+             "derivative_variant": ("derivative_variant", str)},       # LossSpec
+    "task": {"central_agent": ("central_agent", str), "degree": ("degree", int),
+             "interactions": ("interactions", _parse_bool),
+             "phi_insample": ("phi_insample", float), "phi_oos": ("phi_oos", float),
+             "lambda": ("lam", float), "allocation": ("allocation_policy", str),
+             "oos_allocation": ("oos_allocation_policy", str),
+             "init_policy": ("init_policy", str), "warmup": ("warmup", int),
+             "train_rows": ("train_rows", int), "loss_unit": ("loss_unit", str),
+             "enumeration_cap": ("enumeration_cap", int)},             # TaskSpec
+}
+# a dataset source's keys are accepted only with that source
+SOURCES = ("csv", "scenario")
+RUN_KEYS = {
+    "run": {"version": ("version", int), "out": ("out", str),
+            "screening": ("screening", str)},
+    "oos": {"model_source": ("model_source", str)},                    # run_oos_market
+    "scenario": {"scenario": ("case", str), "rows": ("T", int),
+                 "seed": ("seed", int)},                               # ScenarioSpec
+    "csv": {"csv": ("path", str), "timestamp_column": ("timestamp", str),
+            "target_column": ("target", str),
+            "capacities": ("capacities", _parse_capacities)},          # CsvSchema
+}
+
+
 def load_config(path) -> tuple[dict, TaskSpec, str | None]:
-    """Parse the INI run configuration into (run options, task, screening)."""
+    """Parse the INI run configuration into (run options, task, screening);
+    the run options map each group of :data:`RUN_KEYS` to its fields."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -225,106 +279,56 @@ def load_config(path) -> tuple[dict, TaskSpec, str | None]:
                           "every section")
     if "run" not in parser or "task" not in parser:
         raise ConfigError("config needs [run] and [task] sections")
-    run = dict(parser["run"])
-    task_section = dict(parser["task"])
-    _check_keys("run", run, RUN_KEYS)
-    _check_keys("task", [k for k in task_section if not k.startswith("lags_")], TASK_KEYS)
-    version = _number(run, "version", int, CONFIG_VERSION)
+    run_section = dict(parser["run"])
+    run = _read_section("run", run_section, RUN_KEYS)
+    version = run["run"].get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}")
-    sources = [k for k in ("csv", "scenario") if run.get(k)]
+    sources = [k for k in SOURCES if run_section.get(k)]
     if len(sources) != 1:
         raise ConfigError("exactly one dataset source (csv or scenario) required")
+    other = next(s for s in SOURCES if s != sources[0])
+    stray = sorted(set(run_section).intersection(RUN_KEYS[other]))
+    if stray:
+        raise ConfigError(f"[run] key(s) {', '.join(stray)} apply to a {other} source, "
+                          f"but the dataset source is {sources[0]}")
 
-    ownership = dict(parser["ownership"]) if "ownership" in parser else {}
-    loss = LossSpec(
-        family=task_section.get("loss", "quadratic"),
-        tau=_number(task_section, "tau", float, 0.5),
-        alpha=_number(task_section, "alpha", float, 0.2),
-        derivative_variant=task_section.get("derivative_variant", "analytic"))
-    lags: dict[str, tuple[int, ...]] = {}
-    for key, value in task_section.items():
-        if key.startswith("lags_"):
-            series = key[len("lags_"):]
-            lags[series] = tuple(_parse(int, key, v) for v in value.split())
-    task = TaskSpec(
-        central_agent=task_section.get("central_agent", "central"),
-        ownership=ownership,
-        loss=loss,
-        lags=lags,
-        degree=_number(task_section, "degree", int, 1),
-        interactions=_parse_bool(task_section.get("interactions", "true")),
-        phi_insample=_number(task_section, "phi_insample", float, 0.1),
-        phi_oos=_number(task_section, "phi_oos", float, 0.0),
-        lam=_number(task_section, "lambda", float, 0.998),
-        allocation_policy=task_section.get("allocation", "shapley"),
-        oos_allocation_policy=task_section.get("oos_allocation", "zero-shapley"),
-        init_policy=task_section.get("init_policy", "warm-start"),
-        warmup=_number(task_section, "warmup", int, 100),
-        train_rows=_number(task_section, "train_rows", int, None),
-        loss_unit=task_section.get("loss_unit", "raw"),
-        enumeration_cap=_number(task_section, "enumeration_cap", int, 15))
-    screening = run.get("screening") or None
+    fields = _read_section("task", {k: v for k, v in parser["task"].items()
+                                    if not k.startswith("lags_")},
+                           TASK_KEYS, "lags_<series>")
+    lags = {key[len("lags_"):]: tuple(_parse(int, key, v) for v in value.split())
+            for key, value in parser["task"].items() if key.startswith("lags_")}
+    task = TaskSpec(**{"central_agent": "central", **fields["task"]},
+                    ownership=dict(parser["ownership"]) if "ownership" in parser else {},
+                    loss=LossSpec(**fields["loss"]), lags=lags)
+    screening = run["run"].get("screening") or None
     if screening not in (None, "cv-loss"):
         raise ConfigError(f"unknown screening method {screening!r}")
     return run, task, screening
 
 
-def _check_keys(name: str, keys, accepted: tuple[str, ...]) -> None:
-    """Reject keys that nothing would read."""
-    unknown = sorted(set(keys).difference(accepted))
+def _read_section(name: str, section: dict, table: dict, *more: str) -> dict[str, dict]:
+    """Each key of ``section`` parsed by its entry in ``table``, grouped as
+    the table groups it.  A key not in the table is rejected: nothing would
+    read it (``more`` names further keys read elsewhere)."""
+    groups = {key: group for group, keys in table.items() for key in keys}
+    unknown = sorted(set(section).difference(groups))
     if unknown:
         raise ConfigError(f"unknown [{name}] key(s) {', '.join(unknown)}; "
-                          f"accepted keys: {', '.join(accepted)}")
-
-
-def _parse(kind, key: str, text: str):
-    try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} = {text!r} is not {noun}") from None
-
-
-def _number(section: dict, key: str, kind, default):
-    return _parse(kind, key, section[key]) if key in section else default
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
+                          f"accepted keys: {', '.join([*groups, *more])}")
+    out: dict[str, dict] = {group: {} for group in table}
+    for key, text in section.items():
+        field, kind = table[groups[key]][key]
+        out[groups[key]][field] = _parse(kind, key, text)
+    return out
 
 
 def _resolve_dataset(run_cfg: dict, task: TaskSpec):
-    if run_cfg.get("scenario"):
-        spec = scenarios.ScenarioSpec(
-            case=run_cfg["scenario"],
-            T=_parse(int, "rows", run_cfg["rows"]) if run_cfg.get("rows") else None,
-            seed=_number(run_cfg, "seed", int, 0))
-        dataset, _ = scenarios.generate(spec)
+    if run_cfg["scenario"]:
+        dataset, _ = scenarios.generate(scenarios.ScenarioSpec(**run_cfg["scenario"]))
         return dataset
-    schema = CsvSchema(
-        timestamp=run_cfg.get("timestamp_column", "ts"),
-        target=run_cfg.get("target_column", "y"),
-        target_owner=task.central_agent,
-        capacities=_parse_capacities(run_cfg.get("capacities")))
-    return ingest_csv(run_cfg["csv"], schema)
-
-
-def _parse_capacities(text: str | None):
-    if not text:
-        return None
-    out = {}
-    for part in text.split(","):
-        name, _, value = part.partition("=")
-        if not value:
-            raise ConfigError(f"capacity entry {part!r} is not name=value")
-        out[name.strip()] = _parse(float, "capacities", value)
-    return out
+    schema = dict(run_cfg["csv"])
+    return ingest_csv(schema.pop("path"), CsvSchema(target_owner=task.central_agent, **schema))
 
 
 if __name__ == "__main__":

@@ -123,16 +123,16 @@ class Dataset:
 class CsvSchema:
     """Column roles for CSV ingestion.
 
-    ``features`` of None means every non-timestamp, non-target column.
-    ``capacities`` holds nominal capacities; listed columns are divided by
-    them on ingestion (the normalisation used for power measurements).
+    Every column other than the timestamp and the target is a feature,
+    owned by an agent of its own name until the task's ownership map
+    replaces that.  ``capacities`` holds nominal capacities; listed columns
+    are divided by them on ingestion (the normalisation used for power
+    measurements).
     """
 
     timestamp: str = "ts"
     target: str = "y"
-    features: tuple[str, ...] | None = None
     capacities: Mapping[str, float] | None = None
-    ownership: Mapping[str, str] | None = None
     target_owner: str | None = None
 
 
@@ -154,13 +154,7 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
             raise SchemaError(f"missing timestamp column {schema.timestamp!r}")
         if schema.target not in header:
             raise SchemaError(f"missing target column {schema.target!r}")
-        feature_names = schema.features
-        if feature_names is None:
-            feature_names = tuple(h for h in header
-                                  if h not in (schema.timestamp, schema.target))
-        for name in feature_names:
-            if name not in header:
-                raise SchemaError(f"missing feature column {name!r}")
+        feature_names = [h for h in header if h not in (schema.timestamp, schema.target)]
         col_idx = {name: header.index(name) for name in header}
 
         ts_raw: list = []
@@ -198,11 +192,7 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
             else:
                 raise SchemaError(f"capacity given for unknown column {name!r}")
 
-    ownership = dict(schema.ownership) if schema.ownership else {n: n for n in feature_names}
-    for name in feature_names:
-        if name not in ownership:
-            ownership[name] = name
-    return Dataset(timestamps, target_arr, feat_arrs, ownership,
+    return Dataset(timestamps, target_arr, feat_arrs, {n: n for n in feature_names},
                    target_name=schema.target, target_owner=schema.target_owner)
 
 
@@ -218,16 +208,15 @@ def _parse_timestamps(raw: Sequence[str]) -> np.ndarray:
     return ts
 
 
-def make_lags(dataset: Dataset, lag_spec: Mapping[str, Sequence[int]],
-              keep_levels: bool = True) -> Dataset:
-    """Append lagged columns and trim rows that would look before t=0.
+def make_lags(dataset: Dataset, lag_spec: Mapping[str, Sequence[int]]) -> Dataset:
+    """Replace each lagged series by its lags and trim rows that would look
+    before t=0.
 
     ``lag_spec`` maps a series name (a feature or the target) to the lags
     wanted for it.  The first ``max(lag)`` rows are dropped so every
     remaining row has complete history; lagged columns inherit the owner
-    of their source series.  With ``keep_levels=False`` the contemporaneous
-    column of a lagged feature is removed, which is the ARX convention
-    where lags replace levels.
+    of their source series.  The contemporaneous column of a lagged
+    feature is removed: in the ARX convention lags replace levels.
     """
     if not lag_spec:
         return dataset
@@ -254,8 +243,7 @@ def make_lags(dataset: Dataset, lag_spec: Mapping[str, Sequence[int]],
     lineage = {n: src for n, src in dataset.lineage.items()}
     for name in sorted(lag_spec):
         src = series(name)
-        if not keep_levels and name in features:
-            del features[name]
+        features.pop(name, None)
         for d in sorted(set(lag_spec[name])):
             col = f"{name}[t-{d}]"
             features[col] = src[max_lag - d:dataset.T - d]

@@ -87,41 +87,26 @@ def _check_finite(eps):
     return arr
 
 
-def loss_value(eps, spec: LossSpec):
-    """Pointwise loss of a residual (scalar or array).
-
-    The smooth quantile loss is evaluated by :func:`loss_array`.
-    """
-    out = loss_array(_check_finite(eps), spec)
-    return out if out.ndim else float(out)
-
-
-def loss_h1(eps, spec: LossSpec):
-    """First derivative of the loss in the residual (the online update weight)."""
-    e = _check_finite(eps)
-    if spec.is_quadratic:
-        # convention: h1 = e, h2 = 1 reproduces recursive least squares;
-        # the 2x factor of d(e^2)/de cancels in the Newton ratio
-        out = e
-    elif spec.derivative_variant == ANALYTIC:
-        out = spec.tau - expit(-e / spec.alpha)
-    else:
-        out = spec.tau + spec.alpha * expit(e / spec.alpha) - expit(-e / spec.alpha)
+def _scalar_aware(out):
+    """An array result as it is, a 0-d one as a Python float."""
     return out if np.ndim(out) else float(out)
 
 
+def loss_value(eps, spec: LossSpec):
+    """Pointwise loss of a residual (scalar or array), by :func:`loss_array`."""
+    return _scalar_aware(loss_array(_check_finite(eps), spec))
+
+
+def loss_h1(eps, spec: LossSpec):
+    """First derivative of the loss in the residual (the online update
+    weight): the h1 of :func:`loss_derivatives`, for a scalar or array."""
+    return _scalar_aware(loss_derivatives(_check_finite(eps), spec)[0])
+
+
 def loss_h2(eps, spec: LossSpec):
-    """Second derivative of the loss in the residual; positive everywhere."""
-    e = _check_finite(eps)
-    if spec.is_quadratic:
-        out = np.ones_like(e)
-    else:
-        s = expit(e / spec.alpha) * expit(-e / spec.alpha)
-        if spec.derivative_variant == ANALYTIC:
-            out = s / spec.alpha
-        else:
-            out = (1.0 + spec.alpha) * s
-    return out if np.ndim(eps) else float(out)
+    """Second derivative of the loss in the residual, positive everywhere:
+    the h2 of :func:`loss_derivatives`, for a scalar or array."""
+    return _scalar_aware(loss_derivatives(_check_finite(eps), spec)[1])
 
 
 def loss_array(e: np.ndarray, spec: LossSpec) -> np.ndarray:
@@ -140,9 +125,11 @@ def loss_array(e: np.ndarray, spec: LossSpec) -> np.ndarray:
 
 
 def loss_derivatives(e: np.ndarray, spec: LossSpec):
-    """The h1 and h2 of a residual array, unchecked, bit for bit those of
-    :func:`loss_h1` and :func:`loss_h2`; each ``expit`` is computed once."""
+    """The h1 and h2 of a residual array, unchecked; each ``expit`` is
+    computed once."""
     if spec.is_quadratic:
+        # convention: h1 = e, h2 = 1 reproduces recursive least squares;
+        # the 2x factor of d(e^2)/de cancels in the Newton ratio
         return e, np.ones_like(e)
     up, down = expit(e / spec.alpha), expit(-e / spec.alpha)
     s = up * down

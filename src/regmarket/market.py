@@ -77,7 +77,7 @@ from .batch import (
 from .data import AugmentedDesign, Dataset, make_lags, polynomial_expand
 from .errors import EnumerationCapError, FeatureLookupError, ParameterError
 from .losses import LossSpec, insample_loss
-from .online import WARM_START, ZERO_START, OnlineSession
+from .online import WARM_START, ZERO_START, OnlineSession, SessionTrace
 
 SCHEMA_VERSION = 1
 UNIT_PLAYER = "__unit__"
@@ -279,7 +279,7 @@ def build_design(dataset: Dataset, task: TaskSpec) -> tuple[Dataset, AugmentedDe
     ds = dataset.with_ownership(task.ownership, target_owner=task.central_agent)
     if task.lags:
         # ARX recipes use lags in place of levels
-        ds = make_lags(ds, task.lags, keep_levels=False)
+        ds = make_lags(ds, task.lags)
     design = polynomial_expand(ds, task.degree, task.interactions)
     return ds, design
 
@@ -297,10 +297,19 @@ def has_mixed_terms(design: AugmentedDesign, central: frozenset, support: Sequen
     return any(t.support & central and t.support & sup for t in design.terms)
 
 
-def _prepare(dataset: Dataset, task: TaskSpec, support: Sequence[str] | None):
+def _prepare(dataset: Dataset, task: TaskSpec, market: str,
+             support: Sequence[str] | None) -> tuple[Dataset, AugmentedDesign,
+                                                     frozenset, MarketReport]:
     """The prologue every market shares: the dataset and design built from
-    the task, the central features, the traded support features (those in
-    ``support``, or all of them), the screened-out ones, and the owners."""
+    the task, the central features, and the report header.
+
+    The header holds the market, the central agent, the market's phi and
+    allocation policy, the traded support features (those in ``support``,
+    or all of them), the screened-out ones and the owners, with one row per
+    design row.  A market with no support feature to trade plays game
+    ``none`` and is settled as it stands.  The online and out-of-sample
+    markets require a separable model.
+    """
     ds, design = build_design(dataset, task)
     central, all_support = split_features(design, task)
     unknown = sorted(set(support or ()) - set(all_support))
@@ -308,14 +317,19 @@ def _prepare(dataset: Dataset, task: TaskSpec, support: Sequence[str] | None):
         raise FeatureLookupError(f"support names {unknown}, which are not support features "
                                  f"of the task: {list(all_support)}")
     chosen = tuple(sorted(support)) if support is not None else all_support
-    screened_out = tuple(sorted(set(all_support) - set(chosen)))
-    return ds, design, central, chosen, screened_out, dict(design.feature_owners)
-
-
-def _require_separable(design, central, support, market: str) -> None:
-    if has_mixed_terms(design, central, support):
-        raise ParameterError(
-            f"{market} market requires a model without central/support interaction terms")
+    oos = market == "oos"
+    if market != "batch" and has_mixed_terms(design, central, chosen):
+        raise ParameterError(f"{'out-of-sample' if oos else market} market requires a "
+                             "model without central/support interaction terms")
+    report = MarketReport(
+        market=market, central_agent=task.central_agent, rows=design.T,
+        phi=task.phi_oos if oos else task.phi_insample,
+        allocation_policy=task.oos_allocation_policy if oos else task.allocation_policy,
+        game="support-coalitions" if chosen else "none", support=chosen,
+        feature_owners=dict(design.feature_owners),
+        screened_out=tuple(sorted(set(all_support) - set(chosen))),
+        notes={} if chosen else {"reason": "no support features"})
+    return ds, design, central, report
 
 
 def _loss_table(losses: Mapping[frozenset, float]) -> dict[str, float]:
@@ -327,8 +341,8 @@ def _loss_table(losses: Mapping[frozenset, float]) -> dict[str, float]:
 def fit_all_coalitions(dataset: Dataset, task: TaskSpec,
                        support: Sequence[str] | None = None) -> CoalitionLossTable:
     """Task-level wrapper: build the design, then fit every coalition."""
-    ds, design, central, chosen, _, _ = _prepare(dataset, task, support)
-    return _fit_table(design, ds.target, central=central, support=chosen,
+    ds, design, central, report = _prepare(dataset, task, "batch", support)
+    return _fit_table(design, ds.target, central=central, support=report.support,
                       spec=task.loss, cap=task.enumeration_cap)
 
 
@@ -343,10 +357,10 @@ def screen_features(dataset: Dataset, task: TaskSpec) -> tuple[str, ...]:
     loss of a 5-fold cross-validation.  Each feature is fitted on its own,
     so screening runs above the enumeration cap.
     """
-    ds, design, central, support, _, _ = _prepare(dataset, task, None)
+    ds, design, central, report = _prepare(dataset, task, "batch", None)
     X, y = design.values, ds.target
     retained = []
-    for k in support:
+    for k in report.support:
         reduction, base = _cv_improvement(design, X, y, central, k, task.loss)
         # "> 0" up to solver noise, so an exactly valueless column with
         # a jittered fit still reads as zero
@@ -405,7 +419,8 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
         time=np.array(times, dtype=object)[rows].tolist(), payer=[task.central_agent] * n,
         payee=np.array([owners[k] for k in features], dtype=object)[cols].tolist(),
         feature=np.array(features, dtype=object)[cols].tolist(),
-        amount=np.array(list(pay_series.values()), dtype=object)[cols, rows].tolist(),
+        amount=np.array(list(pay_series.values()), dtype=object).reshape(paid.T.shape)[
+            cols, rows].tolist(),
         market=[report.market] * n)
     if surplus is not None:
         report.series.update({
@@ -430,17 +445,6 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
     return report
 
 
-def _empty_report(task: TaskSpec, market: str, rows: int, owners, phi,
-                  policy: str) -> MarketReport:
-    """The audited report of a market with no support feature to trade."""
-    report = MarketReport(market=market, central_agent=task.central_agent, rows=rows,
-                          phi=phi, allocation_policy=policy,
-                          game="none", support=(), feature_owners=dict(owners),
-                          notes={"reason": "no support features"})
-    report.audit = audit_ledger(report).to_dict()
-    return report
-
-
 # ---------------------------------------------------------------------------
 # batch market
 
@@ -456,46 +460,44 @@ def clear_batch_market(dataset: Dataset, task: TaskSpec,
     """
     if not previously_billed >= 0:
         raise ParameterError("previously billed rows must be >= 0")
-    ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
-    if not chosen:
-        return _empty_report(task, "batch", design.T, owners, task.phi_insample,
-                             task.allocation_policy)
-    billable = max(design.T - previously_billed, 0)
-    game = (_batch_feature_game if has_mixed_terms(design, central, chosen)
+    ds, design, central, report = _prepare(dataset, task, "batch", support)
+    if not report.support:
+        return _settle(report, task, np.zeros((0, 0)), [])
+    report.rows = max(design.T - previously_billed, 0)
+    game = (_batch_feature_game if has_mixed_terms(design, central, report.support)
             else _batch_support_game)
-    report, players, losses, pot = game(design, ds.target, task, central, chosen, owners,
-                                        billable)
-    report.screened_out = screened_out
-    return _allocate_and_pay(report, task, players, losses, pot, ["batch"])
+    players, losses, base_loss = game(report, design, ds.target, task, central)
+    report.surplus = report.central_loss - report.full_loss
+    report.loss_table = _loss_table(losses)
+    scale = report.rows * task.loss_scale * task.phi_insample
+    report.benchmark_payment = max(scale * report.surplus, 0.0)
+    return _allocate_and_pay(report, task, players, losses,
+                             scale * (base_loss - report.full_loss), ["batch"])
 
 
-def _batch_support_game(design, y, task: TaskSpec, central, support, owners, billable):
-    """The coalition game over support features: its report, players,
-    coalition losses and the pot its shares are paid from."""
-    table = _fit_table(design, y, central=central, support=support,
+def _batch_support_game(report: MarketReport, design, y, task: TaskSpec, central):
+    """The coalition game over support features on top of the central
+    model.  It sets the report's central and full losses and notes, and
+    returns its players, its coalition losses and the loss its pot is
+    measured from: the central loss."""
+    table = _fit_table(design, y, central=central, support=report.support,
                        spec=task.loss, cap=task.enumeration_cap)
-    report = MarketReport(
-        market="batch", central_agent=task.central_agent, rows=billable,
-        phi=task.phi_insample, allocation_policy=task.allocation_policy,
-        game="support-coalitions", support=support, feature_owners=owners,
-        central_loss=table.central_loss, full_loss=table.full_loss,
-        surplus=table.surplus, loss_table=_loss_table(table.losses),
-        notes={"max_jitter": max(f.jitter for f in table.fits.values())})
-    pot = billable * task.loss_scale * task.phi_insample * table.surplus
-    report.benchmark_payment = max(pot, 0.0)
-    return report, support, table.losses, pot
+    report.central_loss, report.full_loss = table.central_loss, table.full_loss
+    report.notes = {"max_jitter": max(f.jitter for f in table.fits.values())}
+    return report.support, table.losses, table.central_loss
 
 
-def _batch_feature_game(design, y, task: TaskSpec, central, support, owners, billable):
+def _batch_feature_game(report: MarketReport, design, y, task: TaskSpec, central):
     """Feature-level game for designs with central/support interaction terms.
 
     Players are the unit feature, the central agent's features and the
     support features; the value of a coalition is the batch loss of the
     terms it can build.  Support agents receive their Shapley share of the
-    improvement from the intercept-only model to the grand model.  Leave-one-out
-    has no feature-game analogue: ``loo-a`` and ``loo-b`` apply ``shapley``.
+    improvement from the intercept-only model to the grand model, so the
+    pot is measured from the intercept-only loss.  Leave-one-out has no
+    feature-game analogue: ``loo-a`` and ``loo-b`` apply ``shapley``.
     """
-    players = (UNIT_PLAYER,) + tuple(sorted(central)) + tuple(support)
+    players = (UNIT_PLAYER,) + tuple(sorted(central)) + report.support
     if len(players) > task.enumeration_cap:
         raise EnumerationCapError(
             f"{len(players)} players exceed the enumeration cap "
@@ -514,18 +516,13 @@ def _batch_feature_game(design, y, task: TaskSpec, central, support, owners, bil
     full_loss = values[frozenset(players)]
     base_loss = values[frozenset({UNIT_PLAYER})]
     policy = task.allocation_policy
-    applied = "shapley" if POLICY_VARIANT[policy] in (DROP_ONE, ADD_ONE) else policy
-    report = MarketReport(
-        market="batch", central_agent=task.central_agent, rows=billable,
-        phi=task.phi_insample, allocation_policy=applied,
-        game="feature-game", support=support, feature_owners=owners,
-        central_loss=central_loss, full_loss=full_loss,
-        surplus=central_loss - full_loss, loss_table=_loss_table(values),
-        notes={"players": list(players), "game_total": values[frozenset()] - full_loss,
-               "intercept_only_loss": base_loss, "requested_policy": policy})
-    scale = billable * task.loss_scale * task.phi_insample
-    report.benchmark_payment = max(scale * (central_loss - full_loss), 0.0)
-    return report, players, values, scale * (base_loss - full_loss)
+    if POLICY_VARIANT[policy] in (DROP_ONE, ADD_ONE):
+        report.allocation_policy = "shapley"
+    report.game = "feature-game"
+    report.central_loss, report.full_loss = central_loss, full_loss
+    report.notes = {"players": list(players), "game_total": values[frozenset()] - full_loss,
+                    "intercept_only_loss": base_loss, "requested_policy": policy}
+    return players, values, base_loss
 
 
 def _allocate_and_pay(report: MarketReport, task: TaskSpec, players, losses, pot,
@@ -561,15 +558,11 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
                       support: Sequence[str] | None = None) -> MarketReport:
     """Stream the dataset through per-coalition recursive estimators and pay
     per step from time-varying loss estimates and allocations."""
-    ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
-    phi = task.phi_insample
-    if not chosen:
-        return _empty_report(task, "online", design.T, owners, phi, task.allocation_policy)
-    _require_separable(design, central, chosen, "online")
-
-    X, y = design.values, ds.target
-    session, w = _start_session(design, X, y, central, chosen, task)
-    trace = session.stream(X[w:], y[w:])
+    ds, design, central, report = _prepare(dataset, task, "online", support)
+    if not report.support:
+        return _settle(report, task, np.zeros((0, 0)), [])
+    chosen = report.support
+    session, w, trace = _stream_session(design, ds.target, central, chosen, task)
     # allocate on the recursively maintained loss estimates: by the
     # linearity of Shapley values this equals exponential smoothing of
     # the per-step unnormalised contributions, and it avoids the heavy
@@ -577,35 +570,36 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
     ewma = {c: trace.ewma[:, j] for j, c in enumerate(session.coalitions)}
     grand = frozenset(chosen)
     surplus = ewma[frozenset()] - ewma[grand]
-    pot = np.where(trace.ready, task.loss_scale * phi * np.maximum(surplus, 0.0), 0.0)
+    pot = np.where(trace.ready, task.loss_scale * report.phi * np.maximum(surplus, 0.0),
+                   0.0)
     final = session.ewma_losses()
-    report = MarketReport(
-        market="online", central_agent=task.central_agent, rows=design.T - w,
-        phi=phi, allocation_policy=task.allocation_policy,
-        game="support-coalitions", support=chosen, feature_owners=owners,
-        screened_out=screened_out, central_loss=final[frozenset()],
-        full_loss=final[grand], surplus=final[frozenset()] - final[grand],
-        loss_table=_loss_table(final), benchmark_payment=math.fsum(pot.tolist()))
+    report.rows = design.T - w
+    report.central_loss, report.full_loss = final[frozenset()], final[grand]
+    report.surplus = report.central_loss - report.full_loss
+    report.loss_table = _loss_table(final)
+    report.benchmark_payment = math.fsum(pot.tolist())
     return _allocate_and_pay(report, task, chosen, ewma, pot, list(range(w, design.T)),
                              surplus)
 
 
-def _start_session(design, X, y, central, support,
-                   task: TaskSpec) -> tuple[OnlineSession, int]:
+def _stream_session(design, y, central, support,
+                    task: TaskSpec) -> tuple[OnlineSession, int, SessionTrace]:
     """A session over every coalition of ``support``, within the task's
-    enumeration cap and initialised by its policy, and its first streamed row."""
+    enumeration cap and initialised by its policy, its first streamed row,
+    and the trace of streaming the rows from there."""
     check_enumeration_cap(support, task.enumeration_cap)
+    X = design.values
     session = OnlineSession(design, central, list(enumerate_coalitions(support)),
                             task.lam, task.loss)
     if task.init_policy == WARM_START:
         w = task.warmup
         if w >= design.T:
             raise ParameterError("warm-up consumes the whole dataset")
-        session.init_states(X[:w], y[:w], WARM_START, min_warm=w)
+        session.init_states(X[:w], y[:w], WARM_START)
     else:
         w = 0
         session.init_states(None, None, ZERO_START)
-    return session, w
+    return session, w, session.stream(X[w:], y[w:])
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +618,10 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     realised surplus pays every feature its contribution under
     ``task.oos_allocation_policy``, clamped at zero.
     """
-    ds, design, central, chosen, screened_out, owners = _prepare(dataset, task, support)
-    phi = task.phi_oos
-    if not chosen:
-        return _empty_report(task, "oos", design.T, owners, phi, task.oos_allocation_policy)
-    _require_separable(design, central, chosen, "out-of-sample")
+    ds, design, central, report = _prepare(dataset, task, "oos", support)
+    if not report.support:
+        return _settle(report, task, np.zeros((0, 0)), [])
+    chosen = report.support
     if model_source not in ("batch", "online"):
         raise ParameterError(f"unknown model source {model_source!r}")
 
@@ -642,13 +635,13 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
         losses_by_coalition = _batch_oos_losses(design, X, y, train, central, chosen,
                                                 task)
     else:
-        eval_rows, losses_by_coalition = _online_oos_losses(
-            design, X, y, central, chosen, task)
+        eval_rows, losses_by_coalition = _online_oos_losses(design, y, central, chosen,
+                                                            task)
     if len(eval_rows) < 1:
         raise ParameterError("no evaluation rows left for the out-of-sample market")
 
     grand = frozenset(chosen)
-    scale = task.loss_scale * phi
+    scale = task.loss_scale * report.phi
     surplus = losses_by_coalition[frozenset()] - losses_by_coalition[grand]
     contribs, _ = step_contributions(losses_by_coalition, chosen,
                                      POLICY_VARIANT[task.oos_allocation_policy])
@@ -657,15 +650,12 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     total = float(np.sum(np.maximum(surplus, 0.0)))
     shares = {k: float(np.sum(np.maximum(paid[k], 0.0))) / total if total > 0 else 0.0
               for k in chosen}
-    report = MarketReport(
-        market="oos", central_agent=task.central_agent, rows=len(eval_rows),
-        phi=phi, allocation_policy=task.oos_allocation_policy, game="support-coalitions",
-        support=chosen, feature_owners=owners, screened_out=screened_out,
-        allocations=shares, benchmark_payment=total * scale,
-        central_loss=float(np.mean(losses_by_coalition[frozenset()])),
-        full_loss=float(np.mean(losses_by_coalition[grand])),
-        metrics=_oos_metrics(losses_by_coalition, grand, n_windows),
-        notes={"model_source": model_source})
+    report.rows, report.allocations = len(eval_rows), shares
+    report.benchmark_payment = total * scale
+    report.central_loss = float(np.mean(losses_by_coalition[frozenset()]))
+    report.full_loss = float(np.mean(losses_by_coalition[grand]))
+    report.metrics = _oos_metrics(losses_by_coalition, grand, n_windows)
+    report.notes = {"model_source": model_source}
     report.surplus = report.central_loss - report.full_loss
     amounts = np.column_stack([paid[k] for k in chosen]) * scale
     return _settle(report, task, amounts, [int(t) for t in eval_rows], surplus)
@@ -679,9 +669,8 @@ def _batch_oos_losses(design, X, y, train, central, support, task):
     return dict(zip(table.losses, losses))
 
 
-def _online_oos_losses(design, X, y, central, support, task):
-    session, w = _start_session(design, X, y, central, support, task)
-    trace = session.stream(X[w:], y[w:])
+def _online_oos_losses(design, y, central, support, task):
+    session, w, trace = _stream_session(design, y, central, support, task)
     losses = trace.losses[trace.ready]
     return (np.arange(w, design.T)[trace.ready],
             {c: losses[:, j] for j, c in enumerate(session.coalitions)})

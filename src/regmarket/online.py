@@ -131,13 +131,13 @@ def _lambda_weighted_gram(X: np.ndarray, weights: np.ndarray, lam: float) -> np.
 
 
 def init_state(X_warm: np.ndarray | None, y_warm: np.ndarray | None,
-               policy: str, spec: LossSpec, lam: float, n: int | None = None,
-               min_warm: int = 100) -> OnlineState:
+               policy: str, spec: LossSpec, lam: float,
+               n: int | None = None) -> OnlineState:
     """Build the initial state from a warm-up slice or from nothing.
 
-    Warm start requires the slice to cover at least ``max(n, min_warm)``
-    rows.  Zero start defers coefficient updates until 2n rows (at least)
-    have accumulated a positive-definite memory.
+    Warm start requires the slice to have at least as many rows as the
+    design has columns.  Zero start defers coefficient updates until 2n
+    rows (at least) have accumulated a positive-definite memory.
     """
     if policy == ZERO_START:
         if n is None:
@@ -152,11 +152,9 @@ def init_state(X_warm: np.ndarray | None, y_warm: np.ndarray | None,
         raise ParameterError("warm-start needs a warm-up slice")
     X_warm = np.asarray(X_warm, dtype=float)
     y_warm = np.asarray(y_warm, dtype=float)
-    dim = X_warm.shape[1]
-    need = max(dim, min_warm)
-    if X_warm.shape[0] < need:
+    if X_warm.shape[0] < X_warm.shape[1]:
         raise ParameterError(
-            f"warm-start slice has {X_warm.shape[0]} rows, needs >= {need}")
+            f"warm-start slice has {X_warm.shape[0]} rows, needs >= {X_warm.shape[1]}")
     fit = fit_matrix(X_warm, y_warm, spec)
     res = y_warm - X_warm @ fit.coefficients
     memory = _lambda_weighted_gram(X_warm, loss_h2(res, spec), lam)
@@ -498,10 +496,10 @@ class OnlineSession:
                                      [f"coalition {sorted(c)}" for c in self.columns])
 
     def init_states(self, X_warm: np.ndarray | None, y_warm: np.ndarray | None,
-                    policy: str, min_warm: int = 100) -> None:
+                    policy: str) -> None:
         self._set_states([
             init_state(None if X_warm is None else X_warm[:, list(idx)], y_warm,
-                       policy, self.spec, self.lam, n=len(idx), min_warm=min_warm)
+                       policy, self.spec, self.lam, n=len(idx))
             for idx in self.columns.values()])
 
     def step(self, x_row: np.ndarray, y_t: float) -> dict[frozenset, tuple[float, float]]:

@@ -78,7 +78,8 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 
 def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
-    """Simulate a scenario; returns the dataset and its ground-truth record."""
+    """Simulate a scenario; returns the dataset and its ground-truth
+    record, which starts with the case, the seed and T."""
     builder = {
         "batch-linear": _gen_batch_linear,
         "batch-poly": _gen_batch_poly,
@@ -87,7 +88,8 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
         "online-quantile": _gen_online_quantile,
         "multi-agent-arx": _gen_multi_agent,
     }[spec.case]
-    return builder(spec)
+    dataset, truth = builder(spec)
+    return dataset, {"case": spec.case, "seed": spec.seed, "T": spec.rows, **truth}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,6 @@ def _gen_batch_linear(spec: ScenarioSpec):
     explained = {k: betas[k] ** 2 for k in ("x2", "x3", "x4")}
     surplus = sum(explained.values())
     truth = {
-        "case": spec.case, "seed": spec.seed, "T": T,
         "beta0": p["beta0"], "beta": betas, "sigma_eps": p["sigma_eps"],
         "analytic": {
             "central_loss": surplus + p["sigma_eps"] ** 2,
@@ -134,7 +135,6 @@ def _gen_batch_poly(spec: ScenarioSpec):
                  ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
                  target_owner="a1")
     truth = {
-        "case": spec.case, "seed": spec.seed, "T": T,
         "beta": {"1": 0.2, "x1": -0.4, "x2": 0.6, "x3": 0.3,
                  "x2^2": 0.1, "x1*x3": -0.4},
         "sigma_eps": p["sigma_eps"],
@@ -153,25 +153,14 @@ def _gen_batch_arx_quantile(spec: ScenarioSpec):
          "beta": {"x2": -0.32, "x3": -0.06, "x4": 0.19},
          "sigma_eps": 0.3, "burn": 200}
     p.update(spec.params)
-    burn = p["burn"]
-    n = T + burn
-    xs = {k: stream(spec.seed, k).normal(0.0, 1.0, n) for k in sorted(p["beta"])}
-    eps = stream(spec.seed, "eps").normal(0.0, p["sigma_eps"], n)
-    y = np.zeros(n)
-    for t in range(1, n):
-        y[t] = (p["beta0"] + p["ar"] * y[t - 1]
-                + sum(p["beta"][k] * xs[k][t - 1] for k in sorted(p["beta"]))
-                + eps[t])
-    sl = slice(burn, None)
-    ds = Dataset(np.arange(T), y[sl], {k: v[sl] for k, v in xs.items()},
-                 ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
-                 target_owner="a1")
+    n = T + p["burn"]
+    ds = _arx_dataset(spec, p, np.full(n, p["ar"]),
+                      {k: np.full(n, b) for k, b in sorted(p["beta"].items())})
     var_u = sum(b ** 2 for b in p["beta"].values()) + p["sigma_eps"] ** 2
     # the expected pinball loss of N(0, s^2) at its own tau-quantile is
     # s * pdf(inv_cdf(tau)) of the standard normal
     density = {tau: _STD_NORMAL.pdf(_STD_NORMAL.inv_cdf(tau)) for tau in (0.1, 0.75)}
     truth = {
-        "case": spec.case, "seed": spec.seed, "T": T,
         "beta0": p["beta0"], "ar": p["ar"], "beta": p["beta"],
         "sigma_eps": p["sigma_eps"],
         "analytic": {
@@ -195,7 +184,6 @@ def _gen_online_arx(spec: ScenarioSpec):
     p = {"beta0": 0.1, "sigma_eps": 0.3, "burn": 200}
     p.update(spec.params)
     burn = p["burn"]
-    n = T + burn
     t_axis = np.arange(-burn, T) / T
     traj = {
         "y": 0.35 + 0.10 * np.sin(2 * np.pi * t_axis),
@@ -203,23 +191,35 @@ def _gen_online_arx(spec: ScenarioSpec):
         "x3": 0.5 + 0.35 * np.sin(3 * np.pi * t_axis),
         "x4": 0.4 * np.clip(1.0 - 2.0 * t_axis, 0.0, 1.0),
     }
-    xs = {k: stream(spec.seed, k).normal(0.0, 1.0, n) for k in ("x2", "x3", "x4")}
+    ds = _arx_dataset(spec, p, traj["y"], {k: traj[k] for k in ("x2", "x3", "x4")})
+    truth = {
+        "beta0": p["beta0"], "sigma_eps": p["sigma_eps"],
+        "trajectories": {k: traj[k][burn:].tolist() for k in sorted(traj)},
+    }
+    return ds, truth
+
+
+def _arx_dataset(spec: ScenarioSpec, p: dict, ar: np.ndarray,
+                 coefs: dict[str, np.ndarray]) -> Dataset:
+    """The ARX process of both ARX cases, with one coefficient per step:
+
+        y_t = beta0 + ar_t * y_{t-1} + sum_k coefs[k]_t * x_{k,t-1} + eps_t
+
+    from y_0 = 0 over ``p["burn"]`` steps before the ``spec.rows`` kept.
+    Each feature in ``coefs`` is standard normal, eps is N(0, sigma_eps^2).
+    """
+    n = spec.rows + p["burn"]
+    xs = {k: stream(spec.seed, k).normal(0.0, 1.0, n) for k in coefs}
     eps = stream(spec.seed, "eps").normal(0.0, p["sigma_eps"], n)
     y = np.zeros(n)
     for t in range(1, n):
-        y[t] = (p["beta0"] + traj["y"][t] * y[t - 1]
-                + sum(traj[k][t] * xs[k][t - 1] for k in ("x2", "x3", "x4"))
+        y[t] = (p["beta0"] + ar[t] * y[t - 1]
+                + sum(coefs[k][t] * xs[k][t - 1] for k in coefs)
                 + eps[t])
-    sl = slice(burn, None)
-    ds = Dataset(np.arange(T), y[sl], {k: v[sl] for k, v in xs.items()},
-                 ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
-                 target_owner="a1")
-    truth = {
-        "case": spec.case, "seed": spec.seed, "T": T,
-        "beta0": p["beta0"], "sigma_eps": p["sigma_eps"],
-        "trajectories": {k: traj[k][sl].tolist() for k in sorted(traj)},
-    }
-    return ds, truth
+    sl = slice(p["burn"], None)
+    return Dataset(np.arange(spec.rows), y[sl], {k: v[sl] for k, v in xs.items()},
+                   ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
+                   target_owner="a1")
 
 
 def _gen_online_quantile(spec: ScenarioSpec):
@@ -249,7 +249,6 @@ def _gen_online_quantile(spec: ScenarioSpec):
         return (p["beta4"] * p["sigma_eps"] * z) ** 2 / 12.0
 
     truth = {
-        "case": spec.case, "seed": spec.seed, "T": T,
         "beta0": p["beta0"], "beta4": p["beta4"], "sigma_eps": p["sigma_eps"],
         "trajectories": {k: v.tolist() for k, v in sorted(traj.items())},
         "analytic": {"x4_quantile_signal": {str(tau): x4_quantile_signal(tau)
@@ -296,7 +295,6 @@ def _gen_multi_agent(spec: ScenarioSpec):
                  ownership={f"y{j + 1}": f"a{j + 1}" for j in range(n_agents)},
                  target_owner="a1")
     truth = {
-        "case": spec.case, "seed": spec.seed, "T": T,
         "n_agents": n_agents, "sigma_eps": p["sigma_eps"],
         "var_matrix": A.tolist(),
     }
@@ -330,13 +328,11 @@ def task_for_case(spec: ScenarioSpec) -> TaskSpec:
     if spec.case == "batch-linear":
         return TaskSpec(central_agent="a1",
                         ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
-                        loss=LossSpec("quadratic"), degree=1,
                         phi_insample=params.get("phi", 0.1))
     if spec.case == "batch-poly":
         return TaskSpec(central_agent="a1",
                         ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
-                        loss=LossSpec("quadratic"), degree=2, interactions=True,
-                        phi_insample=params.get("phi", 0.1))
+                        degree=2, phi_insample=params.get("phi", 0.1))
     if spec.case == "batch-arx-quantile":
         tau = params.get("tau", 0.1)
         return TaskSpec(central_agent="a1",
@@ -344,13 +340,12 @@ def task_for_case(spec: ScenarioSpec) -> TaskSpec:
                         loss=LossSpec("smooth-quantile", tau=tau,
                                       alpha=params.get("alpha", 0.03)),
                         lags={"y": (1,), "x2": (1,), "x3": (1,), "x4": (1,)},
-                        degree=1, phi_insample=params.get("phi", 1.0))
+                        phi_insample=params.get("phi", 1.0))
     if spec.case == "online-arx":
         return TaskSpec(central_agent="a1",
                         ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
-                        loss=LossSpec("quadratic"),
                         lags={"y": (1,), "x2": (1,), "x3": (1,), "x4": (1,)},
-                        degree=1, phi_insample=params.get("phi", 0.1),
+                        phi_insample=params.get("phi", 0.1),
                         lam=params.get("lam", 0.998),
                         warmup=params.get("warmup", 100))
     if spec.case == "online-quantile":
@@ -359,7 +354,7 @@ def task_for_case(spec: ScenarioSpec) -> TaskSpec:
                         ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
                         loss=LossSpec("smooth-quantile", tau=tau,
                                       alpha=params.get("alpha", 0.2)),
-                        degree=1, phi_insample=params.get("phi", 0.1),
+                        phi_insample=params.get("phi", 0.1),
                         lam=params.get("lam", 0.999),
                         warmup=params.get("warmup", 150))
     if spec.case == "multi-agent-arx":
@@ -380,11 +375,9 @@ def run_scenario(case: str, seed: int = 0, T: int | None = None,
     bundle: dict = {"case": case, "seed": seed, "truth": truth,
                     "small_sample": spec.rows < 1000}
     if case in ("batch-linear", "batch-poly", "batch-arx-quantile"):
-        task = task_for_case(spec)
-        bundle["report"] = clear_batch_market(ds, task)
+        bundle["report"] = clear_batch_market(ds, task_for_case(spec))
     elif case in ("online-arx", "online-quantile"):
-        task = task_for_case(spec)
-        bundle["report"] = run_online_market(ds, task)
+        bundle["report"] = run_online_market(ds, task_for_case(spec))
     elif case == "multi-agent-arx":
         bundle["reports"] = _run_multi_agent(ds, spec)
     return bundle
@@ -392,17 +385,16 @@ def run_scenario(case: str, seed: int = 0, T: int | None = None,
 
 def _run_multi_agent(ds: Dataset, spec: ScenarioSpec) -> dict:
     params = spec.params
-    n_agents = params.get("n_agents", 9)
     train = params.get("train_rows", spec.rows // 2)
     out: dict[str, dict] = {}
-    for j in range(1, n_agents + 1):
+    for j in range(1, len(ds.features) + 1):
         central = f"a{j}"
         view = dataset_for_central(ds, j)
         lags = {view.target_name: (1, 2)}
         for name in view.features:
             lags[name] = (1,)
         task = TaskSpec(central_agent=central, ownership=dict(view.ownership),
-                        loss=LossSpec("quadratic"), lags=lags, degree=1,
+                        lags=lags,
                         phi_insample=params.get("phi_insample", 0.5),
                         phi_oos=params.get("phi_oos", 1.5),
                         train_rows=train,

@@ -2,10 +2,12 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from regmarket.cli import main
+from regmarket import LossSpec, TaskSpec
+from regmarket.cli import TASK_KEYS, load_config, main
 
 CONFIG = """\
 [run]
@@ -363,3 +365,52 @@ def test_error_while_clearing_leaves_no_output_directory(tmp_path, capsys):
     assert code == 1
     assert "exceed the exact enumeration cap (1)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, line, key, other", [
+    ("scenario", "capacities = y=2.96", "capacities", "csv"),
+    ("scenario", "timestamp_column = when", "timestamp_column", "csv"),
+    ("scenario", "target_column = nope", "target_column", "csv"),
+    ("csv", "rows = 600", "rows", "scenario"),
+    ("csv", "seed = 4", "seed", "scenario"),
+])
+def test_run_key_of_the_other_dataset_source_is_config_error(tmp_path, capsys, source,
+                                                             line, key, other):
+    # each such key would be accepted and ignored: it only sets its own source
+    text = CONFIG.format(out=tmp_path / "out").replace("rows = 600\nseed = 4\n", "")
+    if source == "csv":
+        assert run_cli(["simulate", "--case", "batch-linear", "--rows", "300",
+                        "--out", str(tmp_path)]) == 0
+        text = text.replace("scenario = batch-linear\n", f"csv = {tmp_path / 'dataset.csv'}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("[run]\n", f"[run]\n{line}\n"))
+    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"[run] key(s) {key} apply to a {other} source" in err
+    assert f"the dataset source is {source}" in err
+    assert not (tmp_path / "out").exists()
+
+
+# the TaskSpec fields no [task] key sets: [ownership] and lags_<series> set
+# the first two, the loss keys the LossSpec, and the flags are library-only
+NOT_TASK_KEYS = ("ownership", "lags", "loss", "flag_duplicates", "flag_dummies")
+
+
+def test_task_keys_set_every_spec_field_exactly_once():
+    set_by = {group: sorted(name for name, _ in keys.values())
+              for group, keys in TASK_KEYS.items()}
+    assert set_by == {
+        "loss": sorted(f.name for f in fields(LossSpec)),
+        "task": sorted(f.name for f in fields(TaskSpec) if f.name not in NOT_TASK_KEYS)}
+
+
+def test_task_keys_left_out_keep_the_spec_defaults(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nscenario = batch-linear\n\n[task]\ncentral_agent = a1\n")
+    run, task, screening = load_config(cfg)
+    expected = TaskSpec(central_agent="a1", ownership={})
+    assert {f.name: getattr(task, f.name) for f in fields(TaskSpec)} == \
+        {f.name: getattr(expected, f.name) for f in fields(TaskSpec)}
+    assert run == {"run": {}, "oos": {}, "scenario": {"case": "batch-linear"}, "csv": {}}
+    assert screening is None

@@ -110,10 +110,8 @@ def test_make_lags_arx_recipe_produces_four_columns():
     assert sorted(lagged) == ["x2[t-1]", "x3[t-1]", "x4[t-1]", "y[t-1]"]
     assert out.owner_of("y[t-1]") == "a1"
     assert out.owner_of("x3[t-1]") == "a3"
-    # levels stay by default, disappear under the ARX convention
-    assert "x2" in out.features
-    replaced = make_lags(ds, {"x2": (1,)}, keep_levels=False)
-    assert "x2" not in replaced.features and "x2[t-1]" in replaced.features
+    # lags replace levels, the ARX convention
+    assert "x2" not in out.features
 
 
 def test_make_lags_rejects_bad_lags():
@@ -158,8 +156,7 @@ def test_lags_then_linear_expand_reproduces_arx_design():
     feats = {"x1": rng.normal(size=9), "x2": rng.normal(size=9)}
     ds = Dataset(np.arange(9), rng.normal(size=9), feats,
                  {"x1": "a2", "x2": "a3"}, target_owner="a1")
-    lagged = make_lags(ds, {"y": (1,), "x1": (1,), "x2": (1,)},
-                       keep_levels=False)
+    lagged = make_lags(ds, {"y": (1,), "x1": (1,), "x2": (1,)})
     design = polynomial_expand(lagged, degree=1,
                                include_interactions=False)
     assert design.term_names == ("1", "x1[t-1]", "x2[t-1]", "y[t-1]")

@@ -322,6 +322,27 @@ def test_screened_out_features_pay_zero_in_the_online_and_oos_markets(clear):
     run_online_market,
     lambda ds, task, support: run_oos_market(ds, task, "batch", support=support),
 ], ids=["batch", "online", "oos"])
+def test_market_with_no_traded_feature_keeps_its_screened_out_features(clear):
+    # screening may keep no feature at all: the market then lists, pays
+    # and audits the features it dropped as it does when it keeps some
+    spec = ScenarioSpec("batch-linear", T=500, seed=3)
+    ds, _ = generate(spec)
+    task = replace(task_for_case(spec), flag_dummies=("x4",))
+    report = clear(ds, task, support=())
+    assert report.game == "none" and report.support == ()
+    assert report.screened_out == ("x2", "x3", "x4")
+    zeros = {"x2": 0.0, "x3": 0.0, "x4": 0.0}
+    assert report.payments == zeros and report.ledger == []
+    assert report.flag_dummies == ("x4",)
+    assert report.audit["checks"]["zero_element"] == {"passed": True, "payments": zeros}
+    assert report.audit["passed"]
+
+
+@pytest.mark.parametrize("clear", [
+    clear_batch_market,
+    run_online_market,
+    lambda ds, task, support: run_oos_market(ds, task, "batch", support=support),
+], ids=["batch", "online", "oos"])
 @pytest.mark.parametrize("support", [
     ("x2", "zz"),       # a name the design does not have
     ("x2", "x1"),       # the central agent's own feature
@@ -492,7 +513,7 @@ def test_online_market_pays_each_step_on_its_instant_allocation(policy):
     X, y = design.values, dsl.target
     session = OnlineSession(design, central, list(enumerate_coalitions(support)),
                             task.lam, task.loss)
-    session.init_states(X[:100], y[:100], "warm-start", min_warm=100)
+    session.init_states(X[:100], y[:100], "warm-start")
     trace = session.stream(X[100:], y[100:])
     clamped = booked = 0
     for i in range(len(trace.ready)):

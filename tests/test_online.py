@@ -54,7 +54,7 @@ def test_zero_start_initialises_flat():
 def test_warm_start_requires_enough_rows():
     X, y, _ = stream_data(T=3, n=4)
     with pytest.raises(ParameterError):
-        init_state(X, y, WARM_START, QUAD, 0.99, min_warm=2)
+        init_state(X, y, WARM_START, QUAD, 0.99)
 
 
 def test_warm_start_recovers_coefficients():
@@ -66,7 +66,7 @@ def test_warm_start_recovers_coefficients():
         X = np.column_stack([np.ones(T), rng.normal(size=(T, 2))])
         beta = np.array([0.1, -0.3, 0.5])
         y = X @ beta + rng.normal(0, 0.3, T)
-        st = init_state(X, y, WARM_START, QUAD, 0.998, min_warm=100)
+        st = init_state(X, y, WARM_START, QUAD, 0.998)
         gaps.append(abs(st.coefficients[2] - 0.5))
     assert np.mean(gaps) < 0.05
     assert max(gaps) < 0.15
@@ -77,7 +77,7 @@ def test_warm_start_memory_matches_recursion():
     # same memory the warm start computes in closed form
     X, y, _ = stream_data(T=60, n=3, seed=5)
     lam = 0.97
-    warm = init_state(X, y, WARM_START, QUAD, lam, min_warm=10)
+    warm = init_state(X, y, WARM_START, QUAD, lam)
     M = np.zeros((3, 3))
     for t in range(60):
         M = lam * M + np.outer(X[t], X[t])  # h2 = 1 for the quadratic loss
@@ -97,7 +97,7 @@ def test_rls_equivalence_with_unit_forgetting():
 
 def test_warm_start_rls_continues_batch_solution():
     X, y, _ = stream_data(T=400, n=3, seed=9)
-    st = init_state(X[:100], y[:100], WARM_START, QUAD, 1.0, min_warm=50)
+    st = init_state(X[:100], y[:100], WARM_START, QUAD, 1.0)
     st = run_stream(st, X[100:], y[100:], 1.0, QUAD)
     ols = np.linalg.lstsq(X, y, rcond=None)[0]
     assert np.allclose(st.coefficients, ols, atol=1e-6)
@@ -106,7 +106,7 @@ def test_warm_start_rls_continues_batch_solution():
 def test_perfect_prediction_leaves_coefficients_alone():
     X, y, _ = stream_data(T=120, n=3, seed=1, noise=0.0)
     fit = fit_matrix(X, y, QUAD)
-    st = init_state(X, y, WARM_START, QUAD, 0.99, min_warm=10)
+    st = init_state(X, y, WARM_START, QUAD, 0.99)
     before_M = st.memory.copy()
     x_new = np.array([1.0, 0.4, -0.2])
     y_new = float(fit.coefficients @ x_new)
@@ -121,7 +121,7 @@ def test_memory_stays_symmetric_and_positive_definite():
     X, y, _ = stream_data(T=500, n=4, seed=3)
     lam = 0.995
     spec = LossSpec("smooth-quantile", tau=0.3, alpha=0.2)
-    st = init_state(X[:80], y[:80], WARM_START, spec, lam, min_warm=40)
+    st = init_state(X[:80], y[:80], WARM_START, spec, lam)
     for t in range(80, 500):
         st, _, _ = online_step(st, X[t], y[t], lam, spec)
         assert np.max(np.abs(st.memory - st.memory.T)) <= 1e-12
@@ -130,7 +130,7 @@ def test_memory_stays_symmetric_and_positive_definite():
 
 def test_prior_residual_is_one_step_ahead_error():
     X, y, _ = stream_data(T=150, n=3, seed=4)
-    st = init_state(X[:50], y[:50], WARM_START, QUAD, 0.99, min_warm=20)
+    st = init_state(X[:50], y[:50], WARM_START, QUAD, 0.99)
     beta_before = st.coefficients.copy()
     st2, eps, _ = online_step(st, X[50], y[50], 0.99, QUAD)
     assert eps == pytest.approx(float(y[50] - beta_before @ X[50]))
@@ -168,7 +168,7 @@ def session_setup():
 
 def test_session_advances_all_coalitions_in_lockstep(session_setup):
     ds, design, session = session_setup
-    session.init_states(design.values[:60], ds.target[:60], WARM_START, min_warm=30)
+    session.init_states(design.values[:60], ds.target[:60], WARM_START)
     for t in range(60, 200):
         out = session.step(design.values[t], ds.target[t])
         assert len(out) == 4
@@ -187,7 +187,7 @@ def test_session_with_three_features_runs_eight_states():
     design = polynomial_expand(ds, degree=1)
     coalitions = list(enumerate_coalitions(("x2", "x3", "x4")))
     session = OnlineSession(design, frozenset(), coalitions, 0.995, QUAD)
-    session.init_states(design.values[:40], ds.target[:40], WARM_START, min_warm=20)
+    session.init_states(design.values[:40], ds.target[:40], WARM_START)
     for t in range(40, 160):
         session.step(design.values[t], ds.target[t])
     assert len(session.states) == 8
@@ -208,8 +208,7 @@ def test_grand_coalition_tracks_lower_loss():
         design = polynomial_expand(ds, degree=1)
         coalitions = list(enumerate_coalitions(("x2", "x3")))
         session = OnlineSession(design, frozenset(), coalitions, 0.99, QUAD)
-        session.init_states(design.values[:60], ds.target[:60], WARM_START,
-                            min_warm=30)
+        session.init_states(design.values[:60], ds.target[:60], WARM_START)
         for t in range(60, 260):
             session.step(design.values[t], ds.target[t])
             if t >= 120:
@@ -275,7 +274,7 @@ def run_against_reference(policy, spec, lam, T, warm=60, check_every=1):
     X = design.values
     session = OnlineSession(design, frozenset({"x1"}), coalitions, lam, spec)
     if policy == WARM_START:
-        session.init_states(X[:warm], y[:warm], WARM_START, min_warm=warm)
+        session.init_states(X[:warm], y[:warm], WARM_START)
         start = warm
     else:
         session.init_states(None, None, ZERO_START)
@@ -350,7 +349,7 @@ def test_singular_update_names_its_coalition():
     design, y, coalitions = unequal_width_setup(200)
     X = design.values
     broken = OnlineSession(design, frozenset({"x1"}), coalitions, 0.99, QUAD)
-    broken.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    broken.init_states(X[:60], y[:60], WARM_START)
     negate_memory(broken, frozenset({"x3"}))
     before = broken.states
     with pytest.raises(SingularUpdateError, match=r"coalition \['x3'\]") as err:
@@ -397,7 +396,7 @@ def twin_sessions(design, y, coalitions, lam, policy, spec=QUAD, warm=60):
     for _ in range(2):
         session = OnlineSession(design, frozenset({"x1"}), coalitions, lam, spec)
         if policy == WARM_START:
-            session.init_states(X[:warm], y[:warm], WARM_START, min_warm=warm)
+            session.init_states(X[:warm], y[:warm], WARM_START)
         else:
             session.init_states(None, None, ZERO_START)
         pair.append(session)
@@ -459,7 +458,7 @@ def test_stream_raises_singular_update_like_the_recursion():
     j = [t.name for t in design.terms].index("x4")
     X[60:, j] = 0.0
     scan = OnlineSession(design, frozenset({"x1"}), coalitions, 0.5, QUAD)
-    scan.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    scan.init_states(X[:60], y[:60], WARM_START)
     decouple_column(scan, j, 1.0)
     recursion = copy.deepcopy(scan)
     assert scan._scan_steps() == 10
@@ -669,7 +668,7 @@ def test_smooth_quantile_stream_raises_singular_update_mid_block(monkeypatch):
     j = [t.name for t in design.terms].index("x4")
     X[60:, j] = 0.0
     stream = OnlineSession(design, frozenset({"x1"}), coalitions, 0.5, SMOOTH)
-    stream.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    stream.init_states(X[:60], y[:60], WARM_START)
     decouple_column(stream, j, 2.0 ** -1050)
     recursion = copy.deepcopy(stream)
     assert stream._scan_steps() == 10
@@ -685,7 +684,7 @@ def test_smooth_quantile_stream_checks_every_memory():
     design, y, coalitions = unequal_width_setup(300)
     X = design.values
     stream = OnlineSession(design, frozenset({"x1"}), coalitions, 0.99, SMOOTH)
-    stream.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    stream.init_states(X[:60], y[:60], WARM_START)
     negate_memory(stream, frozenset({"x3"}))
     recursion = copy.deepcopy(stream)
     err, _ = assert_stream_raises_like_step(stream, recursion, X[60:], y[60:])
@@ -823,7 +822,7 @@ def test_newton_block_declines_where_the_step_symmetrisation_overflows(monkeypat
     j = [t.name for t in design.terms].index("x4")
     X[60 + 14, j] = 1e150
     stream = OnlineSession(design, frozenset({"x1"}), coalitions, 1.0, SMOOTH)
-    stream.init_states(X[:60], y[:60], WARM_START, min_warm=60)
+    stream.init_states(X[:60], y[:60], WARM_START)
     decouple_column(stream, j, HALF_MAX)
     recursion = copy.deepcopy(stream)
     err, replays = assert_stream_raises_like_step(stream, recursion, X[60:], y[60:])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import mpmath as mp
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from regmarket import ParameterError, ScenarioSpec, generate, run_scenario
-from regmarket.scenarios import dataset_for_central, slice_rows, stream
+from regmarket.scenarios import CASES, dataset_for_central, slice_rows, stream
 
 
 def test_unknown_case_rejected():
@@ -34,6 +35,41 @@ def test_named_streams_are_stable_under_reordering():
     _ = stream(5, "x3").normal(size=10)
     s2 = stream(5, "x2").normal(size=10)
     assert np.array_equal(s1, s2)
+
+
+# sha256 of the timestamps, target and named features each case generates
+# at T = 500: any change to a generator's draws or arithmetic shows here
+DATA_DIGESTS = {
+    ("batch-linear", 0): "5cfb8e29e0a9226ff51a72c73480a5881a1ae5e6a994aa0812d8d1e49a17874b",
+    ("batch-linear", 1): "fb2ffa5b3cb97133cc6dc351dd61981ef444d6d842c06e85788a544253cddd04",
+    ("batch-poly", 0): "76248843775410574ae1ad56103898b9b40d33a6728a839facad5a0a8ab305ea",
+    ("batch-poly", 1): "177363bc56ef4426372b450840f558edf787a819912ceaca670fb55b5caed10f",
+    ("batch-arx-quantile", 0): "0723ee5fc8b910ed4a901ac2e2e3668c044e7f29a0622823643a61725640b223",
+    ("batch-arx-quantile", 1): "36bd3537c2f5cb4686ff7902903d20629352c147b44c1d82cc99dcb3162a45c6",
+    ("online-arx", 0): "aade3ea01c4c3487cd00b09d79e2c860862e337d6e7299b23431e3ab380b3851",
+    ("online-arx", 1): "12f25b243752d05071eed431870a578195967da4dc7cac5c2fbdb60fa7630176",
+    ("online-quantile", 0): "fce68b8212d28910fd714a916828a685233884f4f15e60031d8e0cbbf118db8c",
+    ("online-quantile", 1): "451aca7c0104648caee47886713fa8710f5937cc8bc04bb65d09312d8bf87de2",
+    ("multi-agent-arx", 0): "423c45a58ae625f1cb04fbd03967d1e4639b46f47b67b4d0a4b412e0211c542f",
+    ("multi-agent-arx", 1): "fcc92ddef9f70b9a44df5dce38edc708c13b042ef1fe4aa7cecb3e2ddaaf56d4",
+}
+
+
+def _data_digest(ds) -> str:
+    h = hashlib.sha256()
+    h.update(ds.timestamps.astype("<i8").tobytes())
+    h.update(ds.target.astype("<f8").tobytes())
+    for name in ds.feature_names:
+        h.update(name.encode())
+        h.update(ds.features[name].astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scenario_data_is_pinned_bit_for_bit(case, seed):
+    ds, _ = generate(ScenarioSpec(case, T=500, seed=seed))
+    assert _data_digest(ds) == DATA_DIGESTS[case, seed]
 
 
 def test_truth_records_are_json_serialisable():
@@ -79,8 +115,7 @@ def test_online_arx_estimates_track_the_drift():
         dsl, design = build_design(ds, task)
         grand = frozenset({"x2", "x3", "x4"})
         session = OnlineSession(design, frozenset({"y"}), [grand], task.lam, task.loss)
-        session.init_states(design.values[:150], dsl.target[:150], WARM_START,
-                            min_warm=150)
+        session.init_states(design.values[:150], dsl.target[:150], WARM_START)
         idx = {t.name: i for i, t in enumerate(design.terms)}
         errs = []
         # design drops one leading row per lag; align trajectories accordingly
