@@ -79,13 +79,15 @@ def _marginal_transform(variant: str) -> Callable:
 
 
 def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[str],
-                          variant: str = ORIGINAL):
+                          variant: str = ORIGINAL, peaks: bool = True):
     """Unnormalised Shapley values of a loss game, plus each player's
     largest absolute marginal (used for exact-zero snapping).
 
     Losses may be scalars or equal-length arrays; arrays give a Shapley
     trajectory per time step in one pass, and the largest marginal is then
-    taken per element.
+    taken per element.  Without ``peaks`` the losses must be arrays, the
+    marginals are None, and the sums are accumulated in place, bit for bit
+    the same.
     """
     players = tuple(players)
     transform = _marginal_transform(variant)
@@ -96,6 +98,8 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
             missing=missing)
     m = len(players)
     weights = [shapley_weight(s, m) for s in range(m)]
+    if not peaks:
+        return _shapley_sums(losses, players, weights, variant), None
     contribs: dict[str, float | np.ndarray] = {}
     max_marginal: dict[str, float | np.ndarray] = {}
     for k in players:
@@ -112,6 +116,31 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
         contribs[k] = total
         max_marginal[k] = peak if np.ndim(peak) else float(peak)
     return contribs, max_marginal
+
+
+def _shapley_sums(losses, players, weights, variant) -> dict[str, np.ndarray]:
+    """The contributions of :func:`shapley_contributions` over loss arrays,
+    each marginal transformed, weighted and added into one buffer."""
+    m = len(players)
+    shape = np.shape(losses[frozenset()])
+    diff = np.empty(shape)
+    contribs = {}
+    for k in players:
+        rest = [p for p in players if p != k]
+        total = np.zeros(shape)
+        for size in range(m):
+            w = weights[size]
+            for combo in itertools.combinations(rest, size):
+                sub = frozenset(combo)
+                np.subtract(losses[sub], losses[sub | {k}], out=diff)
+                if variant == ZERO:
+                    np.maximum(diff, 0.0, out=diff)
+                elif variant == ABSOLUTE:
+                    np.abs(diff, out=diff)
+                np.multiply(diff, w, out=diff)
+                np.add(total, diff, out=total)
+        contribs[k] = total
+    return contribs
 
 
 def _snap_and_normalise(contribs, max_marginal, normalizer, policy) -> AllocationVector:
@@ -172,15 +201,15 @@ class AllocationSeries:
 
 
 def step_contributions(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],
-                       variant: str = ORIGINAL):
+                       variant: str = ORIGINAL, peaks: bool = True):
     """Unnormalised contributions of each feature at every step, in one pass.
 
     ``losses`` maps every coalition to its loss series.  ``variant`` is a
-    Shapley variant, giving :func:`shapley_contributions` and each
-    feature's largest absolute marginal per step, or ``DROP_ONE`` /
-    ``ADD_ONE``, giving the loss change of leaving the feature out of the
-    grand coalition or adding it to the central model alone, and None for
-    the marginals.
+    Shapley variant, giving :func:`shapley_contributions` and, with
+    ``peaks``, each feature's largest absolute marginal per step, or
+    ``DROP_ONE`` / ``ADD_ONE``, giving the loss change of leaving the
+    feature out of the grand coalition or adding it to the central model
+    alone, and None for the marginals.
     """
     if variant not in _VARIANT_LABEL:
         raise ParameterError(f"unknown allocation variant {variant!r}")
@@ -192,7 +221,7 @@ def step_contributions(losses: Mapping[frozenset, np.ndarray], features: Sequenc
         return {k: losses[full - {k}] - losses[full] for k in features}, None
     if variant == ADD_ONE:
         return {k: losses[frozenset()] - losses[frozenset({k})] for k in features}, None
-    return shapley_contributions(losses, features, variant)
+    return shapley_contributions(losses, features, variant, peaks)
 
 
 def step_allocations(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],

@@ -120,6 +120,9 @@ def _cmd_market(args) -> int:
         print(f"error: config {cfg_path} not found", file=sys.stderr)
         return EXIT_IO
     run_cfg, task, screening = load_config(cfg_path)
+    if run_cfg["oos"] and args.mechanism != "oos":
+        raise ConfigError(f"[run] key(s) {', '.join(RUN_KEYS['oos'])} apply only to the "
+                          f"oos mechanism, not to {args.mechanism}")
     dataset = _resolve_dataset(run_cfg, task)
 
     support = None

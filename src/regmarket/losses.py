@@ -14,13 +14,25 @@ package carries two variants of (h1, h2):
 The analytic variant is validated against finite differences in the test
 suite; the verbatim variant's deviation is measured there as well.
 
-Only the smooth quantile loss needs scipy (its ``expit``): the first
-smooth-quantile :class:`LossSpec` imports ``scipy.special`` and binds the
-ufunc to this module's ``expit``, so quadratic losses never load scipy.
+Only the smooth quantile loss can need scipy, and only for large arrays.
+:func:`loss_derivatives` computes h1 and h2 of a residual array of at most
+:data:`PY_DERIVATIVES_MAX` elements (a step's coalitions, a warm-up slice)
+in one loop over Python floats.  A larger array (a batch fit over
+thousands of rows) goes through ``scipy.special.expit``, imported at its
+first call, and so does a small one where the loop would meet what a
+Python float does not signal as NumPy does: an ``exp`` that overflows, a
+residual over alpha that is not finite, or a subnormal alpha.  The two
+paths agree bit for bit: scipy's ``expit(x)`` is ``1/(1+exp(-x))`` with
+the C library's ``exp``, which ``math.exp`` calls too, and every other
+operation is the same correctly rounded IEEE operation on either path.
+So a market that fits and streams only small arrays (the online studies)
+never loads scipy, and quadratic losses never do.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,9 +67,6 @@ class LossSpec:
             raise ParameterError("alpha must be positive and finite")
         if self.derivative_variant not in (ANALYTIC, PAPER_VERBATIM):
             raise ParameterError(f"unknown derivative variant {self.derivative_variant!r}")
-        if not self.is_quadratic:
-            # import here, in set-up, rather than in the first loss evaluation
-            _bind_expit()
 
     @property
     def is_quadratic(self) -> bool:
@@ -67,17 +76,27 @@ class LossSpec:
         return replace(self, derivative_variant=ANALYTIC)
 
 
-def _bind_expit() -> None:
-    """Bind ``expit`` to scipy's logistic ufunc."""
+def expit(x):
+    """Stand-in that binds scipy's logistic ufunc in its place at its first
+    call."""
     global expit
     from scipy.special import expit
-
-
-def expit(x):
-    """Stand-in until :func:`_bind_expit` runs, for a smooth-quantile spec
-    that was never constructed in this process (one unpickled, say)."""
-    _bind_expit()
     return expit(x)
+
+
+# The largest residual array whose h1 and h2 come from the Python loop,
+# chosen from a sweep on a 2-vCPU host (Python 3.11.7, numpy 2.4.6, scipy
+# 1.17.1) whose speed drifts by 15 % or more between runs.  One call of
+# loss_derivatives, loop against ufunc: 4-8 against 5-11 us at 8 elements,
+# 14-22 against 5-12 us at 32, 46-79 against 7-15 us at 128, 61-99
+# against 11-16 us at 160, and 98-154 against 10-19 us at 256.  A
+# smooth-quantile Newton-block step, medians of alternating runs: the same
+# at 8 coalitions, 10-15 us (7-11 %) slower at 32, 20-120 us (5-35 %)
+# slower at 128, and the same at 256, which stays on the ufunc.  The bound
+# covers the study warm-up slices (100 and 150 rows), so that the online
+# studies never import scipy (0.3 s and 19 MB), and keeps 256 coalitions
+# or more on the ufunc.
+PY_DERIVATIVES_MAX = 160
 
 
 def _check_finite(eps):
@@ -126,16 +145,59 @@ def loss_array(e: np.ndarray, spec: LossSpec) -> np.ndarray:
 
 def loss_derivatives(e: np.ndarray, spec: LossSpec):
     """The h1 and h2 of a residual array, unchecked; each ``expit`` is
-    computed once."""
+    computed once.  An array of at most :data:`PY_DERIVATIVES_MAX`
+    elements takes the Python loop, a larger one the scipy ufunc."""
     if spec.is_quadratic:
         # convention: h1 = e, h2 = 1 reproduces recursive least squares;
         # the 2x factor of d(e^2)/de cancels in the Newton ratio
         return e, np.ones_like(e)
+    if e.size <= PY_DERIVATIVES_MAX:
+        try:
+            return _small_derivatives(e, spec)
+        except OverflowError:
+            # the ufunc gives these its bits and its floating-point signals
+            pass
     up, down = expit(e / spec.alpha), expit(-e / spec.alpha)
     s = up * down
     if spec.derivative_variant == ANALYTIC:
         return spec.tau - down, s / spec.alpha
     return spec.tau + spec.alpha * up - down, (1.0 + spec.alpha) * s
+
+
+def _small_derivatives(e: np.ndarray, spec: LossSpec):
+    """The smooth-quantile h1 and h2 of ``e`` by the ufunc path's formulas
+    in Python floats.  Raises OverflowError instead where the ufunc path
+    could meet a floating-point exception, which Python floats would not
+    signal: an alpha below the smallest normal float (``s/a`` can
+    overflow), a ``z = x/a`` that is not finite, or an ``exp`` that overflows.
+
+    ``-z`` is the bits of ``-(x/a)`` and ``z`` those of ``-((-x)/a)``:
+    negation is exact and division rounds symmetrically."""
+    a, tau, exp = spec.alpha, spec.tau, math.exp
+    if a < sys.float_info.min:
+        raise OverflowError("alpha is subnormal")
+    # a 1-D array, the common case, skips the ravel and the reshapes
+    xs, h1, h2 = (e if e.ndim == 1 else e.ravel()).tolist(), [], []
+    # one loop per variant keeps the variant test out of the element loop
+    if spec.derivative_variant == ANALYTIC:
+        for x in xs:
+            z = x / a
+            if z - z:  # NaN, so true, where z is infinite or NaN
+                raise OverflowError("x/alpha is not finite")
+            up, down = 1.0 / (1.0 + exp(-z)), 1.0 / (1.0 + exp(z))
+            h1.append(tau - down)
+            h2.append(up * down / a)
+    else:
+        for x in xs:
+            z = x / a
+            if z - z:
+                raise OverflowError("x/alpha is not finite")
+            up, down = 1.0 / (1.0 + exp(-z)), 1.0 / (1.0 + exp(z))
+            h1.append(tau + a * up - down)
+            h2.append((1.0 + a) * (up * down))
+    if e.ndim == 1:
+        return np.array(h1), np.array(h2)
+    return np.array(h1).reshape(e.shape), np.array(h2).reshape(e.shape)
 
 
 def loss_terms(e: np.ndarray, spec: LossSpec):

@@ -644,7 +644,8 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     scale = task.loss_scale * report.phi
     surplus = losses_by_coalition[frozenset()] - losses_by_coalition[grand]
     contribs, _ = step_contributions(losses_by_coalition, chosen,
-                                     POLICY_VARIANT[task.oos_allocation_policy])
+                                     POLICY_VARIANT[task.oos_allocation_policy],
+                                     peaks=False)
     paid = {k: np.where(surplus > 0, contribs[k], 0.0) for k in chosen}
     # period-level shares: summed paid contributions over summed surplus
     total = float(np.sum(np.maximum(surplus, 0.0)))

@@ -249,3 +249,23 @@ def test_array_peaks_are_per_step():
         for k in features:
             assert peaks[k][t] == step_peaks[k]
     assert np.all(peaks["dummy"] == 0.0)
+
+
+@pytest.mark.parametrize("variant", [ORIGINAL, ZERO, ABSOLUTE])
+def test_contributions_without_peaks_are_the_same_bits(variant):
+    # five features, so each sum runs over sixteen marginals of either
+    # sign, with zero marginals where two coalitions' losses are equal; in
+    # the first five steps every marginal of e is -0.0, and its sum is the
+    # 0.0 that adding to a 0.0 start gives
+    features = ("a", "b", "c", "d", "e")
+    rng = np.random.default_rng(7)
+    losses = {c: 1.0 - 0.1 * len(c) + rng.normal(0, 0.2, 400)
+              for c in enumerate_coalitions(features)}
+    losses[frozenset({"e"})] = losses[frozenset()].copy()
+    for c, series in losses.items():
+        series[:5] = 0.0 if "e" in c else -0.0
+    contribs, peaks = shapley_contributions(losses, features, variant)
+    sums, none = shapley_contributions(losses, features, variant, peaks=False)
+    assert none is None and list(sums) == list(contribs)
+    for k in features:
+        assert np.array_equal(sums[k].view(np.uint64), contribs[k].view(np.uint64))

@@ -392,6 +392,21 @@ def test_run_key_of_the_other_dataset_source_is_config_error(tmp_path, capsys, s
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mechanism", ["batch", "online"])
+def test_model_source_outside_the_oos_mechanism_is_config_error(tmp_path, capsys,
+                                                                mechanism):
+    # only the out-of-sample market reads model_source; any other would
+    # accept and ignore it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("[run]\n", "[run]\nmodel_source = online\n"))
+    code = run_cli(["market", "--mechanism", mechanism, "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"model_source apply only to the oos mechanism, not to {mechanism}" in err
+    assert not (tmp_path / "out").exists()
+
+
 # the TaskSpec fields no [task] key sets: [ownership] and lags_<series> set
 # the first two, the loss keys the LossSpec, and the flags are library-only
 NOT_TASK_KEYS = ("ownership", "lags", "loss", "flag_duplicates", "flag_dummies")

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from regmarket import losses
 
@@ -50,6 +51,11 @@ def _fresh(probe: str, stdin: bytes = b"") -> bytes:
                           capture_output=True, input=stdin, timeout=120).stdout
 
 
+# prints the scipy modules loaded, leaving out a blocked (None) entry
+SCIPY_MODULES = ("print(json.dumps(sorted(m for m, module in sys.modules.items() "
+                 "if module is not None and (m == 'scipy' or m.startswith('scipy.')))))")
+
+
 # clears a quadratic batch, online and out-of-sample market on a small
 # online-arx study, then prints the scipy modules loaded
 QUADRATIC_MARKETS = """\
@@ -65,9 +71,7 @@ assert task.loss.is_quadratic
 for report in (clear_batch_market(dataset, task), run_online_market(dataset, task),
                run_oos_market(dataset, task, model_source="online")):
     assert report.audit["passed"], report.market
-print(json.dumps(sorted(m for m, module in sys.modules.items() if module is not None
-                        and (m == "scipy" or m.startswith("scipy.")))))
-"""
+""" + SCIPY_MODULES
 
 
 def test_quadratic_markets_load_no_scipy_module():
@@ -90,9 +94,38 @@ def test_quadratic_markets_and_cli_run_with_scipy_blocked(tmp_path):
     assert json.loads((out / "report.json").read_text())["market"] == "online"
 
 
-def test_smooth_quantile_spec_loads_scipy_special():
+def test_smooth_quantile_spec_loads_no_scipy_module():
     probe = ("import json, sys; from regmarket.losses import LossSpec; "
-             "before = 'scipy.special' in sys.modules; LossSpec('smooth-quantile'); "
+             f"LossSpec('smooth-quantile'); {SCIPY_MODULES}")
+    assert json.loads(_fresh(probe)) == []
+
+
+# clears the online market of the online-quantile study: warm-start fits on
+# 150-row slices, then Newton blocks over eight coalitions
+ONLINE_QUANTILE_MARKET = """\
+import json, sys
+{prelude}
+from regmarket import ScenarioSpec, generate, scenarios
+from regmarket.market import run_online_market
+spec = ScenarioSpec("online-quantile", T=3000, seed=3)
+dataset, _ = generate(spec)
+task = scenarios.task_for_case(spec)
+assert not task.loss.is_quadratic
+assert run_online_market(dataset, task).audit["passed"]
+""" + SCIPY_MODULES
+
+
+@pytest.mark.parametrize("prelude", ["", "sys.modules['scipy'] = None"])
+def test_online_quantile_market_loads_no_scipy_module(prelude):
+    assert json.loads(_fresh(ONLINE_QUANTILE_MARKET.format(prelude=prelude))) == []
+
+
+def test_derivatives_above_the_bound_load_scipy_special():
+    probe = ("import json, sys; import numpy as np; from regmarket import losses; "
+             "spec = losses.LossSpec('smooth-quantile'); "
+             "losses.loss_derivatives(np.zeros(losses.PY_DERIVATIVES_MAX), spec); "
+             "before = 'scipy.special' in sys.modules; "
+             "losses.loss_derivatives(np.zeros(losses.PY_DERIVATIVES_MAX + 1), spec); "
              "print(json.dumps([before, 'scipy.special' in sys.modules]))")
     assert json.loads(_fresh(probe)) == [False, True]
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from regmarket import (
     EwmaLoss,
@@ -17,7 +19,8 @@ from regmarket import (
     loss_value,
     pinball_loss,
 )
-from regmarket.losses import loss_terms
+from regmarket import losses
+from regmarket.losses import PY_DERIVATIVES_MAX, loss_derivatives, loss_terms
 
 QUAD = LossSpec("quadratic")
 
@@ -190,3 +193,98 @@ def test_loss_spec_validation():
         LossSpec("smooth-quantile", tau=1.5)
     with pytest.raises(ParameterError):
         LossSpec("smooth-quantile", alpha=0.0)
+
+
+# -- the small-array derivatives against scipy's ufunc ---------------------------
+
+def ufunc_derivatives(e, spec):
+    """h1 and h2 by the ufunc path's formulas, with scipy's expit as the oracle."""
+    up, down = expit(e / spec.alpha), expit(-e / spec.alpha)
+    s = up * down
+    if spec.derivative_variant == "analytic":
+        return spec.tau - down, s / spec.alpha
+    return spec.tau + spec.alpha * up - down, (1.0 + spec.alpha) * s
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+# e/alpha at and beyond where exp overflows (log of the largest float,
+# 709.78), signed zeros, subnormals, infinities and NaNs
+LOG_MAX = math.log(np.finfo(float).max)
+EDGE_RATIOS = [709.0, 709.78, np.nextafter(LOG_MAX, 0.0), LOG_MAX,
+               np.nextafter(LOG_MAX, np.inf), 709.79, 745.2, 1e300]
+EDGE_RESIDUALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, np.nan,
+                  -np.nan, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def residual_array(alpha):
+    ratios = st.one_of(st.floats(-40, 40), st.floats(700, 760), st.floats(-760, -700),
+                       st.sampled_from(EDGE_RATIOS + [-r for r in EDGE_RATIOS]))
+    elements = st.one_of(ratios.map(lambda z: z * alpha), st.sampled_from(EDGE_RESIDUALS),
+                         st.floats())
+    shapes = st.one_of(hnp.array_shapes(min_dims=0, max_dims=2, max_side=13),
+                       st.sampled_from([(PY_DERIVATIVES_MAX - 1,), (PY_DERIVATIVES_MAX,),
+                                        (PY_DERIVATIVES_MAX + 1,), (8, 20), (3, 54)]))
+    return hnp.arrays(np.float64, shapes, elements=elements)
+
+
+@given(data=st.data(), tau=st.floats(0.0, 1.0), alpha=st.floats(0.01, 5.0),
+       variant=st.sampled_from(["analytic", "paper-verbatim"]))
+@settings(max_examples=300, deadline=None)
+def test_derivatives_are_scipy_expit_bit_for_bit(data, tau, alpha, variant):
+    spec = LossSpec("smooth-quantile", tau=tau, alpha=alpha, derivative_variant=variant)
+    e = data.draw(residual_array(alpha))
+    with np.errstate(over="ignore"):
+        assert_same_bits(loss_derivatives(e, spec), ufunc_derivatives(e, spec))
+
+
+@pytest.mark.parametrize("variant", ["analytic", "paper-verbatim"])
+@pytest.mark.parametrize("size", [PY_DERIVATIVES_MAX - 1, PY_DERIVATIVES_MAX,
+                                  PY_DERIVATIVES_MAX + 1])
+def test_arrays_up_to_the_bound_keep_off_the_ufunc(size, variant):
+    spec = LossSpec("smooth-quantile", tau=0.3, alpha=0.15, derivative_variant=variant)
+    e = np.random.default_rng(size).normal(scale=30.0, size=size)
+    # the residuals that Python floats take as the ufunc does
+    e[:6] = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "expit", lambda x: calls.append(x.size) or expit(x))
+        got = loss_derivatives(e, spec)
+    assert calls == ([] if size <= PY_DERIVATIVES_MAX else [size, size])
+    assert_same_bits(got, ufunc_derivatives(e, spec))
+
+
+def outcome(derivatives, e, spec, over):
+    """The bits ``derivatives`` gives under ``np.errstate(over=over)``, or
+    the floating-point error it raises."""
+    try:
+        with np.errstate(over=over):
+            return [np.asarray(h).view(np.uint64).tolist() for h in derivatives(e, spec)]
+    except FloatingPointError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("alpha, residual", [
+    (0.5, -0.5 * 709.79),              # exp(709.79) overflows
+    (0.5, 0.5 * 745.2),                # and exp(745.2)
+    (0.5, 1.7976931348623157e308),     # e/alpha overflows
+    (0.5, np.inf),
+    (0.5, np.nan),
+    (1e-310, 0.0),                     # a subnormal alpha overflows h2 = s/alpha
+])
+@pytest.mark.parametrize("over", ["ignore", "raise"])
+def test_what_python_floats_would_not_signal_takes_the_ufunc(alpha, residual, over):
+    spec = LossSpec("smooth-quantile", tau=0.3, alpha=alpha)
+    e = np.array([0.1, -2.0, residual])
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "expit", lambda x: calls.append(x.size) or expit(x))
+        got = outcome(loss_derivatives, e, spec, over)
+    # an e/alpha that overflows raises before the ufunc is called
+    assert calls[:1] == [3] or got is FloatingPointError
+    assert got == outcome(ufunc_derivatives, e, spec, over)

@@ -830,3 +830,29 @@ def test_newton_block_declines_where_the_step_symmetrisation_overflows(monkeypat
     assert "x4" in str(err)
     # the first block ran as a block; the second declined and was replayed
     assert len(replays) == 5
+
+
+def test_newton_block_where_an_exp_overflows_is_the_step_bit_for_bit(monkeypatch):
+    # y falls by 400 at step 15, the fifth of the second ten-step block:
+    # residuals near -400 at alpha = 0.5 put exp(800) in h1 and h2, which
+    # overflows math.exp, so that step's derivatives come from scipy's
+    # ufunc, inside the block's np.errstate(over="raise")
+    monkeypatch.setattr("regmarket.online.SCAN_FLOATS", 10 * 8 * 25)
+    design, y, coalitions = unequal_width_setup(200)
+    y = y.copy()
+    y[60 + 14] -= 400.0
+    (stream, recursion), start = twin_sessions(design, y, coalitions, 0.99, WARM_START,
+                                               spec=SMOOTH)
+    calls = []
+    monkeypatch.setattr("regmarket.losses.expit",
+                        lambda x: calls.append(x.size) or expit(x))
+    replays = count_replays(stream)
+    trace = stream.stream(design.values[start:], y[start:])
+    # only the overflowing step took the ufunc, and scipy's expit signals
+    # no overflow, so the block ran as a block
+    assert calls == [8, 8] and not replays
+    losses, ewma, _ = step_trace(recursion, design.values[start:], y[start:])
+    assert calls == [8, 8] * 2
+    assert np.array_equal(trace.losses, losses)
+    assert np.array_equal(trace.ewma, ewma)
+    assert_sessions_equal(stream, recursion)
