@@ -108,15 +108,12 @@ class Dataset:
         except KeyError:
             raise FeatureLookupError(f"unknown feature {name!r}") from None
 
-    def with_ownership(self, ownership: Mapping[str, str],
-                       target_owner: str | None = None) -> "Dataset":
-        """Return a copy with the ownership map (from run config) replaced."""
-        merged = dict(self.ownership)
-        merged.update(ownership)
-        return Dataset(self.timestamps, self.target, dict(self.features), merged,
-                       target_name=self.target_name,
-                       target_owner=self.target_owner if target_owner is None else target_owner,
-                       lineage=dict(self.lineage))
+    def with_ownership(self, ownership: Mapping[str, str], target_owner: str) -> "Dataset":
+        """Return a copy with the ownership map (from run config) merged in
+        and the target owned by ``target_owner``."""
+        return Dataset(self.timestamps, self.target, dict(self.features),
+                       {**self.ownership, **ownership}, target_name=self.target_name,
+                       target_owner=target_owner, lineage=dict(self.lineage))
 
 
 @dataclass(frozen=True)
@@ -388,8 +385,8 @@ def coalition_design(design: AugmentedDesign, central: frozenset[str] | set[str]
     return design.subset(design.columns_for(central | coalition))
 
 
-def dataset_to_csv(dataset: Dataset, path, timestamp: str = "ts") -> None:
-    """Write a dataset back to the standard CSV schema.
+def dataset_to_csv(dataset: Dataset, path) -> None:
+    """Write a dataset back in the default :class:`CsvSchema` layout.
 
     Floats are written with repr, so a written file re-ingests to exactly
     the same values and re-serialises byte-identically.
@@ -397,7 +394,7 @@ def dataset_to_csv(dataset: Dataset, path, timestamp: str = "ts") -> None:
     names = list(dataset.feature_names)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([timestamp, dataset.target_name] + names)
+        writer.writerow([CsvSchema.timestamp, dataset.target_name] + names)
         for i in range(dataset.T):
             ts = dataset.timestamps[i]
             cell = repr(float(ts)) if isinstance(ts, (int, float, np.integer, np.floating)) else str(ts)

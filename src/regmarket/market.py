@@ -49,6 +49,8 @@ import io
 import itertools
 import json
 import math
+import operator
+import struct
 import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
@@ -784,135 +786,120 @@ def report_to_json(report: MarketReport, path) -> None:
     are streamed to the file, so the text is never held as one string.
 
     The float lists that a CSV file writes as well (the series' payments
-    and cumulative payments, the ledger's amounts) are formatted once, for
-    this file and the CSV writers together (see :func:`_report_texts`), and
-    the ledger's amounts take the text of the payments they are (see
-    :func:`_amount_text`).
+    and cumulative payments, the ledger's amounts) are formatted once for
+    all writers: the memo of :func:`_report_texts` keeps their ``repr``
+    lines, which this writer joins and the CSV writers take as cells.  The
+    amounts take the payments' lines, gathered by index (:func:`_amount_lines`).
     """
     texts = _report_texts(report)
-    for name in ("payments", "cumulative"):
-        group = report.series.get(name)
-        if isinstance(group, dict):
-            for values in group.values():
-                if _is_float_list(values):
-                    _float_text(values, texts)
-    _amount_text(report, texts)
+    _amount_lines(report, texts)
+    keep = {id(values) for name in ("payments", "cumulative")
+            if isinstance(report.series.get(name), dict)
+            for values in report.series[name].values()}
     with open(path, "w") as fh:
-        fh.writelines(_iter_json(report.to_dict(), 0, texts))
+        fh.writelines(_iter_json(report.to_dict(), 0, texts, keep))
         fh.write("\n")
 
 
-# The float texts of the report written last: (weak reference to it, texts).
-_last_written: tuple[weakref.ref, dict[bytes, str]] | None = None
+# The float lines of the report written last: (weak reference to it, lines).
+_last_written: tuple[weakref.ref, dict[bytes, list[str]]] | None = None
 
 
-def _report_texts(report: MarketReport) -> dict[bytes, str]:
-    """The memo of float-list texts for ``report``.
+def _report_texts(report: MarketReport) -> dict[bytes, list[str]]:
+    """The memo of float-list lines for ``report``.
 
     It maps the float64 bytes of a list whose items are all exactly
-    ``float`` to ``"\\n".join(map(repr, values))``.  Only the report
-    written last keeps its memo: writing another report starts a new one,
-    and the texts are dropped when their report is garbage-collected.  The
-    memo holds no reference to the report or its lists, and as it is keyed
-    by content, a list changed in place gets a new text, never a stale one.
+    ``float`` to ``list(map(repr, values))``.  Only the report written last
+    keeps its memo: writing another report starts a new one, and the lines
+    are dropped when their report is garbage-collected.  The memo holds no
+    reference to the report or its lists, and as it is keyed by content, a
+    list changed in place gets new lines, never stale ones.
     """
     global _last_written
     memo = _last_written
     if memo is None or memo[0]() is not report:
-        texts: dict[bytes, str] = {}
+        texts: dict[bytes, list[str]] = {}
         memo = _last_written = (weakref.ref(report, lambda _: texts.clear()), texts)
     return memo[1]
 
 
 def _is_float_list(values) -> bool:
     """Whether ``values`` is a non-empty list whose items are all exactly
-    ``float``: only such a list has its text in the memo, because an
+    ``float``: only such a list has its lines in the memo, because an
     ``int`` has the float64 bytes of its float but not its text."""
-    return isinstance(values, list) and bool(values) and set(map(type, values)) == {float}
+    return (isinstance(values, list) and bool(values)
+            and list(map(type, values)).count(float) == len(values))
 
 
-def _float_text(values: list, texts: dict[bytes, str]) -> str:
-    """``"\\n".join(map(repr, values))`` for a list of floats, made once
-    per content and kept in ``texts``."""
-    key = np.array(values, dtype=float).tobytes()
-    text = texts.get(key)
-    if text is None:
-        text = texts[key] = "\n".join(map(repr, values))
-    return text
+def _content_key(values) -> bytes:
+    """The float64 bytes of a list of floats: its key in the memo."""
+    return struct.pack(f"{len(values)}d", *values)
 
 
-def _amount_text(report: MarketReport, texts: dict[bytes, str]) -> str | None:
-    """The text of the ledger's amounts, as :func:`_float_text` makes it,
-    or None when they are not a list of floats.
+def _float_text(values: list, texts: dict[bytes, list[str]]) -> list[str]:
+    """The text of a list of floats as its ``repr`` lines, made once per
+    content and kept in ``texts``."""
+    key = _content_key(values)
+    if key not in texts:
+        texts[key] = list(map(repr, values))
+    return texts[key]
 
-    :func:`_settle` books a streamed report's positive payments in time,
-    then feature order, as the payment series' own float objects.  An
-    amount that is the series float in its place takes that float's line of
-    the series' text rather than going through ``repr`` again; any other,
-    such as a batch ledger's, one booked by hand or one edited in, is put
+
+def _amount_lines(report: MarketReport, texts: dict[bytes, list[str]]) -> list[str] | None:
+    """The ``repr`` lines of the ledger's amounts, kept in ``texts``, or
+    None when they are not a list of floats.
+
+    :func:`_settle` books a streamed report's positive payments as the
+    series' own floats in time, then feature order: that of
+    ``np.flatnonzero`` over the transposed ``(K, T)`` payment matrix.  The
+    series' floats and lines are gathered in that order, and when every
+    amount is its gathered float the amounts take the gathered lines.  In
+    any other ledger (batch, hand-built, edited) an amount that is the
+    gathered float in its place takes its line and any other is put
     through ``repr``.
     """
     amounts = report.ledger.amount
     if not _is_float_list(amounts):
         return None
-    key = np.array(amounts, dtype=float).tobytes()
-    text = texts.get(key)
-    if text is None:
-        booked = itertools.chain(_positive_payment_lines(report, texts),
-                                 itertools.repeat((None, None)))
-        text = texts[key] = "\n".join([line if paid is amount else repr(amount)
-                                        for amount, (paid, line) in zip(amounts, booked)])
-    return text
-
-
-def _positive_payment_lines(report: MarketReport, texts: dict[bytes, str]):
-    """Yield each positive float of the payment series, with its line of
-    the series' text, in time, then feature order."""
+    key = _content_key(amounts)
+    if key in texts:
+        return texts[key]
+    booked = booked_lines = []
     payments = report.series.get("payments")
-    if not (isinstance(payments, dict) and all(map(_is_float_list, payments.values()))):
-        return
-    columns = [zip(values, _float_text(values, texts).split("\n"))
-               for values in payments.values()]
-    for step in zip(*columns):
-        for paid, line in step:
-            if paid > 0.0:
-                yield paid, line
-
-
-def _repr_lines(values, texts: dict[bytes, str]) -> list[str]:
-    """``[repr(v) for v in values]``, from the memo for a list of floats."""
-    if _is_float_list(values):
-        return _float_text(values, texts).split("\n")
-    return [repr(v) for v in values]
+    columns = list(payments.values()) if isinstance(payments, dict) else []
+    if columns and all(map(_is_float_list, columns)) and len(set(map(len, columns))) == 1:
+        positive = (np.frombuffer(b"".join(map(_content_key, columns))) > 0.0).reshape(
+            len(columns), -1).T
+        booked, booked_lines = (np.array(table, dtype=object).T[positive].tolist() for table in
+                                (columns, [_float_text(values, texts) for values in columns]))
+    if len(booked) == len(amounts) and all(map(operator.is_, booked, amounts)):
+        lines = booked_lines
+    else:
+        pairs = itertools.chain(zip(booked, booked_lines), itertools.repeat((None, None)))
+        lines = [line if paid is amount else repr(amount)
+                 for amount, (paid, line) in zip(amounts, pairs)]
+    texts[key] = lines
+    return lines
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(text: str, sep: str) -> str:
-    """The items of a ``"\\n"``-joined float text, joined by ``sep`` and
-    spelled as JSON spells them."""
-    # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf hold an "n"
-    if "n" not in text:
-        return text.replace("\n", sep)
-    return sep.join([_JSON_NONFINITE.get(item, item) for item in text.split("\n")])
-
-
 _CONTAINERS = (dict, list, tuple)
-# rows of a CSV file joined for one write: the text of all rows at once
-# would cost as much memory again as the float texts
-ROWS_PER_WRITE = 4096
+# CSV rows, or JSON list items for the C encoder, joined at once: a bound on memory
+ROWS_PER_WRITE = 1024
 
 
-def _iter_json(obj, level: int, texts: dict[bytes, str] | None = None):
+def _iter_json(obj, level: int, texts: dict[bytes, list[str]] | None = None,
+               keep: frozenset[int] | set[int] = frozenset()):
     """Yield the pieces of ``json.dumps(obj, indent=1, sort_keys=True)``
     for ``obj`` at indent ``level``.
 
-    A container of scalars is made in one step: from its text in the memo
-    ``texts`` for a list of floats that has one, otherwise by the C encoder
-    in one call, with the newline and indent of its items in the item
-    separator.  Only containers that hold containers are walked here, item
-    by item, and their keys must be strings, as every key of a report is.
+    A container of scalars is one piece, its items joined by a separator
+    that holds their newline and indent: a list of floats from its lines in
+    the memo ``texts`` (put there first for a list whose ``id`` is in
+    ``keep``), a list of strings from each distinct string's code, anything
+    else by the C encoder, ``ROWS_PER_WRITE`` items at a time.  Only
+    containers of containers are walked item by item, and their keys must
+    be strings.
     """
     if not isinstance(obj, _CONTAINERS):
         yield json.dumps(obj)
@@ -923,33 +910,41 @@ def _iter_json(obj, level: int, texts: dict[bytes, str] | None = None):
         return
     inner = "\n" + " " * (level + 1)
     close = "\n" + " " * level + ("}" if is_dict else "]")
-    items = obj.values() if is_dict else obj
-    types = set(map(type, items))
-    text = None
-    if texts and not is_dict and types == {float}:
-        text = texts.get(np.array(obj, dtype=float).tobytes())
-    if text is not None:
-        yield "[" + inner
-        yield _json_floats(text, "," + inner)
-        yield close
-        return
+    types = set(map(type, obj.values() if is_dict else obj))
+    sep = "," + inner
     if not any(issubclass(t, _CONTAINERS) for t in types):
-        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-        yield text[0] + inner
-        yield text[1:-1]
+        lines = None
+        if not is_dict and types == {float}:
+            lines = (_float_text(obj, texts) if id(obj) in keep
+                     else texts.get(_content_key(obj)) if texts else None)
+        if lines is not None:
+            body = sep.join(lines)
+            # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf an "n"
+            if "n" in body:
+                body = sep.join(map(_JSON_NONFINITE.get, lines, lines))
+        elif not is_dict and types == {str}:
+            codes = {s: encode_basestring_ascii(s) for s in set(obj)}
+            body = sep.join(map(codes.__getitem__, obj))
+        else:
+            blocks = [obj] if is_dict else (obj[lo:lo + ROWS_PER_WRITE]
+                                            for lo in range(0, len(obj), ROWS_PER_WRITE))
+            body = sep.join(json.dumps(block, sort_keys=True, separators=(sep, ": "))[1:-1]
+                            for block in blocks)
+        yield ("{" if is_dict else "[") + inner
+        yield body
         yield close
         return
-    sep = ("{" if is_dict else "[") + inner
+    start = ("{" if is_dict else "[") + inner
     if is_dict:
         for key, value in sorted(obj.items()):
-            yield sep + encode_basestring_ascii(key) + ": "
-            yield from _iter_json(value, level + 1, texts)
-            sep = "," + inner
+            yield start + encode_basestring_ascii(key) + ": "
+            yield from _iter_json(value, level + 1, texts, keep)
+            start = sep
     else:
         for value in obj:
-            yield sep
-            yield from _iter_json(value, level + 1, texts)
-            sep = "," + inner
+            yield start
+            yield from _iter_json(value, level + 1, texts, keep)
+            start = sep
     yield close
 
 
@@ -963,32 +958,41 @@ def _csv_cells(*cells: str) -> str:
     return buf.getvalue()[:-3]
 
 
+def _csv_column(values: list) -> Iterable[str]:
+    """Each of ``values`` as a cell of ``csv.writer``; an int is its ``str``."""
+    return map(str if set(map(type, values)) <= {int} else _csv_cells, values)
+
+
+def _write_rows(fh, *columns: Iterable[str]) -> None:
+    """Write rows of one text per column, the last ending the row, joined in C."""
+    rows = zip(*columns)
+    while block := "".join(itertools.chain.from_iterable(
+            itertools.islice(rows, ROWS_PER_WRITE))):
+        fh.write(block)
+
+
 def write_ledger_csv(report: MarketReport, path) -> None:
-    """Write the ledger: one row per entry, amounts by ``repr``, CRLF line
-    ends.  The quoted text cells are made once per distinct combination,
-    the amounts come from :func:`_amount_text`, and the rows are written
-    in blocks of ``ROWS_PER_WRITE``."""
+    """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
+
+    The amounts are the payments' lines gathered by :func:`_amount_lines`.
+    Each cell of a column of strings is quoted with its separators once
+    per distinct string, and the rows are joined in C by :func:`_write_rows`.
+    """
     ledger = report.ledger
-    text = _amount_text(report, _report_texts(report))
-    amounts = text.split("\n") if text is not None else [repr(a) for a in ledger.amount]
-    columns = (ledger.time, ledger.payer, ledger.payee, ledger.feature, amounts,
-               ledger.market)
-    quoted: dict[tuple, tuple[str, str]] = {}
+    amounts = _amount_lines(report, _report_texts(report))
+
+    def cells(values, text=lambda v: _csv_cells(v) + ","):
+        distinct = set(values)
+        if all(type(v) is str for v in distinct):
+            return map({v: text(v) for v in distinct}.__getitem__, values)
+        return map(text, values)
+
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["time", "payer", "payee", "feature", "amount", "market"])
-        for lo in range(0, len(ledger), ROWS_PER_WRITE):
-            rows = []
-            for time, payer, payee, feature, amount, market in zip(
-                    *(col[lo:lo + ROWS_PER_WRITE] for col in columns)):
-                key = (payer, payee, feature, market)
-                cells = quoted.get(key)
-                if cells is None:
-                    cells = quoted[key] = (_csv_cells(payer, payee, feature),
-                                           _csv_cells(market))
-                if isinstance(time, str):
-                    time = _csv_cells(time)
-                rows.append(f"{time},{cells[0]},{amount},{cells[1]}\r\n")
-            fh.write("".join(rows))
+        csv.writer(fh).writerow(LEDGER_COLUMNS)
+        _write_rows(fh, _csv_column(ledger.time), itertools.repeat(","), cells(ledger.payer),
+                    cells(ledger.payee), cells(ledger.feature),
+                    amounts if amounts is not None else map(repr, ledger.amount),
+                    cells(ledger.market, lambda m: "," + _csv_cells(m) + "\r\n"))
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
@@ -997,10 +1001,9 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
     Rows are ``step,agent,feature,amount,cumulative`` with CRLF line ends
     and floats by ``repr``, grouped by feature in sorted order, one per
     (integer) step; a report with no per-step series has one ``batch`` row
-    per feature in ``payments``.  The quoted ``agent,feature`` cells are
-    made once per feature, the floats come from the texts
-    ``report_to_json`` made, and the rows are written in blocks of
-    ``ROWS_PER_WRITE``.
+    per feature in ``payments``.  The floats are the memo's lines, the
+    ``agent,feature`` cells are quoted once per feature, and the rows are
+    joined in C by :func:`_write_rows`.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -1008,15 +1011,13 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
         series = report.series
         if series and "payments" in series:
             texts = _report_texts(report)
-            steps = series["step"]
+            steps = list(_csv_column(series["step"]))
             for k in sorted(series["payments"]):
-                cells = _csv_cells(report.feature_owners.get(k, ""), k)
-                pays = _repr_lines(series["payments"][k], texts)
-                running = _repr_lines(series["cumulative"][k], texts)
-                for lo in range(0, len(steps), ROWS_PER_WRITE):
-                    block = slice(lo, lo + ROWS_PER_WRITE)
-                    fh.write("".join([f"{t},{cells},{p},{c}\r\n" for t, p, c in zip(
-                        steps[block], pays[block], running[block])]))
+                pays, running = (_float_text(v, texts) if _is_float_list(v) else map(repr, v)
+                                 for v in (series["payments"][k], series["cumulative"][k]))
+                middle = "," + _csv_cells(report.feature_owners.get(k, ""), k) + ","
+                _write_rows(fh, steps, itertools.repeat(middle), pays, itertools.repeat(","),
+                            running, itertools.repeat("\r\n"))
         else:
             running = 0.0
             for k in sorted(report.payments):

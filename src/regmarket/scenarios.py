@@ -325,14 +325,18 @@ def slice_rows(ds: Dataset, start: int, stop: int) -> Dataset:
 
 def task_for_case(spec: ScenarioSpec) -> TaskSpec:
     params = spec.params
+
+    def given(**fields):  # the TaskSpec arguments params gives; the rest keep defaults
+        return {name: params[key] for name, key in fields.items() if key in params}
+
     if spec.case == "batch-linear":
         return TaskSpec(central_agent="a1",
                         ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
-                        phi_insample=params.get("phi", 0.1))
+                        **given(phi_insample="phi"))
     if spec.case == "batch-poly":
         return TaskSpec(central_agent="a1",
                         ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
-                        degree=2, phi_insample=params.get("phi", 0.1))
+                        degree=2, **given(phi_insample="phi"))
     if spec.case == "batch-arx-quantile":
         tau = params.get("tau", 0.1)
         return TaskSpec(central_agent="a1",
@@ -345,16 +349,14 @@ def task_for_case(spec: ScenarioSpec) -> TaskSpec:
         return TaskSpec(central_agent="a1",
                         ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
                         lags={"y": (1,), "x2": (1,), "x3": (1,), "x4": (1,)},
-                        phi_insample=params.get("phi", 0.1),
-                        lam=params.get("lam", 0.998),
-                        warmup=params.get("warmup", 100))
+                        **given(phi_insample="phi", lam="lam", warmup="warmup"))
     if spec.case == "online-quantile":
         tau = params.get("tau", 0.5)
         return TaskSpec(central_agent="a1",
                         ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
                         loss=LossSpec("smooth-quantile", tau=tau,
                                       alpha=params.get("alpha", 0.2)),
-                        phi_insample=params.get("phi", 0.1),
+                        **given(phi_insample="phi"),
                         lam=params.get("lam", 0.999),
                         warmup=params.get("warmup", 150))
     if spec.case == "multi-agent-arx":

@@ -442,3 +442,126 @@ def test_ledger_amounts_not_in_the_series_are_formatted_by_repr(tmp_path):
     amounts[0] = amounts[0] + 1.0
     amounts[1] = float(repr(amounts[1]))
     assert_artifacts_match(report, tmp_path)
+
+
+def test_series_floats_are_formatted_once_across_the_four_writers(tmp_path, monkeypatch):
+    # the writers in the order the market command calls them: each float of
+    # the payment and cumulative series goes through repr once, for all four
+    report = oos_report()
+    assert report.ledger
+    floats = [v for name in ("payments", "cumulative")
+              for values in report.series[name].values() for v in values]
+    calls = collections.Counter()
+
+    def counting_repr(value):
+        calls[id(value)] += 1
+        return builtins.repr(value)
+
+    monkeypatch.setattr(market, "repr", counting_repr, raising=False)
+    for write, _ in WRITERS.values():
+        write(report, tmp_path / "out")
+    monkeypatch.undo()
+    assert {calls[id(v)] for v in floats} == {1}
+    assert {calls[id(a)] for a in report.ledger.amount} == {1}
+    assert_artifacts_match(report, tmp_path)
+
+
+# -- the ledger's amounts gathered from the payment series ---------------------
+
+PAYMENT = st.sampled_from([0.0, -0.0, -1.5, 1e-300]) | st.floats(-5.0, 5.0)
+LEDGER_EDITS = st.sampled_from(["none", "equal", "negative-zero", "nan", "append",
+                                "remove", "batch"])
+
+
+def settled_report(amounts: np.ndarray, edit: str, at: int) -> MarketReport:
+    """A report settled from a ``(T, K)`` matrix of pre-clamp payments by
+    the markets' own booking, with its ledger edited after booking."""
+    K = amounts.shape[1]
+    features = tuple(f"x{j}" for j in range(K))
+    owners = {k: f"a{j % 2 + 2}" for j, k in enumerate(features)}
+    task = TaskSpec(central_agent="a1", ownership=owners)
+    batch = edit == "batch"
+    report = MarketReport(market="batch" if batch else "oos", central_agent="a1",
+                          rows=len(amounts), phi=1.0, allocation_policy="shapley",
+                          game="support-coalitions", support=features, feature_owners=owners)
+    if batch:
+        # one row, booked with the batch market's string time and no series
+        return market._settle(report, task, amounts[:1], ["batch"])
+    report = market._settle(report, task, amounts, list(range(len(amounts))),
+                            np.ones(len(amounts)))
+    ledger = report.ledger
+    i = at % max(len(ledger), 1)
+    if edit == "append":
+        ledger.append(LedgerEntry(len(amounts), "a1", owners["x0"], "x0", 0.5, "oos"))
+    elif ledger and edit == "remove":
+        for column in ledger._columns():
+            del column[i]
+    elif ledger and edit != "none":
+        ledger.amount[i] = {"equal": float(repr(ledger.amount[i])), "negative-zero": -0.0,
+                            "nan": float("nan")}[edit]
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda T: st.integers(1, 4).flatmap(
+           lambda K: st.tuples(st.lists(st.lists(PAYMENT, min_size=K, max_size=K),
+                                        min_size=T, max_size=T),
+                               st.lists(st.booleans(), min_size=K, max_size=K)))),
+       LEDGER_EDITS, st.integers(0, 100))
+def test_gathered_ledger_amounts_match_the_reference_writers(tmp_path_factory, matrix, edit,
+                                                              at):
+    rows, zero_columns = matrix
+    amounts = np.array(rows, dtype=float)
+    amounts[:, zero_columns] = 0.0
+    report = settled_report(amounts, edit, at)
+    tmp_path = tmp_path_factory.mktemp("gather")
+    for name in ("report.json", "ledger.csv"):
+        write, reference = WRITERS[name]
+        write(report, tmp_path / name)
+        reference(report, tmp_path / f"ref-{name}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes(), name
+
+
+@pytest.mark.parametrize("edit", ["equal", "negative-zero", "nan", "append", "remove"])
+def test_an_edited_streamed_ledger_formats_only_its_edited_amounts_again(tmp_path,
+                                                                         monkeypatch, edit):
+    report = settled_report(np.array([[0.5, 0.0, 2.0], [0.25, 0.0, -1.0], [1.0, 0.0, 3.0]]),
+                            edit, 1)
+    pays = report.series["payments"]
+    booked = [pays[k][t] for t in range(3) for k in sorted(pays) if pays[k][t] > 0.0]
+    in_series = {id(v) for values in pays.values() for v in values}
+    calls = collections.Counter()
+
+    def counting_repr(value):
+        calls[id(value)] += 1
+        return builtins.repr(value)
+
+    monkeypatch.setattr(market, "repr", counting_repr, raising=False)
+    report_to_json(report, tmp_path / "report.json")
+    write_ledger_csv(report, tmp_path / "ledger.csv")
+    monkeypatch.undo()
+    # an amount that is the booked float in its place takes that float's
+    # line; any other goes through repr for the ledger, a series float a
+    # second time
+    amounts = report.ledger.amount
+    assert [calls[id(a)] for a in amounts] == [
+        1 if (i < len(booked) and booked[i] is a) or id(a) not in in_series else 2
+        for i, a in enumerate(amounts)]
+    assert sum(id(a) not in in_series for a in amounts) == (edit != "remove")
+    assert_artifacts_match(report, tmp_path)
+
+
+def test_ledger_cells_of_equal_values_of_different_types(tmp_path):
+    # 1, 1.0 and True are equal, but csv.writer writes each its own way
+    report = hand_built_report()
+    report.ledger = [LedgerEntry(t, "ä1", 'a "two"', "vind,møller", 0.5, "oos")
+                     for t in (1, 1.0, True, 1, "1")]
+    assert_artifacts_match(report, tmp_path)
+
+
+def test_non_int_steps_and_times_are_cells_as_csv_writes_them(tmp_path):
+    report = hand_built_report()
+    report.series["step"] = ["a,b", None, 2.5]
+    report.ledger = [LedgerEntry(t, "ä1", "a3", "x4", 0.5, "oos")
+                     for t in (None, 'x "y"', 1.5, 2)]
+    assert_artifacts_match(report, tmp_path)
