@@ -16,8 +16,9 @@ stack of systems, and every block of residuals, is cut to about
 coefficient table grows with the number of coalitions.  One condition
 check, Cholesky check and solve then fit each stack.  Losses and gradient
 norms are taken from residuals, never from ``y'y - 2b'X'y + b'Gb``, which
-loses digits to cancellation.  :func:`fit_matrix` is the one-coalition
-case.
+loses digits to cancellation.  :func:`solve_column_sets` is the solve
+alone, for callers that need only the coefficients; :func:`fit_matrix` is
+the one-coalition case.
 """
 
 from __future__ import annotations
@@ -123,12 +124,14 @@ def coalition_losses(coefficients: np.ndarray, X: np.ndarray, y: np.ndarray,
     return out
 
 
-def fit_column_sets(X: np.ndarray, y: np.ndarray, masks: np.ndarray, spec: LossSpec,
-                    term_names: tuple[str, ...]) -> tuple[np.ndarray, list[FitResult]]:
-    """Fit y on every column set a row of the ``(C, n)`` boolean ``masks`` selects.
+def solve_column_sets(X: np.ndarray, y: np.ndarray,
+                      masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of y on every column set a row of the
+    ``(C, n)`` boolean ``masks`` selects, and the jitter of each system.
 
     Returns the ``(C, n)`` coefficient matrix, zero outside each set, and
-    one FitResult per set, each over its own columns only.
+    the ``(C,)`` jitter.  Every set needs a column, and the rows must
+    cover the widest set.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -151,7 +154,21 @@ def fit_column_sets(X: np.ndarray, y: np.ndarray, masks: np.ndarray, spec: LossS
             r, c = rows[lo:lo + step], cols[lo:lo + step]
             beta[r[:, None], c], jitter[r] = _solve_gram(G[c[:, :, None], c[:, None, :]],
                                                          b[c])
-    columns = np.split(np.nonzero(masks)[1], np.cumsum(widths)[:-1])
+    return beta, jitter
+
+
+def fit_column_sets(X: np.ndarray, y: np.ndarray, masks: np.ndarray, spec: LossSpec,
+                    term_names: tuple[str, ...]) -> tuple[np.ndarray, list[FitResult]]:
+    """Fit y on every column set a row of the ``(C, n)`` boolean ``masks`` selects.
+
+    Returns the ``(C, n)`` coefficient matrix, zero outside each set, and
+    one FitResult per set, each over its own columns only.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    T = X.shape[0]
+    beta, jitter = solve_column_sets(X, y, masks)
+    columns = np.split(np.nonzero(masks)[1], np.cumsum(masks.sum(axis=1))[:-1])
     names = [tuple(term_names[i] for i in cols.tolist()) for cols in columns]
     if not spec.is_quadratic:
         fits = [_newton_fit(X[:, cols], y, spec, beta[j, cols], names[j], float(jitter[j]))
@@ -272,10 +289,11 @@ def check_enumeration_cap(support, cap: int) -> None:
             f"({cap}); {CAP_REMEDY}")
 
 
-def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
-                       central: frozenset[str], support: tuple[str, ...],
-                       spec: LossSpec, cap: int = 15) -> CoalitionLossTable:
-    """Fit the 2^m coalition models; the table keeps each fit and its optimal loss."""
+def coalition_masks(design: AugmentedDesign, central: frozenset[str], support: tuple[str, ...],
+                    cap: int) -> tuple[list[frozenset], np.ndarray]:
+    """Every coalition of ``support``, within the enumeration ``cap``, and
+    the ``(C, n)`` mask of the design columns each one sees on top of
+    ``central``."""
     support = tuple(sorted(support))
     check_enumeration_cap(support, cap)
     central = frozenset(central)
@@ -284,6 +302,15 @@ def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
     masks = np.zeros((len(coalitions), design.n), dtype=bool)
     for j, coalition in enumerate(coalitions):
         masks[j, design.columns_for(central | coalition)] = True
+    return coalitions, masks
+
+
+def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,
+                       central: frozenset[str], support: tuple[str, ...],
+                       spec: LossSpec, cap: int = 15) -> CoalitionLossTable:
+    """Fit the 2^m coalition models; the table keeps each fit and its optimal loss."""
+    coalitions, masks = coalition_masks(design, central, support, cap)
     beta, fits = fit_column_sets(design.values, y, masks, spec, design.term_names)
     return CoalitionLossTable({c: f.loss_star for c, f in zip(coalitions, fits)},
-                              support, central, dict(zip(coalitions, fits)), beta)
+                              tuple(sorted(support)), frozenset(central),
+                              dict(zip(coalitions, fits)), beta)

@@ -71,10 +71,12 @@ from .batch import (
     CoalitionLossTable,
     check_enumeration_cap,
     coalition_losses,
+    coalition_masks,
     enumerate_coalitions,
     fit_all_coalitions as _fit_table,
     fit_column_sets,
     fit_matrix,
+    solve_column_sets,
 )
 from .data import AugmentedDesign, Dataset, make_lags, polynomial_expand
 from .errors import EnumerationCapError, FeatureLookupError, ParameterError
@@ -395,6 +397,26 @@ def _cv_improvement(design, X, y, central, feature, spec) -> tuple[float, float]
 # settlement
 
 
+def _shared_runs(column: np.ndarray) -> list[float]:
+    """``column.tolist()`` of a float64 column, with each run of
+    bit-identical consecutive values as one float object.
+
+    Values are compared as ``uint64``, so ``0.0`` and ``-0.0``, and NaNs
+    with different payloads, stay apart.  A settled series repeats a lot
+    (every step without a payment is ``0.0``, and a running total stays
+    put after one), so one object per run keeps it small; the writers
+    format each run once (:func:`_float_text`).
+    """
+    bits = column.view(np.uint64)
+    heads = np.empty(len(bits), dtype=bool)
+    heads[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    if heads.all():
+        return column.tolist()
+    firsts = np.array(column[heads].tolist(), dtype=object)
+    return firsts[np.cumsum(heads) - 1].tolist()
+
+
 def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: list,
             surplus: np.ndarray | None = None) -> MarketReport:
     """Clamp, book, total and audit a ``(steps, features)`` matrix of
@@ -403,7 +425,8 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
     Strictly negative amounts count as clamped, and every amount that is
     not positive is paid as ``0.0``.  Positive amounts become ledger
     entries in time, then feature order, tagged with ``times``.  Given the
-    per-step ``surplus``, the report gets the per-step series.  Each
+    per-step ``surplus``, the report gets the per-step series, each run of
+    repeated values in them one float object (:func:`_shared_runs`).  Each
     feature is paid the exact sum of its column, a screened-out feature
     zero, and the central agent is debited the sum of the support credits.
     ``support_share_sum`` is the exact sum of ``report.allocations``.  The
@@ -412,7 +435,7 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
     features, owners = report.support, report.feature_owners
     report.clamped_entries = int(np.count_nonzero(amounts < 0.0))
     paid = np.where(amounts <= 0.0, 0.0, amounts)
-    pay_series = {k: paid[:, j].tolist() for j, k in enumerate(features)}
+    pay_series = {k: _shared_runs(paid[:, j]) for j, k in enumerate(features)}
     rows, cols = np.nonzero(paid > 0.0)
     n = len(rows)
     # object arrays gather references: the ledger's times and amounts are
@@ -425,12 +448,14 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
             cols, rows].tolist(),
         market=[report.market] * n)
     if surplus is not None:
+        central = np.array([math.fsum(row) for row in zip(*pay_series.values())])
         report.series.update({
             "step": times,
-            "surplus": surplus.tolist(),
-            "central_payment": [math.fsum(row) for row in zip(*pay_series.values())],
+            "surplus": _shared_runs(surplus),
+            "central_payment": _shared_runs(central),
             "payments": pay_series,
-            "cumulative": {k: np.cumsum(v).tolist() for k, v in pay_series.items()},
+            "cumulative": {k: _shared_runs(np.cumsum(paid[:, j]))
+                           for j, k in enumerate(features)},
         })
     report.payments = {k: math.fsum(v) for k, v in pay_series.items()}
     report.support_share_sum = math.fsum(report.allocations.values())
@@ -544,7 +569,8 @@ def _allocate_and_pay(report: MarketReport, task: TaskSpec, players, losses, pot
         if report.no_surplus:
             pot, psi = 0.0, np.zeros_like(psi)
     else:
-        report.series["allocations"] = {k: shares.values[k].tolist() for k in report.support}
+        report.series["allocations"] = {k: _shared_runs(shares.values[k])
+                                        for k in report.support}
     report.allocations = dict(zip(report.support, psi[-1].tolist()))
     report = _settle(report, task, np.reshape(pot, (-1, 1)) * psi, times, surplus)
     if surplus is None and not report.no_surplus:
@@ -665,11 +691,15 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
 
 
 def _batch_oos_losses(design, X, y, train, central, support, task):
-    train_design = AugmentedDesign(design.terms, X[:train], design.feature_owners)
-    table = _fit_table(train_design, y[:train], central=central, support=support,
-                       spec=task.loss, cap=task.enumeration_cap)
-    losses = coalition_losses(table.coefficients, X[train:], y[train:], task.loss)
-    return dict(zip(table.losses, losses))
+    """Each coalition's realised losses on the evaluation rows, with
+    coefficients fitted on the training rows.  A quadratic fit needs only
+    the solve; a smooth-quantile fit runs its Newton iterations."""
+    coalitions, masks = coalition_masks(design, central, support, task.enumeration_cap)
+    if task.loss.is_quadratic:
+        beta, _ = solve_column_sets(X[:train], y[:train], masks)
+    else:
+        beta, _ = fit_column_sets(X[:train], y[:train], masks, task.loss, design.term_names)
+    return dict(zip(coalitions, coalition_losses(beta, X[train:], y[train:], task.loss)))
 
 
 def _online_oos_losses(design, y, central, support, task):
@@ -838,10 +868,20 @@ def _content_key(values) -> bytes:
 
 def _float_text(values: list, texts: dict[bytes, list[str]]) -> list[str]:
     """The text of a list of floats as its ``repr`` lines, made once per
-    content and kept in ``texts``."""
+    content and kept in ``texts``.
+
+    A run of one float object in neighbouring places (:func:`_shared_runs`)
+    goes through ``repr`` once, and its line is repeated.
+    """
     key = _content_key(values)
     if key not in texts:
-        texts[key] = list(map(repr, values))
+        repeats = list(map(operator.is_, itertools.islice(values, 1, None), values))
+        if any(repeats):
+            heads = [True, *map(operator.not_, repeats)]
+            lines = np.array(list(map(repr, itertools.compress(values, heads))), dtype=object)
+            texts[key] = lines[np.cumsum(heads) - 1].tolist()
+        else:
+            texts[key] = list(map(repr, values))
     return texts[key]
 
 

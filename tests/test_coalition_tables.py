@@ -11,11 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
-from regmarket import batch
+from regmarket import batch, market
 from regmarket import (
     AugmentedDesign,
     Dataset,
     EnumerationCapError,
+    FeatureLookupError,
     InsufficientDataError,
     LossSpec,
     ParameterError,
@@ -250,3 +251,53 @@ def test_enumeration_cap_message_names_the_remedies_that_exist():
         message = str(err.value)
         assert "enumeration_cap" in message and "screen_features" in message
         assert "Monte-Carlo" not in message
+
+
+# -- the out-of-sample market's training fits -----------------------------------
+
+OWNERS = {"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a4"}
+
+
+def full_table_oos_losses(design, y, train, support, task):
+    """Losses by coalition on the rows after ``train``, with the coefficients
+    of the full coalition table fitted on the rows before."""
+    X = design.values
+    table = fit_all_coalitions(AugmentedDesign(design.terms, X[:train], design.feature_owners),
+                               y[:train], central=CENTRAL, support=support, spec=task.loss,
+                               cap=task.enumeration_cap)
+    return dict(zip(table.losses,
+                    coalition_losses(table.coefficients, X[train:], y[train:], task.loss)))
+
+
+@pytest.mark.parametrize("seed,degree,spec", [
+    (0, 1, QUAD), (1, 2, QUAD), (2, 1, LossSpec("smooth-quantile", tau=0.3, alpha=0.5))])
+def test_oos_losses_by_coalition_are_the_full_tables_bit_for_bit(seed, degree, spec):
+    ds, design = make_design(T=400, seed=seed, degree=degree)
+    task = TaskSpec(central_agent="a1", ownership=OWNERS, loss=spec, degree=degree)
+    support = ("x2", "x3", "x4")
+    got = market._batch_oos_losses(design, design.values, ds.target, 200, CENTRAL, support,
+                                   task)
+    want = full_table_oos_losses(design, ds.target, 200, support, task)
+    assert list(got) == list(want) == list(enumerate_coalitions(support))
+    for c in want:
+        assert got[c].tobytes() == want[c].tobytes()
+
+
+@pytest.mark.parametrize("case,error", [("over-cap", EnumerationCapError),
+                                        ("unknown-feature", FeatureLookupError),
+                                        ("few-rows", InsufficientDataError)])
+def test_oos_training_fits_raise_the_full_tables_errors(case, error):
+    ds, design = make_design(T=400, seed=12)
+    support, train = ("x2", "x3", "x4"), 200
+    task = TaskSpec(central_agent="a1", ownership=OWNERS, loss=QUAD,
+                    enumeration_cap=2 if case == "over-cap" else 15)
+    if case == "unknown-feature":
+        support = ("x2", "zz")
+    elif case == "few-rows":
+        train = 3
+    with pytest.raises(error) as want:
+        full_table_oos_losses(design, ds.target, train, support, task)
+    with pytest.raises(error) as got:
+        market._batch_oos_losses(design, design.values, ds.target, train, CENTRAL, support,
+                                 task)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)

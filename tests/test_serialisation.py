@@ -12,8 +12,11 @@ import csv
 import dataclasses
 import gc
 import json
+import math
+import operator
 import weakref
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from regmarket.market import (
     _is_float_list,
     _iter_json,
     _report_texts,
+    _shared_runs,
     audit_ledger,
     report_to_json,
     write_cumulative_csv,
@@ -564,4 +568,123 @@ def test_non_int_steps_and_times_are_cells_as_csv_writes_them(tmp_path):
     report.series["step"] = ["a,b", None, 2.5]
     report.ledger = [LedgerEntry(t, "ä1", "a3", "x4", 0.5, "oos")
                      for t in (None, 'x "y"', 1.5, 2)]
+    assert_artifacts_match(report, tmp_path)
+
+
+# -- settled series share their runs of repeated values --------------------------
+
+# quiet NaNs with different payloads, and the same NaN with its sign bit set
+NAN_BITS = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000001],
+                    dtype=np.uint64)
+SPECIAL = np.concatenate([[0.0, -0.0, 1.0], NAN_BITS.view(float)])
+
+
+def bits(values) -> np.ndarray:
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+def assert_shares_its_runs(values: list, reference: np.ndarray) -> None:
+    """``values`` is ``reference.tolist()`` bit for bit, and two places hold
+    one object exactly when they are neighbours with the same bits."""
+    assert all(type(v) is float for v in values)
+    assert np.array_equal(bits(values), reference.view(np.uint64))
+    same_bits = (reference[1:].view(np.uint64) == reference[:-1].view(np.uint64)).tolist()
+    assert list(map(operator.is_, values[1:], values)) == same_bits
+    assert len(set(map(id, values))) == len(values) - sum(same_bits)
+
+
+def test_shared_runs_keep_zero_signs_and_nan_payloads_apart():
+    column = SPECIAL[[0, 0, 1, 1, 0, 3, 3, 4, 5, 5, 2, 2, 2]]
+    values = _shared_runs(column)
+    assert_shares_its_runs(values, column)
+    assert len(set(map(id, values))) == 7
+    # a strided column, as _settle takes it from its payment matrix
+    matrix = np.stack([column, column[::-1]], axis=1)
+    for j in range(2):
+        assert_shares_its_runs(_shared_runs(matrix[:, j]), matrix[:, j].copy())
+    assert _shared_runs(np.array([])) == []
+
+
+def test_float_text_formats_each_run_of_one_object_once():
+    zero, negative_zero, other_negative_zero = 0.0, -0.0, float("-0.0")
+    nan = float("nan")
+    values = [zero, zero, negative_zero, other_negative_zero, nan, nan, 2.5]
+    calls = collections.Counter()
+
+    def counting_repr(value):
+        calls[id(value)] += 1
+        return builtins.repr(value)
+
+    with mock.patch.object(market, "repr", counting_repr, create=True):
+        lines = _float_text(values, {})
+    assert lines == list(map(repr, values))
+    assert lines[0] is lines[1] and lines[4] is lines[5] and lines[2] is not lines[3]
+    assert sum(calls.values()) == 5 and set(calls.values()) == {1}
+
+
+RUN_PAYMENT = st.sampled_from([0.0, -0.0, -1.5, 0.5, 2.0]) | st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 15).flatmap(lambda T: st.integers(1, 4).flatmap(
+           lambda K: st.tuples(st.lists(st.lists(RUN_PAYMENT, min_size=K, max_size=K),
+                                        min_size=T, max_size=T),
+                               st.lists(st.booleans(), min_size=K, max_size=K),
+                               st.lists(st.integers(0, len(SPECIAL) - 1), min_size=T,
+                                        max_size=T)))))
+def test_settled_series_share_their_runs_and_are_formatted_once(tmp_path_factory, case):
+    rows, zero_columns, surplus_picks = case
+    amounts = np.array(rows, dtype=float)
+    amounts[:, zero_columns] = 0.0
+    surplus = SPECIAL[surplus_picks]
+    K = amounts.shape[1]
+    features = tuple(f"x{j}" for j in range(K))
+    owners = {k: f"a{j % 2 + 2}" for j, k in enumerate(features)}
+    report = MarketReport(market="oos", central_agent="a1", rows=len(amounts), phi=1.0,
+                          allocation_policy="shapley", game="support-coalitions",
+                          support=features, feature_owners=owners)
+    report = market._settle(report, TaskSpec(central_agent="a1", ownership=owners), amounts,
+                            list(range(len(amounts))), surplus)
+    series = report.series
+    paid = np.where(amounts <= 0.0, 0.0, amounts)
+    assert_shares_its_runs(series["surplus"], surplus)
+    assert_shares_its_runs(series["central_payment"],
+                           np.array([math.fsum(row) for row in paid.tolist()]))
+    for j, k in enumerate(features):
+        assert_shares_its_runs(series["payments"][k], paid[:, j].copy())
+        assert_shares_its_runs(series["cumulative"][k], np.cumsum(paid[:, j].tolist()))
+    lists = [series["surplus"], series["central_payment"],
+             *series["payments"].values(), *series["cumulative"].values()]
+    # no object is shared between two lists either
+    objects = {id(v) for values in lists for v in values}
+    assert len(objects) == sum(len(set(map(id, values))) for values in lists)
+
+    # across the four writers each run of a payment or cumulative list goes
+    # through repr at most once, as its one object, and nothing else does:
+    # a list is formatted whole, or takes the lines of a list with its
+    # content formatted before (the ledger's amounts take the payments')
+    calls = collections.Counter()
+
+    def counting_repr(value):
+        calls[id(value)] += 1
+        return builtins.repr(value)
+
+    tmp_path = tmp_path_factory.mktemp("runs")
+    with mock.patch.object(market, "repr", counting_repr, create=True):
+        for write, _ in WRITERS.values():
+            write(report, tmp_path / "out")
+    assert set(calls.values()) <= {1}
+    formatted, untouched, listed = collections.Counter(), set(), set()
+    for values in [*series["payments"].values(), *series["cumulative"].values()]:
+        ids = set(map(id, values))
+        listed |= ids
+        called = len(ids & calls.keys())
+        assert called in (0, len(ids))
+        if called:
+            formatted[bits(values).tobytes()] += 1
+        else:
+            untouched.add(bits(values).tobytes())
+    assert calls.keys() <= listed
+    assert set(formatted.values()) <= {1}
+    assert untouched <= formatted.keys() | {bits(report.ledger.amount).tobytes()}
     assert_artifacts_match(report, tmp_path)
