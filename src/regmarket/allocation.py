@@ -5,9 +5,11 @@ L*_grand``.  The Shapley policy is exact: it enumerates every coalition,
 whose number the task's enumeration cap bounds, and weighs each
 coalition's marginal contribution by ``|w|! (m - |w| - 1)! / m!``; the zero
 and absolute variants clamp or rectify negative marginals and may then sum
-to more or less than one.  A feature whose marginals never move any
-coalition loss beyond 1e-12 is snapped to an exact zero allocation, which
-keeps the zero-element market property exact under solver jitter.
+to more or less than one.  :func:`shapley_contributions` is the one walk
+over the coalitions, for a scalar loss table and for loss series alike.  A
+feature whose marginals never move any coalition loss beyond 1e-12 is
+snapped to an exact zero allocation, which keeps the zero-element market
+property exact under solver jitter.
 
 Per-step allocations take one loss series per coalition and work on every
 step in one array pass, under the Shapley variants or either leave-one-out
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,16 +70,6 @@ def shapley_weight(subset_size: int, n_players: int) -> float:
             / math.factorial(n_players))
 
 
-def _marginal_transform(variant: str) -> Callable:
-    if variant == ORIGINAL:
-        return lambda d: d
-    if variant == ZERO:
-        return lambda d: np.maximum(d, 0.0) if np.ndim(d) else max(d, 0.0)
-    if variant == ABSOLUTE:
-        return np.abs
-    raise ParameterError(f"unknown Shapley variant {variant!r}")
-
-
 def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[str],
                           variant: str = ORIGINAL, peaks: bool = True):
     """Unnormalised Shapley values of a loss game, plus each player's
@@ -85,12 +77,13 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
 
     Losses may be scalars or equal-length arrays; arrays give a Shapley
     trajectory per time step in one pass, and the largest marginal is then
-    taken per element.  Without ``peaks`` the losses must be arrays, the
-    marginals are None, and the sums are accumulated in place, bit for bit
-    the same.
+    taken per element.  Each marginal is transformed, weighted and added
+    in place on arrays; scalars give Python floats.  Without ``peaks`` the
+    marginals are None and the sums are the same bits.
     """
     players = tuple(players)
-    transform = _marginal_transform(variant)
+    if variant not in (ORIGINAL, ZERO, ABSOLUTE):
+        raise ParameterError(f"unknown Shapley variant {variant!r}")
     missing = [c for c in enumerate_coalitions(players) if c not in losses]
     if missing:
         raise CoverageError(
@@ -98,49 +91,30 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
             missing=missing)
     m = len(players)
     weights = [shapley_weight(s, m) for s in range(m)]
-    if not peaks:
-        return _shapley_sums(losses, players, weights, variant), None
+    shape = np.shape(losses[frozenset()])
     contribs: dict[str, float | np.ndarray] = {}
-    max_marginal: dict[str, float | np.ndarray] = {}
+    max_marginal: dict[str, float | np.ndarray] | None = {} if peaks else None
     for k in players:
         rest = [p for p in players if p != k]
-        total = 0.0
-        peak = 0.0
+        total = np.zeros(shape) if shape else 0.0
+        peak = np.zeros(shape) if shape else 0.0
         for size in range(m):
             w = weights[size]
             for combo in itertools.combinations(rest, size):
                 sub = frozenset(combo)
                 diff = losses[sub] - losses[sub | {k}]
-                peak = np.maximum(peak, np.abs(diff))
-                total = total + w * transform(diff)
-        contribs[k] = total
-        max_marginal[k] = peak if np.ndim(peak) else float(peak)
-    return contribs, max_marginal
-
-
-def _shapley_sums(losses, players, weights, variant) -> dict[str, np.ndarray]:
-    """The contributions of :func:`shapley_contributions` over loss arrays,
-    each marginal transformed, weighted and added into one buffer."""
-    m = len(players)
-    shape = np.shape(losses[frozenset()])
-    diff = np.empty(shape)
-    contribs = {}
-    for k in players:
-        rest = [p for p in players if p != k]
-        total = np.zeros(shape)
-        for size in range(m):
-            w = weights[size]
-            for combo in itertools.combinations(rest, size):
-                sub = frozenset(combo)
-                np.subtract(losses[sub], losses[sub | {k}], out=diff)
+                if peaks:
+                    peak = np.maximum(peak, np.abs(diff), out=peak if shape else None)
                 if variant == ZERO:
-                    np.maximum(diff, 0.0, out=diff)
+                    diff = np.maximum(diff, 0.0, out=diff) if shape else max(diff, 0.0)
                 elif variant == ABSOLUTE:
-                    np.abs(diff, out=diff)
-                np.multiply(diff, w, out=diff)
-                np.add(total, diff, out=total)
-        contribs[k] = total
-    return contribs
+                    diff = np.abs(diff, out=diff) if shape else abs(diff)
+                diff *= w
+                total += diff
+        contribs[k] = total if shape else float(total)
+        if peaks:
+            max_marginal[k] = peak if shape else float(peak)
+    return contribs, max_marginal
 
 
 def _snap_and_normalise(contribs, max_marginal, normalizer, policy) -> AllocationVector:

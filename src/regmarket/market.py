@@ -359,38 +359,33 @@ def screen_features(dataset: Dataset, task: TaskSpec) -> tuple[str, ...]:
 
     A feature is retained when adding it to the central model lowers the
     loss of a 5-fold cross-validation.  Each feature is fitted on its own,
-    so screening runs above the enumeration cap.
+    so screening runs above the enumeration cap; the central model's fold
+    losses are fitted once for all of them.
     """
     ds, design, central, report = _prepare(dataset, task, "batch", None)
+    if not report.support:
+        return ()
     X, y = design.values, ds.target
+    T = X.shape[0]
+    bounds = np.linspace(0, T, SCREEN_FOLDS + 1).astype(int)
+    folds = [(np.r_[0:lo, hi:T], np.r_[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def cv_loss(coalition):
+        idx = list(design.columns_for(coalition))
+        loss = 0.0
+        for train, val in folds:
+            fit = fit_matrix(X[train][:, idx], y[train], task.loss)
+            loss += insample_loss(y[val] - X[val][:, idx] @ fit.coefficients, task.loss)
+        return loss
+
+    base = cv_loss(central)
     retained = []
     for k in report.support:
-        reduction, base = _cv_improvement(design, X, y, central, k, task.loss)
         # "> 0" up to solver noise, so an exactly valueless column with
         # a jittered fit still reads as zero
-        if reduction > 1e-12 * max(1.0, abs(base)):
+        if base - cv_loss(central | {k}) > 1e-12 * max(1.0, abs(base)):
             retained.append(k)
     return tuple(retained)
-
-
-def _cv_improvement(design, X, y, central, feature, spec) -> tuple[float, float]:
-    T = X.shape[0]
-    base_idx = list(design.columns_for(central))
-    plus_idx = list(design.columns_for(central | {feature}))
-    bounds = np.linspace(0, T, SCREEN_FOLDS + 1).astype(int)
-    base_loss = plus_loss = 0.0
-    for i in range(SCREEN_FOLDS):
-        lo, hi = bounds[i], bounds[i + 1]
-        train = np.r_[0:lo, hi:T]
-        val = np.r_[lo:hi]
-        for idx, sink in ((base_idx, "base"), (plus_idx, "plus")):
-            fit = fit_matrix(X[train][:, idx], y[train], spec)
-            val_loss = insample_loss(y[val] - X[val][:, idx] @ fit.coefficients, spec)
-            if sink == "base":
-                base_loss += val_loss
-            else:
-                plus_loss += val_loss
-    return base_loss - plus_loss, base_loss
 
 
 # ---------------------------------------------------------------------------

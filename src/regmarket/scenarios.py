@@ -51,6 +51,29 @@ _DEFAULT_T = {
     "multi-agent-arx": 6_000,
 }
 
+# each case's generator parameters with their defaults, which overrides replace
+_GEN_PARAMS = {
+    "batch-linear": {"beta0": 0.1, "beta": {"x1": -0.3, "x2": 0.5, "x3": -0.9, "x4": 0.2},
+                     "sigma_eps": 0.3},
+    "batch-poly": {"sigma_eps": 0.3},
+    "batch-arx-quantile": {"beta0": 0.1, "ar": 0.92,
+                           "beta": {"x2": -0.32, "x3": -0.06, "x4": 0.19},
+                           "sigma_eps": 0.3, "burn": 200},
+    "online-arx": {"beta0": 0.1, "sigma_eps": 0.3, "burn": 200},
+    "online-quantile": {"beta0": 0.1, "beta4": 2.0, "sigma_eps": 0.5},
+    "multi-agent-arx": {"n_agents": 9, "own": 0.25, "upwind1": 0.55, "upwind2": 0.12,
+                        "sigma_eps": 0.1, "burn": 300},
+}
+# the override keys each case's market run reads (task_for_case, _run_multi_agent)
+_RUN_PARAMS = {
+    "batch-linear": ("phi",),
+    "batch-poly": ("phi",),
+    "batch-arx-quantile": ("tau", "alpha", "phi"),
+    "online-arx": ("phi", "lam", "warmup"),
+    "online-quantile": ("tau", "alpha", "phi", "lam", "warmup"),
+    "multi-agent-arx": ("train_rows", "phi_insample", "phi_oos", "oos_policy", "n_windows"),
+}
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -64,6 +87,11 @@ class ScenarioSpec:
             raise ParameterError(f"unknown scenario case {self.case!r}")
         if self.T is not None and self.T < 1:
             raise ParameterError("T must be >= 1")
+        accepted = sorted([*_GEN_PARAMS[self.case], *_RUN_PARAMS[self.case]])
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise ParameterError(f"unknown {self.case} parameter(s) {', '.join(unknown)}; "
+                                 f"accepted: {', '.join(accepted)}")
 
     @property
     def rows(self) -> int:
@@ -75,6 +103,14 @@ def stream(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _generator_params(spec: ScenarioSpec) -> dict:
+    """The case's generator defaults, with the overrides in ``spec.params``.
+    The coefficient dicts are copies, since the truth record hands them out."""
+    defaults = {k: dict(v) if isinstance(v, dict) else v
+                for k, v in _GEN_PARAMS[spec.case].items()}
+    return {**defaults, **spec.params}
 
 
 def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
@@ -98,9 +134,7 @@ def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
 
 def _gen_batch_linear(spec: ScenarioSpec):
     T = spec.rows
-    p = {"beta0": 0.1, "beta": {"x1": -0.3, "x2": 0.5, "x3": -0.9, "x4": 0.2},
-         "sigma_eps": 0.3}
-    p.update(spec.params)
+    p = _generator_params(spec)
     betas = p["beta"]
     xs = {k: stream(spec.seed, k).normal(0.0, 1.0, T) for k in sorted(betas)}
     eps = stream(spec.seed, "eps").normal(0.0, p["sigma_eps"], T)
@@ -124,8 +158,7 @@ def _gen_batch_linear(spec: ScenarioSpec):
 
 def _gen_batch_poly(spec: ScenarioSpec):
     T = spec.rows
-    p = {"sigma_eps": 0.3}
-    p.update(spec.params)
+    p = _generator_params(spec)
     g = {k: stream(spec.seed, k).normal(0.0, 1.0, T) for k in ("x1", "x2", "x3")}
     eps = stream(spec.seed, "eps").normal(0.0, p["sigma_eps"], T)
     # true terms: intercept, x1, x2, x3, x2^2 and the x1*x3 interaction
@@ -149,10 +182,7 @@ def _gen_batch_arx_quantile(spec: ScenarioSpec):
     # allocation ordering of the reference tables both hold: the support
     # signal variance is ~0.145 with x2 strongest, then x4, then x3.
     T = spec.rows
-    p = {"beta0": 0.1, "ar": 0.92,
-         "beta": {"x2": -0.32, "x3": -0.06, "x4": 0.19},
-         "sigma_eps": 0.3, "burn": 200}
-    p.update(spec.params)
+    p = _generator_params(spec)
     n = T + p["burn"]
     ds = _arx_dataset(spec, p, np.full(n, p["ar"]),
                       {k: np.full(n, b) for k, b in sorted(p["beta"].items())})
@@ -181,8 +211,7 @@ def _gen_batch_arx_quantile(spec: ScenarioSpec):
 
 def _gen_online_arx(spec: ScenarioSpec):
     T = spec.rows
-    p = {"beta0": 0.1, "sigma_eps": 0.3, "burn": 200}
-    p.update(spec.params)
+    p = _generator_params(spec)
     burn = p["burn"]
     t_axis = np.arange(-burn, T) / T
     traj = {
@@ -224,8 +253,7 @@ def _arx_dataset(spec: ScenarioSpec, p: dict, ar: np.ndarray,
 
 def _gen_online_quantile(spec: ScenarioSpec):
     T = spec.rows
-    p = {"beta0": 0.1, "beta4": 2.0, "sigma_eps": 0.5}
-    p.update(spec.params)
+    p = _generator_params(spec)
     t_axis = np.arange(T) / T
     traj = {
         "x1": 0.5 + 0.20 * np.sin(2 * np.pi * t_axis),
@@ -275,9 +303,7 @@ def _var_matrix(n_agents: int, own: float, upwind1: float, upwind2: float) -> np
 
 def _gen_multi_agent(spec: ScenarioSpec):
     T = spec.rows
-    p = {"n_agents": 9, "own": 0.25, "upwind1": 0.55, "upwind2": 0.12,
-         "sigma_eps": 0.1, "burn": 300}
-    p.update(spec.params)
+    p = _generator_params(spec)
     n_agents = p["n_agents"]
     A = _var_matrix(n_agents, p["own"], p["upwind1"], p["upwind2"])
     n = T + p["burn"]

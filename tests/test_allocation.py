@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
     CoalitionLossTable,
     NoSurplusError,
+    ParameterError,
     instant_allocation,
     loo_allocation,
     shapley_allocation,
@@ -20,6 +21,7 @@ from regmarket.allocation import (
     ORIGINAL,
     ZERO,
     shapley_contributions,
+    shapley_weight,
     step_allocations,
 )
 from regmarket.batch import enumerate_coalitions
@@ -269,3 +271,85 @@ def test_contributions_without_peaks_are_the_same_bits(variant):
     assert none is None and list(sums) == list(contribs)
     for k in features:
         assert np.array_equal(sums[k].view(np.uint64), contribs[k].view(np.uint64))
+
+
+# -- the one coalition walk against the two-loop form it replaced ------------
+
+def two_loop_contributions(losses, players, variant):
+    """Shapley sums and peaks as the package once built them: a fresh
+    ``total + w * transform(diff)`` per marginal, with Python's ``max``
+    clamping scalar marginals under the zero variant."""
+    transform = {ORIGINAL: lambda d: d, ABSOLUTE: np.abs,
+                 ZERO: lambda d: np.maximum(d, 0.0) if np.ndim(d) else max(d, 0.0)}[variant]
+    m = len(players)
+    contribs, peaks = {}, {}
+    for k in players:
+        rest = [p for p in players if p != k]
+        total = peak = 0.0
+        for size in range(m):
+            for combo in itertools.combinations(rest, size):
+                sub = frozenset(combo)
+                diff = losses[sub] - losses[sub | {k}]
+                peak = np.maximum(peak, np.abs(diff))
+                total = total + shapley_weight(size, m) * transform(diff)
+        contribs[k] = total
+        peaks[k] = peak if np.ndim(peak) else float(peak)
+    return contribs, peaks
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+# a small pool repeats values, so coalitions often tie and marginals are
+# exact zeros of either sign
+LOSS_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan]),
+                        st.floats(-2.0, 2.0))
+
+
+@st.composite
+def loss_games(draw):
+    players = tuple("abcde"[:draw(st.integers(1, 5))])
+    T = draw(st.one_of(st.none(), st.integers(1, 20)))
+    values = LOSS_VALUES if T is None else st.lists(LOSS_VALUES, min_size=T, max_size=T)
+    losses = {c: draw(values) for c in enumerate_coalitions(players)}
+    if T is not None:
+        losses = {c: np.array(v) for c, v in losses.items()}
+    return players, losses
+
+
+# zero-Shapley with only negative marginals: a peak taken after the
+# marginals are clamped would read 0 here
+NEGATIVE_MARGINALS = (("a", "b"), {c: np.array([0.25 * len(c), -0.0]) for c in
+                                   enumerate_coalitions(("a", "b"))})
+
+
+@given(game=loss_games(), variant=st.sampled_from([ORIGINAL, ZERO, ABSOLUTE]))
+@example(game=NEGATIVE_MARGINALS, variant=ZERO)
+@example(game=(("a",), {frozenset(): -0.0, frozenset({"a"}): 0.0}), variant=ZERO)
+@settings(max_examples=200, deadline=None)
+def test_one_walk_keeps_the_bits_of_the_two_loop_form(game, variant):
+    players, losses = game
+    contribs, peaks = shapley_contributions(losses, players, variant)
+    sums, none = shapley_contributions(losses, players, variant, peaks=False)
+    want, want_peaks = two_loop_contributions(losses, players, variant)
+    assert none is None and list(contribs) == list(sums) == list(players)
+    for k in players:
+        assert np.array_equal(bits(contribs[k]), bits(want[k]))
+        assert np.array_equal(bits(peaks[k]), bits(want_peaks[k]))
+        assert np.array_equal(bits(sums[k]), bits(contribs[k]))
+        if np.ndim(losses[frozenset()]) == 0:
+            assert type(contribs[k]) is float and type(peaks[k]) is float
+            assert type(sums[k]) is float
+    finite = all(np.all(np.isfinite(v)) for v in losses.values())
+    if variant == ORIGINAL and finite:
+        brute = brute_force_shapley(losses, players)
+        for k in players:
+            assert np.all(np.abs(contribs[k] - brute[k]) <= 1e-12)
+
+
+def test_unknown_shapley_variant_is_a_parameter_error():
+    losses = {frozenset(): 1.0, frozenset({"a"}): 0.5}
+    for peaks in (True, False):
+        with pytest.raises(ParameterError, match="unknown Shapley variant 'median'"):
+            shapley_contributions(losses, ("a",), "median", peaks)

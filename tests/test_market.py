@@ -18,6 +18,7 @@ from regmarket import (
     run_oos_market,
     screen_features,
 )
+from regmarket import market
 from regmarket.market import MarketReport, build_design, fit_all_coalitions
 from regmarket.scenarios import ScenarioSpec, generate, task_for_case
 
@@ -284,6 +285,29 @@ def test_screening_rejects_pure_noise_regularly_and_never_signal():
         dropped += "junk" not in retained
         assert {"x2", "x3", "x4"} <= set(retained)
     assert dropped >= 2
+
+
+@pytest.mark.parametrize("case, retained", [
+    ("batch-linear", ("x2", "x3", "x4")),
+    # a smooth-quantile loss; the noise column clears the sign rule here
+    ("batch-arx-quantile", ("junk", "x2", "x3", "x4")),
+])
+def test_screening_fits_the_central_folds_once(monkeypatch, case, retained):
+    # the retained sets are those the per-candidate refit of the central
+    # model gave, on the same data
+    spec = ScenarioSpec(case, T=2000, seed=0)
+    ds, _ = generate(spec)
+    task = task_for_case(spec)
+    rng = np.random.default_rng(0)
+    ds = Dataset(ds.timestamps, ds.target, {**ds.features, "junk": rng.normal(size=2000)},
+                 {**ds.ownership, "junk": "a4"}, target_owner="a1")
+    task = replace(task, ownership={**task.ownership, "junk": "a4"},
+                   lags={**task.lags, "junk": (1,)} if task.lags else task.lags)
+    fits = []
+    real_fit = market.fit_matrix
+    monkeypatch.setattr(market, "fit_matrix", lambda *a: fits.append(a) or real_fit(*a))
+    assert screen_features(ds, task) == retained
+    assert len(fits) == 5 + 5 * 4
 
 
 def test_screened_out_features_pay_zero():

@@ -1,12 +1,20 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from regmarket import ParameterError, ScenarioSpec, generate, run_scenario
-from regmarket.scenarios import CASES, dataset_for_central, slice_rows, stream
+from regmarket import (
+    LossSpec,
+    ParameterError,
+    ScenarioSpec,
+    generate,
+    run_online_market,
+    run_scenario,
+)
+from regmarket.scenarios import CASES, dataset_for_central, slice_rows, stream, task_for_case
 
 
 def test_unknown_case_rejected():
@@ -218,3 +226,30 @@ def test_run_scenario_is_reproducible_end_to_end():
     b = run_scenario("online-quantile", seed=9, T=1200)
     assert a["report"].payments == b["report"].payments
     assert a["report"].series["surplus"] == b["report"].series["surplus"]
+
+
+def test_misspelled_override_is_rejected_with_the_accepted_keys():
+    with pytest.raises(ParameterError) as err:
+        run_scenario("online-quantile", T=400, overrides={"tua": 0.9})
+    message = str(err.value)
+    assert "tua" in message
+    for key in ("tau", "alpha", "lam", "warmup", "phi", "beta4", "sigma_eps"):
+        assert key in message
+    with pytest.raises(ParameterError, match="train_row"):
+        ScenarioSpec("multi-agent-arx", params={"train_row": 100})
+
+
+def test_overrides_in_use_still_reach_the_market():
+    spec = ScenarioSpec("online-quantile", T=400, seed=0)
+    ds, _ = generate(spec)
+    task = replace(task_for_case(spec), loss=LossSpec("smooth-quantile", tau=0.9, alpha=0.2))
+    direct = run_online_market(ds, task)
+    report = run_scenario("online-quantile", T=400, overrides={"tau": 0.9})["report"]
+    assert report.payments == direct.payments
+    assert report.payments != run_scenario("online-quantile", T=400)["report"].payments
+
+    reports = run_scenario("multi-agent-arx", T=300,
+                           overrides={"n_agents": 3, "train_rows": 120})["reports"]
+    assert sorted(reports) == ["a1", "a2", "a3"]
+    # two lags of the target leave 118 of the 120 training rows
+    assert all(r["batch"].rows == 118 and r["oos"].rows == 178 for r in reports.values())
