@@ -255,16 +255,13 @@ class TermDescriptor:
     """One column of an augmented design.
 
     ``support`` is the set of market-level feature names the term needs;
-    it is empty only for the intercept.  ``powers`` stores the monomial as
-    ``((column, power), ...)`` over dataset columns; lag terms additionally
-    record their source series and lag.
+    it is empty only for the intercept.  Lag terms additionally record
+    their source series and lag.
     """
 
     kind: str                 # "intercept" | "raw" | "lag" | "monomial"
     name: str
     support: frozenset[str]
-    owners: frozenset[str]
-    powers: tuple[tuple[str, int], ...] = ()
     source: str | None = None
     lag: int = 0
 
@@ -329,9 +326,7 @@ def polynomial_expand(dataset: Dataset, degree: int,
     owners = {dataset.market_name(c): dataset.owner_of(c) for c in cols}
 
     terms: list[TermDescriptor] = [TermDescriptor(
-        kind="intercept", name=INTERCEPT_NAME, support=frozenset(),
-        owners=frozenset() if dataset.target_owner is None
-        else frozenset({dataset.target_owner}))]
+        kind="intercept", name=INTERCEPT_NAME, support=frozenset())]
     columns: list[np.ndarray] = [np.ones(dataset.T)]
 
     for d in range(1, degree + 1):
@@ -345,25 +340,21 @@ def polynomial_expand(dataset: Dataset, degree: int,
             value = np.ones(dataset.T)
             for c, p in powers:
                 value = value * dataset.features[c] ** p
-            terms.append(_describe_term(dataset, powers, support, owners))
+            terms.append(_describe_term(dataset, powers, support))
             columns.append(value)
     return AugmentedDesign(tuple(terms), np.column_stack(columns), owners)
 
 
-def _describe_term(dataset: Dataset, powers, support, owners) -> TermDescriptor:
-    owner_set = frozenset(owners[f] if f != dataset.target_name
-                          else (dataset.target_owner or f) for f in support)
+def _describe_term(dataset: Dataset, powers, support) -> TermDescriptor:
     name = "*".join(c if p == 1 else f"{c}^{p}" for c, p in powers)
     if len(powers) == 1 and powers[0][1] == 1:
         col = powers[0][0]
         if col in dataset.lineage:
             src, d = dataset.lineage[col]
             return TermDescriptor(kind="lag", name=name, support=support,
-                                  owners=owner_set, powers=powers, source=src, lag=d)
-        return TermDescriptor(kind="raw", name=name, support=support,
-                              owners=owner_set, powers=powers)
-    return TermDescriptor(kind="monomial", name=name, support=support,
-                          owners=owner_set, powers=powers)
+                                  source=src, lag=d)
+        return TermDescriptor(kind="raw", name=name, support=support)
+    return TermDescriptor(kind="monomial", name=name, support=support)
 
 
 def coalition_design(design: AugmentedDesign, central: frozenset[str] | set[str],

@@ -641,12 +641,15 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     realised surplus pays every feature its contribution under
     ``task.oos_allocation_policy``, clamped at zero.
     """
+    if model_source not in ("batch", "online"):
+        raise ParameterError(f"unknown model source {model_source!r}")
+    if (isinstance(n_windows, bool) or not isinstance(n_windows, (int, np.integer))
+            or n_windows < 1):
+        raise ParameterError(f"n_windows must be an integer >= 1, not {n_windows!r}")
     ds, design, central, report = _prepare(dataset, task, "oos", support)
     if not report.support:
         return _settle(report, task, np.zeros((0, 0)), [])
     chosen = report.support
-    if model_source not in ("batch", "online"):
-        raise ParameterError(f"unknown model source {model_source!r}")
 
     X, y = design.values, ds.target
     T = design.T

@@ -36,43 +36,8 @@ from .market import (
     run_oos_market,
 )
 
-CASES = ("batch-linear", "batch-poly", "batch-arx-quantile",
-         "online-arx", "online-quantile", "multi-agent-arx")
-
 # the standard normal behind the analytic quantile-loss constants
 _STD_NORMAL = NormalDist()
-
-_DEFAULT_T = {
-    "batch-linear": 10_000,
-    "batch-poly": 10_000,
-    "batch-arx-quantile": 10_000,
-    "online-arx": 10_000,
-    "online-quantile": 10_000,
-    "multi-agent-arx": 6_000,
-}
-
-# each case's generator parameters with their defaults, which overrides replace
-_GEN_PARAMS = {
-    "batch-linear": {"beta0": 0.1, "beta": {"x1": -0.3, "x2": 0.5, "x3": -0.9, "x4": 0.2},
-                     "sigma_eps": 0.3},
-    "batch-poly": {"sigma_eps": 0.3},
-    "batch-arx-quantile": {"beta0": 0.1, "ar": 0.92,
-                           "beta": {"x2": -0.32, "x3": -0.06, "x4": 0.19},
-                           "sigma_eps": 0.3, "burn": 200},
-    "online-arx": {"beta0": 0.1, "sigma_eps": 0.3, "burn": 200},
-    "online-quantile": {"beta0": 0.1, "beta4": 2.0, "sigma_eps": 0.5},
-    "multi-agent-arx": {"n_agents": 9, "own": 0.25, "upwind1": 0.55, "upwind2": 0.12,
-                        "sigma_eps": 0.1, "burn": 300},
-}
-# the override keys each case's market run reads (task_for_case, _run_multi_agent)
-_RUN_PARAMS = {
-    "batch-linear": ("phi",),
-    "batch-poly": ("phi",),
-    "batch-arx-quantile": ("tau", "alpha", "phi"),
-    "online-arx": ("phi", "lam", "warmup"),
-    "online-quantile": ("tau", "alpha", "phi", "lam", "warmup"),
-    "multi-agent-arx": ("train_rows", "phi_insample", "phi_oos", "oos_policy", "n_windows"),
-}
 
 
 @dataclass(frozen=True)
@@ -85,9 +50,12 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.case not in CASES:
             raise ParameterError(f"unknown scenario case {self.case!r}")
+        if self.T is not None and (isinstance(self.T, bool)
+                                   or not isinstance(self.T, (int, np.integer))):
+            raise ParameterError(f"T must be an integer, not {self.T!r}")
         if self.T is not None and self.T < 1:
             raise ParameterError("T must be >= 1")
-        accepted = sorted([*_GEN_PARAMS[self.case], *_RUN_PARAMS[self.case]])
+        accepted = sorted([*_CASES[self.case]["params"], *_CASES[self.case]["keys"]])
         unknown = sorted(set(self.params) - set(accepted))
         if unknown:
             raise ParameterError(f"unknown {self.case} parameter(s) {', '.join(unknown)}; "
@@ -95,7 +63,7 @@ class ScenarioSpec:
 
     @property
     def rows(self) -> int:
-        return self.T if self.T is not None else _DEFAULT_T[self.case]
+        return self.T if self.T is not None else _CASES[self.case]["rows"]
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -105,43 +73,33 @@ def stream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _generator_params(spec: ScenarioSpec) -> dict:
-    """The case's generator defaults, with the overrides in ``spec.params``.
-    The coefficient dicts are copies, since the truth record hands them out."""
-    defaults = {k: dict(v) if isinstance(v, dict) else v
-                for k, v in _GEN_PARAMS[spec.case].items()}
-    return {**defaults, **spec.params}
-
-
 def generate(spec: ScenarioSpec) -> tuple[Dataset, dict]:
     """Simulate a scenario; returns the dataset and its ground-truth
     record, which starts with the case, the seed and T."""
-    builder = {
-        "batch-linear": _gen_batch_linear,
-        "batch-poly": _gen_batch_poly,
-        "batch-arx-quantile": _gen_batch_arx_quantile,
-        "online-arx": _gen_online_arx,
-        "online-quantile": _gen_online_quantile,
-        "multi-agent-arx": _gen_multi_agent,
-    }[spec.case]
-    dataset, truth = builder(spec)
-    return dataset, {"case": spec.case, "seed": spec.seed, "T": spec.rows, **truth}
+    case = _CASES[spec.case]
+    # the overrides replace the generator defaults; the default coefficient
+    # dicts are copied, since the truth record hands them out
+    p = {k: spec.params.get(k, dict(v) if isinstance(v, dict) else v)
+         for k, v in case["params"].items()}
+    target, features, truth = case["generator"](spec, p)
+    ownership = case["ownership"]
+    if ownership is None:
+        ownership = {f"y{j}": f"a{j}" for j in range(1, len(features) + 1)}
+    ds = Dataset(np.arange(spec.rows), target, features, ownership=dict(ownership),
+                 target_owner="a1")
+    return ds, {"case": spec.case, "seed": spec.seed, "T": spec.rows, **truth}
 
 
 # ---------------------------------------------------------------------------
 # batch cases
 
 
-def _gen_batch_linear(spec: ScenarioSpec):
+def _gen_batch_linear(spec: ScenarioSpec, p: dict):
     T = spec.rows
-    p = _generator_params(spec)
     betas = p["beta"]
     xs = {k: stream(spec.seed, k).normal(0.0, 1.0, T) for k in sorted(betas)}
     eps = stream(spec.seed, "eps").normal(0.0, p["sigma_eps"], T)
     y = p["beta0"] + sum(betas[k] * xs[k] for k in sorted(betas)) + eps
-    ds = Dataset(np.arange(T), y, xs,
-                 ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
-                 target_owner="a1")
     explained = {k: betas[k] ** 2 for k in ("x2", "x3", "x4")}
     surplus = sum(explained.values())
     truth = {
@@ -153,20 +111,16 @@ def _gen_batch_linear(spec: ScenarioSpec):
             "shares": {k: v / surplus for k, v in explained.items()},
         },
     }
-    return ds, truth
+    return y, xs, truth
 
 
-def _gen_batch_poly(spec: ScenarioSpec):
+def _gen_batch_poly(spec: ScenarioSpec, p: dict):
     T = spec.rows
-    p = _generator_params(spec)
     g = {k: stream(spec.seed, k).normal(0.0, 1.0, T) for k in ("x1", "x2", "x3")}
     eps = stream(spec.seed, "eps").normal(0.0, p["sigma_eps"], T)
     # true terms: intercept, x1, x2, x3, x2^2 and the x1*x3 interaction
     y = (0.2 - 0.4 * g["x1"] + 0.6 * g["x2"] + 0.3 * g["x3"]
          + 0.1 * g["x2"] ** 2 - 0.4 * g["x1"] * g["x3"] + eps)
-    ds = Dataset(np.arange(T), y, g,
-                 ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
-                 target_owner="a1")
     truth = {
         "beta": {"1": 0.2, "x1": -0.4, "x2": 0.6, "x3": 0.3,
                  "x2^2": 0.1, "x1*x3": -0.4},
@@ -174,18 +128,16 @@ def _gen_batch_poly(spec: ScenarioSpec):
         "analytic": {"central_loss": 0.72, "full_loss": p["sigma_eps"] ** 2,
                      "benchmark_payment": 630.0},
     }
-    return ds, truth
+    return y, g, truth
 
 
-def _gen_batch_arx_quantile(spec: ScenarioSpec):
+def _gen_batch_arx_quantile(spec: ScenarioSpec, p: dict):
     # Coefficients are calibrated so that the quantile-loss levels and the
     # allocation ordering of the reference tables both hold: the support
     # signal variance is ~0.145 with x2 strongest, then x4, then x3.
-    T = spec.rows
-    p = _generator_params(spec)
-    n = T + p["burn"]
-    ds = _arx_dataset(spec, p, np.full(n, p["ar"]),
-                      {k: np.full(n, b) for k, b in sorted(p["beta"].items())})
+    n = spec.rows + p["burn"]
+    y, xs = _arx_series(spec, p, np.full(n, p["ar"]),
+                        {k: np.full(n, b) for k, b in sorted(p["beta"].items())})
     var_u = sum(b ** 2 for b in p["beta"].values()) + p["sigma_eps"] ** 2
     # the expected pinball loss of N(0, s^2) at its own tau-quantile is
     # s * pdf(inv_cdf(tau)) of the standard normal
@@ -202,16 +154,15 @@ def _gen_batch_arx_quantile(spec: ScenarioSpec):
             "share_order": ["x2", "x4", "x3"],
         },
     }
-    return ds, truth
+    return y, xs, truth
 
 
 # ---------------------------------------------------------------------------
 # online cases
 
 
-def _gen_online_arx(spec: ScenarioSpec):
+def _gen_online_arx(spec: ScenarioSpec, p: dict):
     T = spec.rows
-    p = _generator_params(spec)
     burn = p["burn"]
     t_axis = np.arange(-burn, T) / T
     traj = {
@@ -220,17 +171,17 @@ def _gen_online_arx(spec: ScenarioSpec):
         "x3": 0.5 + 0.35 * np.sin(3 * np.pi * t_axis),
         "x4": 0.4 * np.clip(1.0 - 2.0 * t_axis, 0.0, 1.0),
     }
-    ds = _arx_dataset(spec, p, traj["y"], {k: traj[k] for k in ("x2", "x3", "x4")})
+    y, xs = _arx_series(spec, p, traj["y"], {k: traj[k] for k in ("x2", "x3", "x4")})
     truth = {
         "beta0": p["beta0"], "sigma_eps": p["sigma_eps"],
         "trajectories": {k: traj[k][burn:].tolist() for k in sorted(traj)},
     }
-    return ds, truth
+    return y, xs, truth
 
 
-def _arx_dataset(spec: ScenarioSpec, p: dict, ar: np.ndarray,
-                 coefs: dict[str, np.ndarray]) -> Dataset:
-    """The ARX process of both ARX cases, with one coefficient per step:
+def _arx_series(spec: ScenarioSpec, p: dict, ar: np.ndarray,
+                coefs: dict[str, np.ndarray]):
+    """The target and features of both ARX cases, with one coefficient per step:
 
         y_t = beta0 + ar_t * y_{t-1} + sum_k coefs[k]_t * x_{k,t-1} + eps_t
 
@@ -246,14 +197,11 @@ def _arx_dataset(spec: ScenarioSpec, p: dict, ar: np.ndarray,
                 + sum(coefs[k][t] * xs[k][t - 1] for k in coefs)
                 + eps[t])
     sl = slice(p["burn"], None)
-    return Dataset(np.arange(spec.rows), y[sl], {k: v[sl] for k, v in xs.items()},
-                   ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
-                   target_owner="a1")
+    return y[sl], {k: v[sl] for k, v in xs.items()}
 
 
-def _gen_online_quantile(spec: ScenarioSpec):
+def _gen_online_quantile(spec: ScenarioSpec, p: dict):
     T = spec.rows
-    p = _generator_params(spec)
     t_axis = np.arange(T) / T
     traj = {
         "x1": 0.5 + 0.20 * np.sin(2 * np.pi * t_axis),
@@ -267,10 +215,6 @@ def _gen_online_quantile(spec: ScenarioSpec):
     # signal for quantiles away from it
     y = (p["beta0"] + traj["x1"] * xs["x1"] + traj["x2"] * xs["x2"]
          + traj["x3"] * xs["x3"] + p["beta4"] * x4 * eps)
-    feats = dict(sorted({**xs, "x4": x4}.items()))
-    ds = Dataset(np.arange(T), y, feats,
-                 ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
-                 target_owner="a1")
 
     def x4_quantile_signal(tau: float) -> float:
         z = _STD_NORMAL.inv_cdf(tau)
@@ -282,7 +226,7 @@ def _gen_online_quantile(spec: ScenarioSpec):
         "analytic": {"x4_quantile_signal": {str(tau): x4_quantile_signal(tau)
                                             for tau in (0.1, 0.25, 0.5, 0.75, 0.9)}},
     }
-    return ds, truth
+    return y, dict(sorted({**xs, "x4": x4}.items())), truth
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +245,10 @@ def _var_matrix(n_agents: int, own: float, upwind1: float, upwind2: float) -> np
     return A
 
 
-def _gen_multi_agent(spec: ScenarioSpec):
-    T = spec.rows
-    p = _generator_params(spec)
+def _gen_multi_agent(spec: ScenarioSpec, p: dict):
     n_agents = p["n_agents"]
     A = _var_matrix(n_agents, p["own"], p["upwind1"], p["upwind2"])
-    n = T + p["burn"]
+    n = spec.rows + p["burn"]
     noise = np.column_stack([
         stream(spec.seed, f"agent{j + 1}").normal(0.0, p["sigma_eps"], n)
         for j in range(n_agents)])
@@ -314,17 +256,14 @@ def _gen_multi_agent(spec: ScenarioSpec):
     for t in range(1, n):
         Y[t] = A @ Y[t - 1] + noise[t]
     Y = Y[p["burn"]:]
-    series = {f"y{j + 1}": Y[:, j] for j in range(n_agents)}
     # each series doubles as a feature for the other agents' tasks; target
     # selection happens when the per-central dataset is assembled
-    ds = Dataset(np.arange(T), Y[:, 0], series,
-                 ownership={f"y{j + 1}": f"a{j + 1}" for j in range(n_agents)},
-                 target_owner="a1")
+    series = {f"y{j + 1}": Y[:, j] for j in range(n_agents)}
     truth = {
         "n_agents": n_agents, "sigma_eps": p["sigma_eps"],
         "var_matrix": A.tolist(),
     }
-    return ds, truth
+    return Y[:, 0], series, truth
 
 
 def dataset_for_central(multi_ds: Dataset, agent_index: int) -> Dataset:
@@ -346,49 +285,93 @@ def slice_rows(ds: Dataset, start: int, stop: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
+# the study cases
+#
+# Each case, written once:
+#   rows       T when the spec gives none
+#   generator  (spec, params) -> (target, features, truth)
+#   params     the generator parameters with their defaults, which overrides replace
+#   ownership  feature -> agent, with a1 owning the target; None for the
+#              nine-site study, in which site j owns series y_j
+#   market     the study's market; None for the nine-site study, which runs
+#              a batch and an out-of-sample market per site
+#   task       the study task's TaskSpec arguments; tau and alpha make its
+#              smooth-quantile loss, n_windows goes to run_oos_market
+#   keys       the override keys that set task arguments
+
+_ARX_LAGS = {"y": (1,), "x2": (1,), "x3": (1,), "x4": (1,)}
+# override keys named apart from the task argument they set
+_ARG_OF_KEY = {"phi": "phi_insample", "oos_policy": "oos_allocation_policy"}
+
+_CASES = {
+    "batch-linear": dict(
+        rows=10_000, generator=_gen_batch_linear,
+        params={"beta0": 0.1, "beta": {"x1": -0.3, "x2": 0.5, "x3": -0.9, "x4": 0.2},
+                "sigma_eps": 0.3},
+        ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
+        market=clear_batch_market, task={}, keys=("phi",)),
+    "batch-poly": dict(
+        rows=10_000, generator=_gen_batch_poly, params={"sigma_eps": 0.3},
+        ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
+        market=clear_batch_market, task={"degree": 2}, keys=("phi",)),
+    "batch-arx-quantile": dict(
+        rows=10_000, generator=_gen_batch_arx_quantile,
+        params={"beta0": 0.1, "ar": 0.92, "beta": {"x2": -0.32, "x3": -0.06, "x4": 0.19},
+                "sigma_eps": 0.3, "burn": 200},
+        ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
+        market=clear_batch_market,
+        task={"tau": 0.1, "alpha": 0.03, "lags": _ARX_LAGS, "phi_insample": 1.0},
+        keys=("tau", "alpha", "phi")),
+    "online-arx": dict(
+        rows=10_000, generator=_gen_online_arx,
+        params={"beta0": 0.1, "sigma_eps": 0.3, "burn": 200},
+        ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
+        market=run_online_market, task={"lags": _ARX_LAGS}, keys=("phi", "lam", "warmup")),
+    "online-quantile": dict(
+        rows=10_000, generator=_gen_online_quantile,
+        params={"beta0": 0.1, "beta4": 2.0, "sigma_eps": 0.5},
+        ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
+        market=run_online_market,
+        task={"tau": 0.5, "alpha": 0.2, "lam": 0.999, "warmup": 150},
+        keys=("tau", "alpha", "phi", "lam", "warmup")),
+    "multi-agent-arx": dict(
+        rows=6_000, generator=_gen_multi_agent,
+        params={"n_agents": 9, "own": 0.25, "upwind1": 0.55, "upwind2": 0.12,
+                "sigma_eps": 0.1, "burn": 300},
+        ownership=None, market=None,
+        task={"phi_insample": 0.5, "phi_oos": 1.5, "loss_unit": "percent",
+              "oos_allocation_policy": "zero-shapley", "n_windows": 10},
+        keys=("train_rows", "phi_insample", "phi_oos", "oos_policy", "n_windows")),
+}
+CASES = tuple(_CASES)
+
+
+# ---------------------------------------------------------------------------
 # end-to-end drivers
 
 
+def _task_args(spec: ScenarioSpec) -> dict:
+    """The case's study task arguments with the overrides in ``spec.params``;
+    the lags are a fresh dict, as the table's must not reach a task."""
+    case = _CASES[spec.case]
+    args = {**case["task"], **{_ARG_OF_KEY.get(k, k): spec.params[k]
+                               for k in case["keys"] if k in spec.params}}
+    if "lags" in args:
+        args["lags"] = dict(args["lags"])
+    if "tau" in args:
+        args["loss"] = LossSpec("smooth-quantile", tau=args.pop("tau"),
+                                alpha=args.pop("alpha"))
+    return args
+
+
 def task_for_case(spec: ScenarioSpec) -> TaskSpec:
-    params = spec.params
-
-    def given(**fields):  # the TaskSpec arguments params gives; the rest keep defaults
-        return {name: params[key] for name, key in fields.items() if key in params}
-
-    if spec.case == "batch-linear":
-        return TaskSpec(central_agent="a1",
-                        ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
-                        **given(phi_insample="phi"))
-    if spec.case == "batch-poly":
-        return TaskSpec(central_agent="a1",
-                        ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
-                        degree=2, **given(phi_insample="phi"))
-    if spec.case == "batch-arx-quantile":
-        tau = params.get("tau", 0.1)
-        return TaskSpec(central_agent="a1",
-                        ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
-                        loss=LossSpec("smooth-quantile", tau=tau,
-                                      alpha=params.get("alpha", 0.03)),
-                        lags={"y": (1,), "x2": (1,), "x3": (1,), "x4": (1,)},
-                        phi_insample=params.get("phi", 1.0))
-    if spec.case == "online-arx":
-        return TaskSpec(central_agent="a1",
-                        ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
-                        lags={"y": (1,), "x2": (1,), "x3": (1,), "x4": (1,)},
-                        **given(phi_insample="phi", lam="lam", warmup="warmup"))
-    if spec.case == "online-quantile":
-        tau = params.get("tau", 0.5)
-        return TaskSpec(central_agent="a1",
-                        ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
-                        loss=LossSpec("smooth-quantile", tau=tau,
-                                      alpha=params.get("alpha", 0.2)),
-                        **given(phi_insample="phi"),
-                        lam=params.get("lam", 0.999),
-                        warmup=params.get("warmup", 150))
-    if spec.case == "multi-agent-arx":
+    """The study task of a single-market case, with the overrides in ``spec.params``."""
+    case = _CASES[spec.case]
+    if case["market"] is None:
         raise ParameterError("multi-agent-arx builds one task per central agent; "
                              "use run_scenario")
-    raise ParameterError(f"unknown scenario case {spec.case!r}")
+    return TaskSpec(central_agent="a1", ownership=dict(case["ownership"]),
+                    **_task_args(spec))
 
 
 def run_scenario(case: str, seed: int = 0, T: int | None = None,
@@ -402,34 +385,26 @@ def run_scenario(case: str, seed: int = 0, T: int | None = None,
     ds, truth = generate(spec)
     bundle: dict = {"case": case, "seed": seed, "truth": truth,
                     "small_sample": spec.rows < 1000}
-    if case in ("batch-linear", "batch-poly", "batch-arx-quantile"):
-        bundle["report"] = clear_batch_market(ds, task_for_case(spec))
-    elif case in ("online-arx", "online-quantile"):
-        bundle["report"] = run_online_market(ds, task_for_case(spec))
-    elif case == "multi-agent-arx":
+    market = _CASES[case]["market"]
+    if market is None:
         bundle["reports"] = _run_multi_agent(ds, spec)
+    else:
+        bundle["report"] = market(ds, task_for_case(spec))
     return bundle
 
 
 def _run_multi_agent(ds: Dataset, spec: ScenarioSpec) -> dict:
-    params = spec.params
-    train = params.get("train_rows", spec.rows // 2)
+    args = _task_args(spec)
+    n_windows = args.pop("n_windows")
+    train = args.setdefault("train_rows", spec.rows // 2)
     out: dict[str, dict] = {}
     for j in range(1, len(ds.features) + 1):
         central = f"a{j}"
         view = dataset_for_central(ds, j)
-        lags = {view.target_name: (1, 2)}
-        for name in view.features:
-            lags[name] = (1,)
+        lags = {view.target_name: (1, 2), **dict.fromkeys(view.features, (1,))}
         task = TaskSpec(central_agent=central, ownership=dict(view.ownership),
-                        lags=lags,
-                        phi_insample=params.get("phi_insample", 0.5),
-                        phi_oos=params.get("phi_oos", 1.5),
-                        train_rows=train,
-                        loss_unit="percent",
-                        oos_allocation_policy=params.get("oos_policy", "zero-shapley"))
+                        lags=lags, **args)
         batch_report = clear_batch_market(slice_rows(view, 0, train), task)
-        oos_report = run_oos_market(view, task, model_source="batch",
-                                    n_windows=params.get("n_windows", 10))
+        oos_report = run_oos_market(view, task, model_source="batch", n_windows=n_windows)
         out[central] = {"batch": batch_report, "oos": oos_report}
     return out

@@ -833,3 +833,31 @@ def test_online_paths_honour_the_enumeration_cap(clear):
     assert "3 support features exceed" in str(err.value)
     # the remedy the message names still works above the cap
     assert screen_features(ds, task) == ("x2", "x3", "x4")
+
+
+@pytest.fixture(scope="module")
+def online_arx_400():
+    spec = ScenarioSpec("online-arx", T=400, seed=0)
+    return generate(spec)[0], task_for_case(spec)
+
+
+@pytest.mark.parametrize("traded", [True, False], ids=["support", "no-support"])
+@pytest.mark.parametrize("kwargs", [{"model_source": "bogus"}, {"n_windows": 0},
+                                    {"n_windows": -3}, {"n_windows": 2.5},
+                                    {"n_windows": True}, {"n_windows": "10"}],
+                         ids=["source", "zero", "negative", "float", "bool", "str"])
+def test_oos_arguments_are_checked_with_or_without_support(online_arx_400, traded, kwargs):
+    # an invalid argument raises the same typed error whether or not any
+    # support feature is traded, so the no-support return accepts nothing
+    # that a market with support would refuse
+    ds, task = online_arx_400
+    if not traded:
+        task = replace(task, ownership={k: "a1" for k in task.ownership})
+    with pytest.raises(ParameterError, match="model source|n_windows"):
+        run_oos_market(ds, task, **kwargs)
+
+
+def test_oos_windows_accept_a_numpy_integer(online_arx_400):
+    ds, task = online_arx_400
+    report = run_oos_market(ds, task, n_windows=np.int64(3))
+    assert len(report.metrics["windows"]) == 3

@@ -10,6 +10,7 @@ from regmarket import (
     LossSpec,
     ParameterError,
     ScenarioSpec,
+    TaskSpec,
     generate,
     run_online_market,
     run_scenario,
@@ -253,3 +254,122 @@ def test_overrides_in_use_still_reach_the_market():
     assert sorted(reports) == ["a1", "a2", "a3"]
     # two lags of the target leave 118 of the 120 training rows
     assert all(r["batch"].rows == 118 and r["oos"].rows == 178 for r in reports.values())
+
+
+# the study tasks task_for_case built before the cases became one table,
+# written out in full
+_ARX_LAGS = {"y": (1,), "x2": (1,), "x3": (1,), "x4": (1,)}
+STUDY_TASKS = {
+    "batch-linear": dict(ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"}),
+    "batch-poly": dict(ownership={"x1": "a1", "x2": "a2", "x3": "a3"}, degree=2),
+    "batch-arx-quantile": dict(ownership={"x2": "a2", "x3": "a3", "x4": "a3"},
+                               loss=LossSpec("smooth-quantile", tau=0.1, alpha=0.03),
+                               lags=_ARX_LAGS, phi_insample=1.0),
+    "online-arx": dict(ownership={"x2": "a2", "x3": "a3", "x4": "a3"}, lags=_ARX_LAGS),
+    "online-quantile": dict(ownership={"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"},
+                            loss=LossSpec("smooth-quantile", tau=0.5, alpha=0.2),
+                            lam=0.999, warmup=150),
+}
+# each task override key with a value off every default, and what it sets
+TASK_KEYS = {"phi": 0.7, "tau": 0.3, "alpha": 0.05, "lam": 0.99, "warmup": 80}
+CASE_TASK_KEYS = {"batch-linear": ("phi",), "batch-poly": ("phi",),
+                  "batch-arx-quantile": ("tau", "alpha", "phi"),
+                  "online-arx": ("phi", "lam", "warmup"),
+                  "online-quantile": ("tau", "alpha", "phi", "lam", "warmup")}
+
+
+def _expected_task(case, params):
+    fields = dict(STUDY_TASKS[case])
+    fields["lags"] = dict(fields.get("lags", {}))
+    if "phi" in params:
+        fields["phi_insample"] = params["phi"]
+    fields.update({k: params[k] for k in ("lam", "warmup") if k in params})
+    loss = {k: params[k] for k in ("tau", "alpha") if k in params}
+    if loss:
+        fields["loss"] = replace(fields["loss"], **loss)
+    return TaskSpec(central_agent="a1", **fields)
+
+
+@pytest.mark.parametrize("case, keys", [
+    *((case, ()) for case in STUDY_TASKS),
+    *((case, (key,)) for case, keys in CASE_TASK_KEYS.items() for key in keys),
+    *CASE_TASK_KEYS.items(),
+])
+def test_task_for_case_is_the_study_task(case, keys):
+    params = {k: TASK_KEYS[k] for k in keys}
+    task = task_for_case(ScenarioSpec(case, T=50, params=params))
+    assert task == _expected_task(case, params)
+    assert repr(task) == repr(_expected_task(case, params))  # dict orders too
+
+
+def test_task_for_case_refuses_the_multi_site_study():
+    with pytest.raises(ParameterError, match="use run_scenario"):
+        task_for_case(ScenarioSpec("multi-agent-arx", T=50))
+
+
+# every key each case accepts, with a value off its default
+ACCEPTED = {
+    "batch-linear": {"beta0": 0.2, "beta": {"x1": -0.3, "x2": 0.5, "x3": -0.9, "x4": 0.3},
+                     "sigma_eps": 0.4, "phi": 0.7},
+    "batch-poly": {"sigma_eps": 0.4, "phi": 0.7},
+    "batch-arx-quantile": {"beta0": 0.2, "ar": 0.9,
+                           "beta": {"x2": -0.3, "x3": -0.06, "x4": 0.19},
+                           "sigma_eps": 0.4, "burn": 150, "tau": 0.3, "alpha": 0.05,
+                           "phi": 0.7},
+    "online-arx": {"beta0": 0.2, "sigma_eps": 0.4, "burn": 150, "phi": 0.7,
+                   "lam": 0.99, "warmup": 80},
+    "online-quantile": {"beta0": 0.2, "beta4": 1.5, "sigma_eps": 0.4, "tau": 0.3,
+                        "alpha": 0.05, "phi": 0.7, "lam": 0.99, "warmup": 80},
+    "multi-agent-arx": {"n_agents": 4, "own": 0.3, "upwind1": 0.5, "upwind2": 0.1,
+                        "sigma_eps": 0.2, "burn": 200, "train_rows": 100,
+                        "phi_insample": 0.3, "phi_oos": 2.0, "oos_policy": "shapley",
+                        "n_windows": 3},
+}
+
+
+def _outcome(case, params):
+    # what a scenario produces from its keys: the data and truth, then the
+    # study task, or for the nine-site study every report of its markets
+    spec = ScenarioSpec(case, T=300, seed=0, params=params)
+    ds, truth = generate(spec)
+    if case != "multi-agent-arx":
+        return _data_digest(ds), json.dumps(truth, sort_keys=True), task_for_case(spec)
+    reports = run_scenario(case, seed=0, T=300, overrides=params)["reports"]
+    return (_data_digest(ds), json.dumps(truth, sort_keys=True),
+            json.dumps({k: [r["batch"].to_dict(), r["oos"].to_dict()]
+                        for k, r in reports.items()}, sort_keys=True))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_accepted_key_reaches_the_data_the_task_or_the_reports(case):
+    with pytest.raises(ParameterError) as err:
+        ScenarioSpec(case, params={"no-such-key": 1})
+    assert str(err.value).endswith("accepted: " + ", ".join(sorted(ACCEPTED[case])))
+    # three sites keep the nine-site study small; n_agents changes it to four
+    base = {"n_agents": 3} if case == "multi-agent-arx" else {}
+    before = _outcome(case, base)
+    for key, value in ACCEPTED[case].items():
+        after = _outcome(case, {**base, key: value})
+        assert any(a != b for a, b in zip(after, before)), key
+    if case == "multi-agent-arx":
+        reports = run_scenario(case, T=300, overrides={**base, "n_windows": 3})["reports"]
+        assert all(len(r["oos"].metrics["windows"]) == 3 for r in reports.values())
+
+
+@pytest.mark.parametrize("case", STUDY_TASKS)
+def test_editing_a_returned_task_or_dataset_leaves_the_next_one_unchanged(case):
+    spec = ScenarioSpec(case, T=50)
+    task = task_for_case(spec)
+    task.ownership["x9"] = "a9"
+    task.lags["x9"] = (2,)
+    assert task_for_case(spec) == _expected_task(case, {})
+    ds, _ = generate(spec)
+    ds.ownership["x9"] = "a9"
+    assert generate(spec)[0].ownership == STUDY_TASKS[case]["ownership"]
+
+
+@pytest.mark.parametrize("T", [2.5, True, "100", 100.0])
+def test_a_row_count_that_is_not_an_integer_is_rejected(T):
+    with pytest.raises(ParameterError, match="T must be an integer"):
+        ScenarioSpec("batch-linear", T=T)
+    assert generate(ScenarioSpec("batch-linear", T=np.int64(20)))[0].T == 20
