@@ -74,6 +74,7 @@ from .market import (
     run_oos_market,
     screen_features,
 )
+from .artifacts import write_artifacts  # after .market, which it imports
 from .online import (
     OnlineSession,
     OnlineState,

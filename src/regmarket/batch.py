@@ -59,20 +59,20 @@ class FitResult:
     gradient_norm: float = 0.0
 
 
-def cholesky_failures(stack: np.ndarray) -> np.ndarray | None:
-    """None when every matrix of a stack has a Cholesky factor, else which ones lack one."""
+def cholesky_failures(stack: np.ndarray, factorise=np.linalg.cholesky) -> np.ndarray:
+    """Which matrices of a stack have no Cholesky factor (or fail another
+    ``factorise`` that raises LinAlgError)."""
+    failed = np.zeros(len(stack), dtype=bool)
     try:
-        np.linalg.cholesky(stack)
-        return None
+        factorise(stack)
     except np.linalg.LinAlgError:
         # one failure fails the whole stack; find out which ones failed
-        failed = np.zeros(len(stack), dtype=bool)
         for i, m in enumerate(stack):
             try:
-                np.linalg.cholesky(m)
+                factorise(m)
             except np.linalg.LinAlgError:
                 failed[i] = True
-        return failed
+    return failed
 
 
 def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,12 +92,12 @@ def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     jitter = np.where(np.linalg.cond(G) > CONDITION_LIMIT, JITTER_SCALE * scale, 0.0)
     attempt = G + jitter[:, None, None] * np.eye(n)
     failed = cholesky_failures(attempt)
-    if failed is not None:
+    if failed.any():
         if np.any(jitter[failed] != 0.0):
             raise SingularDesignError("design is rank deficient")
         jitter[failed] = JITTER_SCALE * np.maximum(scale[failed], 1.0)
         attempt[failed] = G[failed] + jitter[failed, None, None] * np.eye(n)
-        if cholesky_failures(attempt[failed]) is not None:
+        if cholesky_failures(attempt[failed]).any():
             raise SingularDesignError("design is rank deficient")
     return np.linalg.solve(attempt, rhs[..., None])[..., 0], jitter
 

@@ -2,7 +2,8 @@
 
 Run configuration is a flat INI-style file with [run], [task] and
 [ownership] sections (see README).  Exit codes: 0 success, 1 configuration
-problem, 2 I/O or parse problem, 3 numeric failure.
+problem, 2 I/O or parse problem, 3 numeric failure, 4 internal error (an
+exception that is not one of the package's typed errors).
 """
 
 from __future__ import annotations
@@ -26,23 +27,20 @@ from .errors import (
     SingularDesignError,
     SingularUpdateError,
 )
+from .artifacts import write_artifacts
 from .losses import LossSpec
 from .market import (
-    MarketReport,
     TaskSpec,
     clear_batch_market,
-    report_to_json,
     run_online_market,
     run_oos_market,
     screen_features,
-    write_cumulative_csv,
-    write_ledger_csv,
-    write_loss_table_csv,
 )
 
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 CONFIG_VERSION = 1
 SECTIONS = ("run", "task", "ownership")
@@ -98,6 +96,10 @@ def main(argv=None) -> int:
     except RegMarketError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as err:  # SystemExit and KeyboardInterrupt are not caught
+        message = str(err).replace("\n", " ")
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _cmd_simulate(args) -> int:
@@ -138,7 +140,7 @@ def _cmd_market(args) -> int:
     outdir = Path(args.out if args.out is not None else
                   run_cfg["run"].get("out", _default_out()))
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_artifacts(report, outdir)
+    write_artifacts(report, outdir)
     print(f"{args.mechanism} market cleared: central pays "
           f"{report.central_total:.2f} to {len(report.per_agent)} agent(s)")
     if args.strict_audit and report.audit and not report.audit["passed"]:
@@ -147,14 +149,8 @@ def _cmd_market(args) -> int:
     return 0
 
 
-def _write_artifacts(report: MarketReport, outdir: Path) -> None:
-    report_to_json(report, outdir / "report.json")
-    write_ledger_csv(report, outdir / "ledger.csv")
-    write_cumulative_csv(report, outdir / "cumulative_revenues.csv")
-    write_loss_table_csv(report, outdir / "losses.csv")
-    with open(outdir / "audit.json", "w") as fh:
-        json.dump(report.audit, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+# benchmarks/test_benchmark.py writes the command's artifacts by this name
+_write_artifacts = write_artifacts
 
 
 def _cmd_report(args) -> int:

@@ -44,17 +44,9 @@ online and out-of-sample markets require a separable model.
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
-import json
 import math
-import operator
-import struct
-import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -268,6 +260,12 @@ class MarketReport:
         out["flag_dummies"] = list(self.flag_dummies)
         out["ledger"] = dict(zip(LEDGER_COLUMNS, self.ledger._columns()))
         return out
+
+
+# bound only now: .artifacts imports the names above.  The benchmark harness
+# calls and traces the writers here until it moves onto regmarket.artifacts
+from .artifacts import (report_to_json, write_cumulative_csv,  # noqa: E402,F401
+                        write_ledger_csv, write_loss_table_csv)
 
 
 def coalition_key(coalition: frozenset) -> str:
@@ -796,277 +794,3 @@ def audit_ledger(report: MarketReport) -> AuditResult:
     passed = all(c["passed"] for c in checks.values())
     return AuditResult(checks=checks, passed=passed)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def report_to_json(report: MarketReport, path) -> None:
-    """Write ``report.to_dict()`` to ``path`` as ``report.json``.
-
-    Byte-format contract, unchanged by how the writer gets there: the file
-    is exactly ``json.dumps(report.to_dict(), indent=1, sort_keys=True) +
-    "\\n"`` -- a one-space indent per level, keys sorted at every level,
-    ``","`` and ``": "`` as separators, non-ASCII characters as ``\\uXXXX``
-    escapes, floats by ``repr`` with ``NaN``, ``Infinity`` and
-    ``-Infinity`` for the non-finite ones, and ``[]``/``{}`` for empty
-    containers.  The ledger is written as one list per column.  The pieces
-    are streamed to the file, so the text is never held as one string.
-
-    The float lists that a CSV file writes as well (the series' payments
-    and cumulative payments, the ledger's amounts) are formatted once for
-    all writers: the memo of :func:`_report_texts` keeps their ``repr``
-    lines, which this writer joins and the CSV writers take as cells.  The
-    amounts take the payments' lines, gathered by index (:func:`_amount_lines`).
-    """
-    texts = _report_texts(report)
-    _amount_lines(report, texts)
-    keep = {id(values) for name in ("payments", "cumulative")
-            if isinstance(report.series.get(name), dict)
-            for values in report.series[name].values()}
-    with open(path, "w") as fh:
-        fh.writelines(_iter_json(report.to_dict(), 0, texts, keep))
-        fh.write("\n")
-
-
-# The float lines of the report written last: (weak reference to it, lines).
-_last_written: tuple[weakref.ref, dict[bytes, list[str]]] | None = None
-
-
-def _report_texts(report: MarketReport) -> dict[bytes, list[str]]:
-    """The memo of float-list lines for ``report``.
-
-    It maps the float64 bytes of a list whose items are all exactly
-    ``float`` to ``list(map(repr, values))``.  Only the report written last
-    keeps its memo: writing another report starts a new one, and the lines
-    are dropped when their report is garbage-collected.  The memo holds no
-    reference to the report or its lists, and as it is keyed by content, a
-    list changed in place gets new lines, never stale ones.
-    """
-    global _last_written
-    memo = _last_written
-    if memo is None or memo[0]() is not report:
-        texts: dict[bytes, list[str]] = {}
-        memo = _last_written = (weakref.ref(report, lambda _: texts.clear()), texts)
-    return memo[1]
-
-
-def _is_float_list(values) -> bool:
-    """Whether ``values`` is a non-empty list whose items are all exactly
-    ``float``: only such a list has its lines in the memo, because an
-    ``int`` has the float64 bytes of its float but not its text."""
-    return (isinstance(values, list) and bool(values)
-            and list(map(type, values)).count(float) == len(values))
-
-
-def _content_key(values) -> bytes:
-    """The float64 bytes of a list of floats: its key in the memo."""
-    return struct.pack(f"{len(values)}d", *values)
-
-
-def _float_text(values: list, texts: dict[bytes, list[str]]) -> list[str]:
-    """The text of a list of floats as its ``repr`` lines, made once per
-    content and kept in ``texts``.
-
-    A run of one float object in neighbouring places (:func:`_shared_runs`)
-    goes through ``repr`` once, and its line is repeated.
-    """
-    key = _content_key(values)
-    if key not in texts:
-        repeats = list(map(operator.is_, itertools.islice(values, 1, None), values))
-        if any(repeats):
-            heads = [True, *map(operator.not_, repeats)]
-            lines = np.array(list(map(repr, itertools.compress(values, heads))), dtype=object)
-            texts[key] = lines[np.cumsum(heads) - 1].tolist()
-        else:
-            texts[key] = list(map(repr, values))
-    return texts[key]
-
-
-def _amount_lines(report: MarketReport, texts: dict[bytes, list[str]]) -> list[str] | None:
-    """The ``repr`` lines of the ledger's amounts, kept in ``texts``, or
-    None when they are not a list of floats.
-
-    :func:`_settle` books a streamed report's positive payments as the
-    series' own floats in time, then feature order: that of
-    ``np.flatnonzero`` over the transposed ``(K, T)`` payment matrix.  The
-    series' floats and lines are gathered in that order, and when every
-    amount is its gathered float the amounts take the gathered lines.  In
-    any other ledger (batch, hand-built, edited) an amount that is the
-    gathered float in its place takes its line and any other is put
-    through ``repr``.
-    """
-    amounts = report.ledger.amount
-    if not _is_float_list(amounts):
-        return None
-    key = _content_key(amounts)
-    if key in texts:
-        return texts[key]
-    booked = booked_lines = []
-    payments = report.series.get("payments")
-    columns = list(payments.values()) if isinstance(payments, dict) else []
-    if columns and all(map(_is_float_list, columns)) and len(set(map(len, columns))) == 1:
-        positive = (np.frombuffer(b"".join(map(_content_key, columns))) > 0.0).reshape(
-            len(columns), -1).T
-        booked, booked_lines = (np.array(table, dtype=object).T[positive].tolist() for table in
-                                (columns, [_float_text(values, texts) for values in columns]))
-    if len(booked) == len(amounts) and all(map(operator.is_, booked, amounts)):
-        lines = booked_lines
-    else:
-        pairs = itertools.chain(zip(booked, booked_lines), itertools.repeat((None, None)))
-        lines = [line if paid is amount else repr(amount)
-                 for amount, (paid, line) in zip(amounts, pairs)]
-    texts[key] = lines
-    return lines
-
-
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CONTAINERS = (dict, list, tuple)
-# CSV rows, or JSON list items for the C encoder, joined at once: a bound on memory
-ROWS_PER_WRITE = 1024
-
-
-def _iter_json(obj, level: int, texts: dict[bytes, list[str]] | None = None,
-               keep: frozenset[int] | set[int] = frozenset()):
-    """Yield the pieces of ``json.dumps(obj, indent=1, sort_keys=True)``
-    for ``obj`` at indent ``level``.
-
-    A container of scalars is one piece, its items joined by a separator
-    that holds their newline and indent: a list of floats from its lines in
-    the memo ``texts`` (put there first for a list whose ``id`` is in
-    ``keep``), a list of strings from each distinct string's code, anything
-    else by the C encoder, ``ROWS_PER_WRITE`` items at a time.  Only
-    containers of containers are walked item by item, and their keys must
-    be strings.
-    """
-    if not isinstance(obj, _CONTAINERS):
-        yield json.dumps(obj)
-        return
-    is_dict = isinstance(obj, dict)
-    if not obj:
-        yield "{}" if is_dict else "[]"
-        return
-    inner = "\n" + " " * (level + 1)
-    close = "\n" + " " * level + ("}" if is_dict else "]")
-    types = set(map(type, obj.values() if is_dict else obj))
-    sep = "," + inner
-    if not any(issubclass(t, _CONTAINERS) for t in types):
-        lines = None
-        if not is_dict and types == {float}:
-            lines = (_float_text(obj, texts) if id(obj) in keep
-                     else texts.get(_content_key(obj)) if texts else None)
-        if lines is not None:
-            body = sep.join(lines)
-            # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf an "n"
-            if "n" in body:
-                body = sep.join(map(_JSON_NONFINITE.get, lines, lines))
-        elif not is_dict and types == {str}:
-            codes = {s: encode_basestring_ascii(s) for s in set(obj)}
-            body = sep.join(map(codes.__getitem__, obj))
-        else:
-            blocks = [obj] if is_dict else (obj[lo:lo + ROWS_PER_WRITE]
-                                            for lo in range(0, len(obj), ROWS_PER_WRITE))
-            body = sep.join(json.dumps(block, sort_keys=True, separators=(sep, ": "))[1:-1]
-                            for block in blocks)
-        yield ("{" if is_dict else "[") + inner
-        yield body
-        yield close
-        return
-    start = ("{" if is_dict else "[") + inner
-    if is_dict:
-        for key, value in sorted(obj.items()):
-            yield start + encode_basestring_ascii(key) + ": "
-            yield from _iter_json(value, level + 1, texts, keep)
-            start = sep
-    else:
-        for value in obj:
-            yield start
-            yield from _iter_json(value, level + 1, texts, keep)
-            start = sep
-    yield close
-
-
-def _csv_cells(*cells: str) -> str:
-    """Cells quoted and joined as ``csv.writer`` writes them inside a row,
-    without the line end."""
-    buf = io.StringIO()
-    # a row of one empty cell would be written as '""'; the extra empty
-    # cell keeps every cell's own quoting and is cut off with its comma
-    csv.writer(buf).writerow(cells + ("",))
-    return buf.getvalue()[:-3]
-
-
-def _csv_column(values: list) -> Iterable[str]:
-    """Each of ``values`` as a cell of ``csv.writer``; an int is its ``str``."""
-    return map(str if set(map(type, values)) <= {int} else _csv_cells, values)
-
-
-def _write_rows(fh, *columns: Iterable[str]) -> None:
-    """Write rows of one text per column, the last ending the row, joined in C."""
-    rows = zip(*columns)
-    while block := "".join(itertools.chain.from_iterable(
-            itertools.islice(rows, ROWS_PER_WRITE))):
-        fh.write(block)
-
-
-def write_ledger_csv(report: MarketReport, path) -> None:
-    """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
-
-    The amounts are the payments' lines gathered by :func:`_amount_lines`.
-    Each cell of a column of strings is quoted with its separators once
-    per distinct string, and the rows are joined in C by :func:`_write_rows`.
-    """
-    ledger = report.ledger
-    amounts = _amount_lines(report, _report_texts(report))
-
-    def cells(values, text=lambda v: _csv_cells(v) + ","):
-        distinct = set(values)
-        if all(type(v) is str for v in distinct):
-            return map({v: text(v) for v in distinct}.__getitem__, values)
-        return map(text, values)
-
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(LEDGER_COLUMNS)
-        _write_rows(fh, _csv_column(ledger.time), itertools.repeat(","), cells(ledger.payer),
-                    cells(ledger.payee), cells(ledger.feature),
-                    amounts if amounts is not None else map(repr, ledger.amount),
-                    cells(ledger.market, lambda m: "," + _csv_cells(m) + "\r\n"))
-
-
-def write_cumulative_csv(report: MarketReport, path) -> None:
-    """Write per-step payments and running totals in long format.
-
-    Rows are ``step,agent,feature,amount,cumulative`` with CRLF line ends
-    and floats by ``repr``, grouped by feature in sorted order, one per
-    (integer) step; a report with no per-step series has one ``batch`` row
-    per feature in ``payments``.  The floats are the memo's lines, the
-    ``agent,feature`` cells are quoted once per feature, and the rows are
-    joined in C by :func:`_write_rows`.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
-        series = report.series
-        if series and "payments" in series:
-            texts = _report_texts(report)
-            steps = list(_csv_column(series["step"]))
-            for k in sorted(series["payments"]):
-                pays, running = (_float_text(v, texts) if _is_float_list(v) else map(repr, v)
-                                 for v in (series["payments"][k], series["cumulative"][k]))
-                middle = "," + _csv_cells(report.feature_owners.get(k, ""), k) + ","
-                _write_rows(fh, steps, itertools.repeat(middle), pays, itertools.repeat(","),
-                            running, itertools.repeat("\r\n"))
-        else:
-            running = 0.0
-            for k in sorted(report.payments):
-                running += report.payments[k]
-                writer.writerow(["batch", report.feature_owners.get(k, ""), k,
-                                 repr(report.payments[k]), repr(running)])
-
-
-def write_loss_table_csv(report: MarketReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coalition", "loss"])
-        for key, value in report.loss_table.items():
-            writer.writerow([key, repr(value)])

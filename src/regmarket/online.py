@@ -8,10 +8,10 @@ Each step applies the three-equation Newton-Raphson update
 
 where the residual is the one-step-ahead (prior) residual.  A residual or
 loss that overflows fails the step.  The memory solve is preceded by a
-Cholesky factorisation, which is the positive-definiteness assertion
-behind the feasibility of the step, and followed by a check that the new
-coefficients are finite: a memory that overflowed to infinity passes the
-factorisation.
+Cholesky factorisation, the positive-definiteness assertion behind the
+step (a memory the solve finds singular fails it too), and followed by a
+check that the new coefficients are finite: a memory that overflowed to
+infinity passes the factorisation.
 
 Warm start fits a small batch slice and initialises the memory to the
 lambda-weighted h2 Gram of that slice, exactly what the recursion itself
@@ -251,19 +251,25 @@ class _StackedStates:
         ewma = ewma_update(self.ewma, losses)
 
         failed = cholesky_failures(memory)
-        if failed is not None and (failed & self.ready).any():
-            i = int(np.argmax(failed & self.ready))
-            raise SingularUpdateError(f"{self._label(i)}memory matrix not positive definite",
-                                      step=int(steps[i]))
-        if self.all_ready:
-            coefficients = _newton_solve(self.coefficients, memory, rhs)
-        else:
+        while True:
+            if (failed & self.ready).any():
+                i = int(np.argmax(failed & self.ready))
+                raise SingularUpdateError(f"{self._label(i)}memory matrix not positive definite",
+                                          step=int(steps[i]))
             # a zero-start estimator takes its first step once its warm-up
             # is over and its memory is positive definite
-            solved = self.ready | (steps >= self.min_warm_steps)
-            if failed is not None:
-                solved &= ~failed
-            coefficients = _newton_solve(self.coefficients, memory, rhs, solved)
+            solved = ~failed & (self.ready | (steps >= self.min_warm_steps))
+            try:
+                coefficients = _newton_solve(self.coefficients, memory, rhs,
+                                             None if self.all_ready else solved)
+                break
+            except np.linalg.LinAlgError:
+                # rounding can leave a singular memory a positive Cholesky
+                # pivot and an exact zero LU pivot: it fails as if rejected
+                singular = cholesky_failures(memory, np.linalg.inv) & ~failed
+                if not singular.any():
+                    raise
+                failed |= singular
         # Cholesky does not flag an infinite pivot: a memory that overflowed
         # passes it and leaves coefficients that are not finite
         if not np.isfinite(coefficients).all():
@@ -350,8 +356,9 @@ class _StackedStates:
         ``X`` holds each step's rows, ``(B, C, N)``.  Returns each step's
         losses and EWMA losses, ``(B, C)``, and whether every estimator is
         ready after it, ``(B,)``.  Returns None, changing nothing, when the
-        data, coefficients or losses are not finite or a ready memory fails
-        its Cholesky check; the block is then for :meth:`advance` to replay.
+        data, coefficients or losses are not finite, a ready memory fails its
+        Cholesky check or the solve finds a memory singular; the block is
+        then for :meth:`advance` to replay.
         """
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             return None
@@ -379,8 +386,6 @@ class _StackedStates:
             while undecided.any():
                 idx = np.flatnonzero(undecided)
                 failed = cholesky_failures(M[ready_from[idx], idx])
-                if failed is None:
-                    break
                 undecided[idx[~failed]] = False
                 ready_from[idx[failed]] += 1
                 undecided &= ready_from < B
@@ -390,11 +395,13 @@ class _StackedStates:
         except np.linalg.LinAlgError:
             return None
 
-        if ready.all():
-            beta = np.linalg.solve(M, r[..., None])[..., 0]
-        else:
-            beta = np.linalg.solve(np.where(ready[:, :, None, None], M, np.eye(N)),
-                                   r[..., None])[..., 0]
+        waiting = not ready.all()
+        try:
+            beta = np.linalg.solve(np.where(ready[:, :, None, None], M, np.eye(N)) if waiting
+                                   else M, r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            return None
+        if waiting:
             beta = np.where(ready[:, :, None], beta, self.coefficients)
         if not np.isfinite(beta).all():
             return None

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from regmarket import LossSpec, TaskSpec
+from regmarket import Dataset, LossSpec, TaskSpec, cli, dataset_to_csv
 from regmarket.cli import TASK_KEYS, load_config, main
 
 CONFIG = """\
@@ -355,6 +356,45 @@ def test_overflowing_online_step_is_a_numeric_error(tmp_path, capsys):
     assert err.startswith("numeric error: step 101: coalition ['x3']: ")
     assert "overflowed" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_singular_zero_start_memory_is_a_numeric_error(tmp_path, capsys):
+    # x2 = 1.0 repeats the intercept: under zero start the online market
+    # fails at a singular memory with a typed error, not a bare LinAlgError
+    rng = np.random.default_rng(0)
+    T = 300
+    feats = {"x0": rng.normal(size=T), "x1": rng.normal(size=T), "x2": np.ones(T)}
+    y = feats["x0"] + feats["x1"] + rng.normal(0, 0.3, T)
+    owners = {"x0": "a2", "x2": "a2", "x1": "a3"}
+    dataset_to_csv(Dataset(np.arange(T), y, feats, owners, target_owner="a1"),
+                   tmp_path / "dataset.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\ncsv = {tmp_path / 'dataset.csv'}\nout = {tmp_path / 'out'}\n"
+                   "[task]\ncentral_agent = a1\ninit_policy = zero-start\n"
+                   "[ownership]\nx0 = a2\nx2 = a2\nx1 = a3\n")
+    code = run_cli(["market", "--mechanism", "online", "--config", str(cfg)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: step 22: coalition ['x2']: memory matrix not "
+                          "positive definite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_untyped_exception_is_an_internal_error(config_file, monkeypatch, capsys):
+    cfg, out = config_file
+    error = RuntimeError("boom\nsecond line")
+
+    def clear(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "clear_batch_market", clear)
+    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom second line\n"
+    # an interrupt still ends the command as an interrupt
+    error = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
 
 
 def test_error_while_clearing_leaves_no_output_directory(tmp_path, capsys):

@@ -11,6 +11,7 @@ from regmarket import (
     FeatureLookupError,
     LossSpec,
     ParameterError,
+    SingularUpdateError,
     TaskSpec,
     audit_ledger,
     clear_batch_market,
@@ -486,6 +487,35 @@ def test_online_market_clears_at_tau_one():
     report = run_online_market(dataset, task)
     assert report.audit["passed"]
     assert len(report.series["step"]) > 0
+
+
+def constant_support_feature_dataset(T=300, seed=0):
+    """x0 and x1 standard normal, x2 = 1.0, y = x0 + x1 + noise; a2 owns x0
+    and x2, a3 owns x1.  x2 repeats the intercept, so every coalition
+    design holding it is singular."""
+    rng = np.random.default_rng(seed)
+    feats = {"x0": rng.normal(size=T), "x1": rng.normal(size=T), "x2": np.ones(T)}
+    y = feats["x0"] + feats["x1"] + rng.normal(0, 0.3, T)
+    owners = {"x0": "a2", "x2": "a2", "x1": "a3"}
+    return Dataset(np.arange(T), y, feats, owners, target_owner="a1"), owners
+
+
+@pytest.mark.parametrize("model_source", [None, "online"], ids=["online", "oos-online"])
+def test_zero_start_market_with_a_constant_feature_raises_a_typed_error(model_source):
+    # coalition ['x2'] waits while the solve finds its memory singular (it
+    # had passed its Cholesky check on a rounding-sized pivot): as a waiting
+    # estimator it keeps waiting, with no bare LinAlgError.  At step 21 its
+    # memory passes both, so it is ready, and at step 22 it fails the
+    # Cholesky check as a ready estimator
+    ds, owners = constant_support_feature_dataset()
+    task = TaskSpec("a1", owners, init_policy="zero-start")
+    with pytest.raises(SingularUpdateError, match=re.escape(
+            "coalition ['x2']: memory matrix not positive definite")) as err:
+        if model_source is None:
+            run_online_market(ds, task)
+        else:
+            run_oos_market(ds, task, model_source=model_source)
+    assert err.value.step == 22
 
 
 def test_unpaid_amounts_are_positive_zeros(tmp_path):

@@ -10,8 +10,10 @@ from scipy.special import expit
 
 from regmarket import (
     Dataset,
+    EwmaLoss,
     LossSpec,
     OnlineSession,
+    OnlineState,
     ParameterError,
     SingularUpdateError,
     init_state,
@@ -360,6 +362,59 @@ def test_singular_update_names_its_coalition():
     for c in coalitions:
         assert np.array_equal(after[c].coefficients, before[c].coefficients)
         assert after[c].step_count == before[c].step_count
+
+
+# Singular, with a Cholesky factor: the determinant is 0, Cholesky's second
+# pivot 0.5 - (1/sqrt(2))^2 is a rounding-sized positive number, and the LU
+# factorisation of np.linalg.solve finds an exact zero pivot
+LU_SINGULAR = np.array([[2.0, 1.0], [1.0, 0.5]])
+
+
+def lu_singular_state(ready, min_warm_steps=0):
+    """A state of width 2 whose memory is LU_SINGULAR; a zero row at lam = 1
+    leaves its memory as it is."""
+    return OnlineState(np.zeros(2), LU_SINGULAR.copy(), EwmaLoss(0.0, 1.0), ready=ready,
+                       pending_gradient=None if ready else np.zeros(2),
+                       min_warm_steps=min_warm_steps)
+
+
+def test_a_memory_the_solve_finds_singular_fails_like_one_cholesky_rejects():
+    np.linalg.cholesky(LU_SINGULAR)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(LU_SINGULAR, np.ones(2))
+    # a waiting estimator keeps waiting
+    state, _, _ = online_step(lu_singular_state(ready=False), np.zeros(2), 0.0, 1.0, QUAD)
+    assert not state.ready and state.step_count == 1
+    assert np.array_equal(state.coefficients, np.zeros(2))
+    # a ready one fails its step with a typed error
+    with pytest.raises(SingularUpdateError, match="memory matrix not positive definite") as err:
+        online_step(lu_singular_state(ready=True), np.zeros(2), 0.0, 1.0, QUAD)
+    assert err.value.step == 1
+
+
+@pytest.mark.parametrize("ready", [False, True], ids=["waiting", "ready"])
+def test_scan_declines_a_block_whose_solve_finds_a_memory_singular(session_setup, ready):
+    # the waiting estimator's warm-up ends inside the block, so the scan
+    # solves it from the block's second step; the block is replayed
+    ds, design, _ = session_setup
+    scan = OnlineSession(design, frozenset({"x2"}), [frozenset()], 1.0, QUAD)
+    scan._set_states([lu_singular_state(ready, min_warm_steps=0 if ready else 2)])
+    recursion = copy.deepcopy(scan)
+    replays = count_replays(scan)
+    X, y = np.zeros((3, design.n)), np.zeros(3)
+    if ready:
+        with pytest.raises(SingularUpdateError) as stepped:
+            step_trace(recursion, X, y)
+        with pytest.raises(SingularUpdateError) as streamed:
+            scan.stream(X, y)
+        assert str(streamed.value) == str(stepped.value) and streamed.value.step == 1
+    else:
+        losses, ewma, ready_steps = step_trace(recursion, X, y)
+        trace = scan.stream(X, y)
+        assert not ready_steps.any() and not trace.ready.any()
+        assert np.array_equal(trace.losses, losses) and np.array_equal(trace.ewma, ewma)
+    assert len(replays) == (1 if ready else 3)
+    assert_sessions_equal(scan, recursion)
 
 
 # -- block scan ----------------------------------------------------------------

@@ -31,21 +31,23 @@ from regmarket import (
     run_online_market,
     run_oos_market,
 )
-from regmarket import market
+from regmarket import artifacts, market
+from regmarket.artifacts import (
+    _float_text,
+    _iter_json,
+    _report_texts,
+    report_to_json,
+    write_artifacts,
+    write_cumulative_csv,
+    write_ledger_csv,
+    write_loss_table_csv,
+)
 from regmarket.market import (
     Ledger,
     LedgerEntry,
     MarketReport,
-    _float_text,
-    _is_float_list,
-    _iter_json,
-    _report_texts,
     _shared_runs,
     audit_ledger,
-    report_to_json,
-    write_cumulative_csv,
-    write_ledger_csv,
-    write_loss_table_csv,
 )
 
 
@@ -150,14 +152,7 @@ def test_batch_support_game_artifacts(tmp_path):
 
 
 def test_batch_feature_game_artifacts(tmp_path):
-    rng = np.random.default_rng(31)
-    T = 400
-    g = {k: rng.normal(size=T) for k in ("x1", "x2", "x3")}
-    y = 0.2 - 0.4 * g["x1"] + 0.6 * g["x2"] - 0.4 * g["x1"] * g["x3"] + rng.normal(0, 0.3, T)
-    ds = Dataset(np.arange(T), y, g, {"x1": "a1", "x2": "a2", "x3": "a3"}, target_owner="a1")
-    task = TaskSpec(central_agent="a1", ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
-                    loss=LossSpec("quadratic"), degree=2, phi_insample=0.1)
-    report = clear_batch_market(ds, task)
+    report = feature_game_report()
     assert report.game == "feature-game"
     assert_artifacts_match(report, tmp_path)
 
@@ -179,10 +174,7 @@ def test_oos_market_artifacts(tmp_path, source):
 
 
 def test_empty_report_artifacts(tmp_path):
-    rng = np.random.default_rng(4)
-    ds = Dataset(np.arange(50), rng.normal(size=50), {"x1": rng.normal(size=50)},
-                 {"x1": "a1"}, target_owner="a1")
-    report = clear_batch_market(ds, TaskSpec(central_agent="a1", ownership={"x1": "a1"}))
+    report = no_support_report()
     assert report.game == "none" and not report.ledger and not report.series
     assert_artifacts_match(report, tmp_path)
 
@@ -218,6 +210,57 @@ def test_batch_amount_cells_are_plain_floats(tmp_path, game, policy):
         for row in rows:
             for column in columns:
                 float(row[column])
+
+
+def per_file_artifacts(report, outdir):
+    """The five files as the benchmark harness writes them: the four
+    per-file writers in turn, then the audit by ``json.dump``."""
+    for name, (write, _) in WRITERS.items():
+        write(report, outdir / name)
+    with open(outdir / "audit.json", "w") as fh:
+        json.dump(report.audit, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def feature_game_report():
+    task = TaskSpec(central_agent="a1", ownership={"x1": "a1", "x2": "a2", "x3": "a3"},
+                    loss=LossSpec("quadratic"), degree=2, phi_insample=0.1)
+    return clear_batch_market(interaction_dataset(), task)
+
+
+def no_support_report():
+    rng = np.random.default_rng(4)
+    ds = Dataset(np.arange(50), rng.normal(size=50), {"x1": rng.normal(size=50)},
+                 {"x1": "a1"}, target_owner="a1")
+    return clear_batch_market(ds, TaskSpec(central_agent="a1", ownership={"x1": "a1"}))
+
+
+REPORTS = {
+    "support-game": lambda: clear_batch_market(two_feature_dataset(300, 1),
+                                               two_feature_task(phi_insample=0.1)),
+    "feature-game": feature_game_report,
+    "online": lambda: run_online_market(two_feature_dataset(400, 2),
+                                        two_feature_task(phi_insample=0.1)),
+    "oos": lambda: oos_report(),
+    "no-support": no_support_report,
+}
+
+
+@pytest.mark.parametrize("kind", REPORTS)
+def test_write_artifacts_writes_the_bytes_of_the_per_file_writers(tmp_path, kind):
+    report = REPORTS[kind]()
+    assert report.audit is not None
+    assert (report.game == "none") == (kind == "no-support")
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    ours.mkdir()
+    theirs.mkdir()
+    write_artifacts(report, str(ours))
+    per_file_artifacts(report, theirs)
+    names = ["report.json", "ledger.csv", "cumulative_revenues.csv", "losses.csv",
+             "audit.json"]
+    assert sorted(p.name for p in ours.iterdir()) == sorted(names)
+    for name in names:
+        assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
 
 
 def hand_built_report() -> MarketReport:
@@ -396,8 +439,7 @@ def test_float_texts_are_kept_for_the_report_written_last_only(tmp_path):
 
 def put_float_texts(obj, texts):
     """Put the text of every list of floats in ``obj`` into ``texts``."""
-    if _is_float_list(obj):
-        _float_text(obj, texts)
+    _float_text(obj, texts)
     for value in (obj.values() if isinstance(obj, dict) else
                   obj if isinstance(obj, (list, tuple)) else ()):
         put_float_texts(value, texts)
@@ -430,7 +472,7 @@ def test_streamed_ledger_amounts_are_formatted_once(tmp_path, monkeypatch, first
         calls[id(value)] += 1
         return builtins.repr(value)
 
-    monkeypatch.setattr(market, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
     WRITERS[first][0](report, tmp_path / first)
     for name in ("report.json", "ledger.csv"):
         WRITERS[name][0](report, tmp_path / name)
@@ -461,7 +503,7 @@ def test_series_floats_are_formatted_once_across_the_four_writers(tmp_path, monk
         calls[id(value)] += 1
         return builtins.repr(value)
 
-    monkeypatch.setattr(market, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
     for write, _ in WRITERS.values():
         write(report, tmp_path / "out")
     monkeypatch.undo()
@@ -527,30 +569,25 @@ def test_gathered_ledger_amounts_match_the_reference_writers(tmp_path_factory, m
 
 
 @pytest.mark.parametrize("edit", ["equal", "negative-zero", "nan", "append", "remove"])
-def test_an_edited_streamed_ledger_formats_only_its_edited_amounts_again(tmp_path,
-                                                                         monkeypatch, edit):
+def test_an_edited_streamed_ledger_formats_every_amount_by_repr(tmp_path, monkeypatch, edit):
+    # a ledger that is not the booked payments in their order takes no line
+    # from the series: each amount goes through repr once for the ledger,
+    # and a series float had gone through it once before, for the series
     report = settled_report(np.array([[0.5, 0.0, 2.0], [0.25, 0.0, -1.0], [1.0, 0.0, 3.0]]),
                             edit, 1)
-    pays = report.series["payments"]
-    booked = [pays[k][t] for t in range(3) for k in sorted(pays) if pays[k][t] > 0.0]
-    in_series = {id(v) for values in pays.values() for v in values}
+    in_series = {id(v) for values in report.series["payments"].values() for v in values}
     calls = collections.Counter()
 
     def counting_repr(value):
         calls[id(value)] += 1
         return builtins.repr(value)
 
-    monkeypatch.setattr(market, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
     report_to_json(report, tmp_path / "report.json")
     write_ledger_csv(report, tmp_path / "ledger.csv")
     monkeypatch.undo()
-    # an amount that is the booked float in its place takes that float's
-    # line; any other goes through repr for the ledger, a series float a
-    # second time
     amounts = report.ledger.amount
-    assert [calls[id(a)] for a in amounts] == [
-        1 if (i < len(booked) and booked[i] is a) or id(a) not in in_series else 2
-        for i, a in enumerate(amounts)]
+    assert [calls[id(a)] for a in amounts] == [1 + (id(a) in in_series) for a in amounts]
     assert sum(id(a) not in in_series for a in amounts) == (edit != "remove")
     assert_artifacts_match(report, tmp_path)
 
@@ -615,7 +652,7 @@ def test_float_text_formats_each_run_of_one_object_once():
         calls[id(value)] += 1
         return builtins.repr(value)
 
-    with mock.patch.object(market, "repr", counting_repr, create=True):
+    with mock.patch.object(artifacts, "repr", counting_repr, create=True):
         lines = _float_text(values, {})
     assert lines == list(map(repr, values))
     assert lines[0] is lines[1] and lines[4] is lines[5] and lines[2] is not lines[3]
@@ -670,7 +707,7 @@ def test_settled_series_share_their_runs_and_are_formatted_once(tmp_path_factory
         return builtins.repr(value)
 
     tmp_path = tmp_path_factory.mktemp("runs")
-    with mock.patch.object(market, "repr", counting_repr, create=True):
+    with mock.patch.object(artifacts, "repr", counting_repr, create=True):
         for write, _ in WRITERS.values():
             write(report, tmp_path / "out")
     assert set(calls.values()) <= {1}
