@@ -110,8 +110,10 @@ def _residual_blocks(X: np.ndarray, y: np.ndarray,
     """
     step = max(1, BLOCK_FLOATS // max(len(y), 1))
     for lo in range(0, len(coefficients), step):
-        block = coefficients[lo:lo + step] @ X.T
-        np.subtract(y, block, out=block)
+        # an overflowed residual fails its loss's finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = coefficients[lo:lo + step] @ X.T
+            np.subtract(y, block, out=block)
         yield lo, block
 
 
@@ -196,6 +198,8 @@ def fit_matrix(X: np.ndarray, y: np.ndarray, spec: LossSpec,
     return fit_column_sets(X, y, np.ones((1, n), dtype=bool), spec, names)[1][0]
 
 
+# an overflowed residual fails its loss's finite check with ParameterError
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_fit(X, y, spec, beta, names, jitter0) -> FitResult:
     # batch estimation minimises the loss itself, so the derivatives here are
     # always the analytic ones regardless of the configured online variant

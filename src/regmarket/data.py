@@ -30,6 +30,11 @@ from .errors import (
 INTERCEPT_NAME = "1"
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a NumPy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr = np.array(arr, copy=True)
@@ -217,9 +222,14 @@ def make_lags(dataset: Dataset, lag_spec: Mapping[str, Sequence[int]]) -> Datase
     """
     if not lag_spec:
         return dataset
-    all_lags = [d for lags in lag_spec.values() for d in lags]
+    try:
+        all_lags = [d for lags in lag_spec.values() for d in lags]
+    except TypeError:
+        raise ParameterError("each series' lags must be a sequence of integers") from None
     if not all_lags:
         return dataset
+    if not all(map(is_integer, all_lags)):
+        raise ParameterError(f"lags must be integers, not {all_lags!r}")
     if min(all_lags) < 1:
         raise ParameterError("lags must be >= 1")
     max_lag = max(all_lags)

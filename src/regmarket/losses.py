@@ -112,8 +112,18 @@ def _scalar_aware(out):
 
 
 def loss_value(eps, spec: LossSpec):
-    """Pointwise loss of a residual (scalar or array), by :func:`loss_array`."""
-    return _scalar_aware(loss_array(_check_finite(eps), spec))
+    """Pointwise loss of a residual (scalar or array), by :func:`loss_array`.
+
+    Raises ParameterError when a residual or a loss is not finite: finite
+    residuals can overflow the loss (a squared residual above the largest
+    float).
+    """
+    with np.errstate(over="ignore"):
+        loss = loss_array(_check_finite(eps), spec)
+    if not np.isfinite(loss).all():
+        raise ParameterError("loss is not finite: the residuals overflow it; "
+                             "rescale the target")
+    return _scalar_aware(loss)
 
 
 def loss_h1(eps, spec: LossSpec):

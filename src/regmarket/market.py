@@ -70,7 +70,7 @@ from .batch import (
     fit_matrix,
     solve_column_sets,
 )
-from .data import AugmentedDesign, Dataset, make_lags, polynomial_expand
+from .data import AugmentedDesign, Dataset, is_integer, make_lags, polynomial_expand
 from .errors import EnumerationCapError, FeatureLookupError, ParameterError
 from .losses import LossSpec, insample_loss
 from .online import WARM_START, ZERO_START, OnlineSession, SessionTrace
@@ -107,6 +107,10 @@ class TaskSpec:
         # a NaN fails every comparison, so each test is for the accepted range
         if not (0.0 <= self.phi_insample < math.inf and 0.0 <= self.phi_oos < math.inf):
             raise ParameterError("willingness to pay must be finite and >= 0")
+        for name in ("warmup", "degree", "enumeration_cap", "train_rows"):
+            value = getattr(self, name)
+            if not (is_integer(value) or name == "train_rows" and value is None):
+                raise ParameterError(f"{name} must be an integer, not {value!r}")
         if not self.warmup >= 0:
             raise ParameterError("warm-up must be >= 0 rows")
         if not 0.0 < self.lam <= 1.0:
@@ -641,8 +645,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     """
     if model_source not in ("batch", "online"):
         raise ParameterError(f"unknown model source {model_source!r}")
-    if (isinstance(n_windows, bool) or not isinstance(n_windows, (int, np.integer))
-            or n_windows < 1):
+    if not is_integer(n_windows) or n_windows < 1:
         raise ParameterError(f"n_windows must be an integer >= 1, not {n_windows!r}")
     ds, design, central, report = _prepare(dataset, task, "oos", support)
     if not report.support:

@@ -9,9 +9,10 @@ Each step applies the three-equation Newton-Raphson update
 where the residual is the one-step-ahead (prior) residual.  A residual or
 loss that overflows fails the step.  The memory solve is preceded by a
 Cholesky factorisation, the positive-definiteness assertion behind the
-step (a memory the solve finds singular fails it too), and followed by a
-check that the new coefficients are finite: a memory that overflowed to
-infinity passes the factorisation.
+step, and by the solve's own LU factorisation: rounding can leave a
+singular memory a positive Cholesky pivot, and a memory either rejects
+fails.  The solve is followed by a check that the new coefficients are
+finite: a memory that overflowed to infinity passes the factorisations.
 
 Warm start fits a small batch slice and initialises the memory to the
 lambda-weighted h2 Gram of that slice, exactly what the recursion itself
@@ -23,7 +24,8 @@ whole stream reproduce batch least squares to rounding.
 Stacked state.  A session holds the estimators of all C coalitions as
 stacked arrays: coefficients ``(C, N)``, memory ``(C, N, N)`` and pending
 gradient ``(C, N)``, plus one EWMA loss, step count, ready flag and warm-up
-length per coalition, where N is the widest coalition design.  A narrower
+length per coalition, where N is the widest coalition design.  It holds
+the forgetting factor and the loss it was built with.  A narrower
 design fills the leading dimensions; its unused ones carry zero data, zero
 coefficients and an identity block in the memory.  That block is reset to
 the identity on every step: left to decay as lam^t it would underflow at
@@ -33,7 +35,10 @@ advances with one gather of the row, one vectorised :func:`loss_terms`
 call for the loss, h1 and h2, one batched memory update, one batched
 Cholesky and one batched solve.  The update keeps the memory exactly
 symmetric: ``lam * M + h2 * x x'`` is elementwise on a symmetric ``M``.
-:func:`online_step` is the one-coalition case of the same kernel.
+This per-step recursion is :meth:`_StackedStates.advance`, the reference
+for the two block paths below and the path that replays a block they
+decline; :meth:`OnlineSession.step` calls it, and :func:`online_step` is
+its one-coalition case.
 
 Block scan.  With the quadratic loss (h1 = eps, h2 = 1) the update is
 recursive least squares, and both of its recursions are linear:
@@ -49,10 +54,10 @@ residuals; the EWMA losses are the same scaled prefix sum.  B keeps
 ``lam^-(B-1)`` at most ``SCALE_LIMIT`` and the ``(B, C, N, N)`` memory
 block within ``SCAN_FLOATS`` floats, so working memory does not grow with
 the stream.  A block whose data, coefficients or losses are not finite,
-or in which a ready estimator's memory fails its Cholesky check, is
-replayed step by step, so errors are raised at the recursion's step and
-leave the recursion's state.  :meth:`OnlineSession.step` keeps the
-recursion.
+in which a ready estimator's memory fails its Cholesky check, or whose
+solve finds a memory singular, is replayed step by step from its gathered
+rows, so errors are raised at the recursion's step and leave the
+recursion's state.
 
 Newton blocks.  The smooth-quantile update has no linear recursion, so
 :meth:`OnlineSession.stream` runs it over blocks of the same length with
@@ -164,10 +169,12 @@ def init_state(X_warm: np.ndarray | None, y_warm: np.ndarray | None,
 
 
 class _StackedStates:
-    """The states of C estimators stacked into arrays padded to width N."""
+    """The states of C estimators stacked into arrays padded to width N, with
+    the forgetting factor and the loss that every recursion advances them by."""
 
-    def __init__(self, states: Sequence[OnlineState], lam: float,
+    def __init__(self, states: Sequence[OnlineState], lam: float, spec: LossSpec,
                  labels: Sequence[str] | None = None):
+        self.lam, self.spec = lam, spec
         self.widths = np.array([s.n for s in states], dtype=int)
         C, N = len(states), int(self.widths.max(initial=0))
         self.coefficients = np.zeros((C, N))
@@ -184,7 +191,6 @@ class _StackedStates:
         self.ewma = EwmaLoss(np.array([s.ewma.value for s in states], dtype=float), lam)
         self.step_count = np.array([s.step_count for s in states], dtype=int)
         self.ready = np.array([s.ready for s in states], dtype=bool)
-        self.all_ready = bool(self.ready.all())
         self.min_warm_steps = np.array([s.min_warm_steps for s in states], dtype=int)
         self.labels = labels
 
@@ -203,7 +209,7 @@ class _StackedStates:
         return f"{self.labels[i]}: " if self.labels else ""
 
     def _newton(self, memory: np.ndarray, X: np.ndarray, outer: np.ndarray,
-                h1: np.ndarray, h2: np.ndarray, lam: float, symmetrise: bool):
+                h1: np.ndarray, h2: np.ndarray, symmetrise: bool):
         """The memory update and Newton right-hand side of one step, shared
         by :meth:`advance` and :meth:`newton_block`, neither checked.
 
@@ -213,19 +219,18 @@ class _StackedStates:
         exactly symmetric, and symmetrising one that is changes no bit
         unless an entry exceeds ``HALF_MAX``, where it overflows.
         """
-        memory = lam * memory + h2[:, None, None] * outer
+        memory = self.lam * memory + h2[:, None, None] * outer
         if symmetrise:
             memory = 0.5 * (memory + memory.transpose(0, 2, 1))
         memory[self.padding] = 1.0
         # ready estimators keep a zero pending gradient, so this is their
         # plain Newton direction and the accumulated one of the others
-        rhs = lam * self.pending_gradient + X * h1[:, None]
+        rhs = self.lam * self.pending_gradient + X * h1[:, None]
         return memory, rhs
 
     # every overflow below raises a typed error, so NumPy need not warn
     @np.errstate(over="ignore", invalid="ignore")
-    def advance(self, X: np.ndarray, y_t: float, lam: float,
-                spec: LossSpec) -> tuple[np.ndarray, np.ndarray]:
+    def advance(self, X: np.ndarray, y_t: float) -> tuple[np.ndarray, np.ndarray]:
         """Advance every estimator by one observation.
 
         ``X`` holds each design's row, ``(C, N)`` and zero on padded
@@ -234,14 +239,15 @@ class _StackedStates:
         SingularUpdateError when finite data overflow a residual or its
         loss, a ready memory is not positive definite or the new
         coefficients are not finite (an overflowed memory); nothing changes
-        when the step raises.
+        when the step raises.  A memory fails when Cholesky or the solve's
+        LU factorisation rejects it.
         """
         if not (np.isfinite(X).all() and np.isfinite(y_t)):
             raise ParameterError("online step needs finite data")
         eps = _prior_residuals(self.coefficients, X, y_t)
-        losses, h1, h2 = loss_terms(eps, spec)
+        losses, h1, h2 = loss_terms(eps, self.spec)
         memory, rhs = self._newton(self.memory, X, X[:, :, None] * X[:, None, :], h1, h2,
-                                   lam, symmetrise=True)
+                                   symmetrise=True)
         steps = self.step_count + 1
         # a residual that is not finite has a loss that is not finite
         if not np.isfinite(losses).all():
@@ -250,26 +256,20 @@ class _StackedStates:
                 f"{self._label(i)}residual or loss overflowed: not finite", step=int(steps[i]))
         ewma = ewma_update(self.ewma, losses)
 
-        failed = cholesky_failures(memory)
-        while True:
-            if (failed & self.ready).any():
-                i = int(np.argmax(failed & self.ready))
-                raise SingularUpdateError(f"{self._label(i)}memory matrix not positive definite",
-                                          step=int(steps[i]))
-            # a zero-start estimator takes its first step once its warm-up
-            # is over and its memory is positive definite
-            solved = ~failed & (self.ready | (steps >= self.min_warm_steps))
-            try:
-                coefficients = _newton_solve(self.coefficients, memory, rhs,
-                                             None if self.all_ready else solved)
-                break
-            except np.linalg.LinAlgError:
-                # rounding can leave a singular memory a positive Cholesky
-                # pivot and an exact zero LU pivot: it fails as if rejected
-                singular = cholesky_failures(memory, np.linalg.inv) & ~failed
-                if not singular.any():
-                    raise
-                failed |= singular
+        # rounding can leave a singular memory a positive Cholesky pivot and
+        # an exact zero pivot in the LU factorisation that inv and the solve
+        # share: it fails as if Cholesky rejected it
+        failed = cholesky_failures(memory) | cholesky_failures(memory, np.linalg.inv)
+        if (failed & self.ready).any():
+            i = int(np.argmax(failed & self.ready))
+            raise SingularUpdateError(f"{self._label(i)}memory matrix not positive definite",
+                                      step=int(steps[i]))
+        # a zero-start estimator takes its first step once its warm-up is
+        # over and its memory is positive definite
+        all_ready = self.ready.all()
+        solved = ~failed & (self.ready | (steps >= self.min_warm_steps))
+        coefficients = _newton_solve(self.coefficients, memory, rhs,
+                                     None if all_ready else solved)
         # Cholesky does not flag an infinite pivot: a memory that overflowed
         # passes it and leaves coefficients that are not finite
         if not np.isfinite(coefficients).all():
@@ -277,11 +277,10 @@ class _StackedStates:
             raise SingularUpdateError(
                 f"{self._label(i)}memory overflowed: coefficients are not finite",
                 step=int(steps[i]))
-        if not self.all_ready:
+        if not all_ready:
             self.pending_gradient = np.where(solved[:, None], 0.0, rhs)
             self.min_warm_steps = np.where(solved, 0, self.min_warm_steps)
             self.ready = solved
-            self.all_ready = bool(solved.all())
         self.coefficients = coefficients
         self.memory = memory
         self.step_count = steps
@@ -291,8 +290,8 @@ class _StackedStates:
     # an overflow or invalid value makes the block decline; its replay
     # raises the recursion's typed error
     @np.errstate(over="raise", invalid="raise", divide="raise")
-    def newton_block(self, X: np.ndarray, y: np.ndarray, lam: float,
-                     spec: LossSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def newton_block(self, X: np.ndarray,
+                     y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Advance every estimator over a block of rows by the recursion of
         :meth:`advance`, its checks made once for the block.
 
@@ -308,11 +307,12 @@ class _StackedStates:
         Only the recursion runs step by step; the module docstring says
         what runs once per block and why the bits are the step's.
         """
-        if not (self.all_ready and np.isfinite(X).all() and np.isfinite(y).all()):
+        if not (self.ready.all() and np.isfinite(X).all() and np.isfinite(y).all()):
             return None
         B, C, N = X.shape
         eps, memories = np.empty((B, C)), np.empty((B, C, N, N))
         coefficients, memory, value = self.coefficients, self.memory, self.ewma.value
+        lam, spec = self.lam, self.spec
         try:
             outer = X[:, :, :, None] * X[:, :, None, :]
             for b in range(B):
@@ -321,7 +321,7 @@ class _StackedStates:
                 row = X[b].copy()
                 eps[b] = _prior_residuals(coefficients, row, y[b])
                 memory, rhs = self._newton(memory, row, outer[b],
-                                           *loss_derivatives(eps[b], spec), lam,
+                                           *loss_derivatives(eps[b], spec),
                                            symmetrise=b == 0)
                 coefficients = _newton_solve(coefficients, memory, rhs)
                 memories[b] = memory
@@ -349,8 +349,8 @@ class _StackedStates:
     # an overflow makes the block decline, and its replay raises the
     # recursion's typed error
     @np.errstate(over="ignore", invalid="ignore")
-    def scan(self, X: np.ndarray, y: np.ndarray,
-             lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def scan(self, X: np.ndarray,
+             y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Advance every estimator over a block of rows of the quadratic loss.
 
         ``X`` holds each step's rows, ``(B, C, N)``.  Returns each step's
@@ -363,6 +363,7 @@ class _StackedStates:
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             return None
         B, C, N = X.shape
+        lam = self.lam
         decay = lam ** np.arange(B, dtype=float)
         grow = 1.0 / decay
         memory = 0.5 * (self.memory + self.memory.transpose(0, 2, 1))
@@ -379,7 +380,7 @@ class _StackedStates:
 
         # the first step of the block at which each estimator is ready
         ready_from = np.zeros(C, dtype=int)
-        if not self.all_ready:
+        if not self.ready.all():
             ready_from[~self.ready] = np.maximum(
                 self.min_warm_steps - self.step_count - 1, 0)[~self.ready]
             undecided = ~self.ready & (ready_from < B)
@@ -390,13 +391,9 @@ class _StackedStates:
                 ready_from[idx[failed]] += 1
                 undecided &= ready_from < B
         ready = np.arange(B)[:, None] >= ready_from
-        try:
-            np.linalg.cholesky(M if ready.all() else M[ready])
-        except np.linalg.LinAlgError:
-            return None
-
         waiting = not ready.all()
         try:
+            np.linalg.cholesky(M[ready] if waiting else M)
             beta = np.linalg.solve(np.where(ready[:, :, None, None], M, np.eye(N)) if waiting
                                    else M, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -414,14 +411,13 @@ class _StackedStates:
         ewma += lam * self.ewma.value
         ewma *= decay[:, None]
 
-        if not self.all_ready:
+        if not self.ready.all():
             waiting = ~ready[-1]
             self.pending_gradient = np.where(
                 waiting[:, None],
                 r[-1] - np.einsum("cmn,cn->cm", M[-1], self.coefficients), 0.0)
             self.min_warm_steps = np.where(waiting, self.min_warm_steps, 0)
             self.ready = ready[-1].copy()
-            self.all_ready = bool(self.ready.all())
         self.coefficients = beta[-1].copy()
         self.memory = M[-1].copy()
         self.step_count = self.step_count + B
@@ -448,8 +444,8 @@ def _newton_solve(coefficients: np.ndarray, memory: np.ndarray, rhs: np.ndarray,
 def online_step(state: OnlineState, x_row: np.ndarray, y_t: float,
                 lam: float, spec: LossSpec) -> tuple[OnlineState, float, float]:
     """Advance one observation; returns (new state, prior residual, loss)."""
-    stack = _StackedStates([state], lam)
-    eps, losses = stack.advance(np.asarray(x_row, dtype=float)[None, :], y_t, lam, spec)
+    stack = _StackedStates([state], lam, spec)
+    eps, losses = stack.advance(np.asarray(x_row, dtype=float)[None, :], y_t)
     return stack.state(0), float(eps[0]), float(losses[0])
 
 
@@ -484,7 +480,7 @@ class OnlineSession:
         self._gather = np.array(
             [list(idx) + [design.n] * (width - len(idx)) for idx in self.columns.values()],
             dtype=np.intp).reshape(len(self.columns), width)
-        self._row = np.zeros(design.n + 1)
+        self._n = design.n
         self._stack: _StackedStates | None = None
 
     @property
@@ -499,7 +495,7 @@ class OnlineSession:
         return {c: self._stack.state(i) for i, c in enumerate(self.columns)}
 
     def _set_states(self, states: Sequence[OnlineState]) -> None:
-        self._stack = _StackedStates(states, self.lam,
+        self._stack = _StackedStates(states, self.lam, self.spec,
                                      [f"coalition {sorted(c)}" for c in self.columns])
 
     def init_states(self, X_warm: np.ndarray | None, y_warm: np.ndarray | None,
@@ -513,9 +509,7 @@ class OnlineSession:
         """Advance all coalitions one step on the full augmented row."""
         if self._stack is None:
             raise ParameterError("session states not initialised")
-        self._row[:-1] = x_row
-        eps, losses = self._stack.advance(self._row[self._gather], y_t,
-                                          self.lam, self.spec)
+        eps, losses = self._stack.advance(self._gather_rows(np.atleast_2d(x_row))[0], y_t)
         return dict(zip(self.columns, zip(eps.tolist(), losses.tolist())))
 
     def stream(self, X: np.ndarray, y: np.ndarray) -> SessionTrace:
@@ -532,14 +526,15 @@ class OnlineSession:
         for start in range(0, T, block):
             rows = slice(start, min(start + block, T))
             block_rows = self._gather_rows(X[rows])
-            if self.spec.is_quadratic:
-                out = self._stack.scan(block_rows, y[rows], self.lam)
-            else:
-                out = self._stack.newton_block(block_rows, y[rows], self.lam, self.spec)
-            if out is None:
-                self._recurse(X, y, rows, trace)
-            else:
+            blocked = self._stack.scan if self.spec.is_quadratic else self._stack.newton_block
+            out = blocked(block_rows, y[rows])
+            if out is not None:
                 trace.losses[rows], trace.ewma[rows], trace.ready[rows] = out
+                continue
+            for b, t in enumerate(range(rows.start, rows.stop)):
+                # einsum's sum depends on the row's alignment: a fresh row
+                trace.losses[t] = self._stack.advance(block_rows[b].copy(), y[t])[1]
+                trace.ewma[t], trace.ready[t] = self._stack.ewma.value, self._stack.ready.all()
         return trace
 
     def _scan_steps(self) -> int:
@@ -552,18 +547,10 @@ class OnlineSession:
         return steps
 
     def _gather_rows(self, X: np.ndarray) -> np.ndarray:
-        padded = np.zeros((X.shape[0], X.shape[1] + 1))
+        """The rows of ``X`` gathered per coalition, ``(T, C, N)``; padding reads 0."""
+        padded = np.zeros((len(X), self._n + 1))
         padded[:, :-1] = X
         return padded[:, self._gather]
-
-    def _recurse(self, X: np.ndarray, y: np.ndarray, rows: slice,
-                 trace: SessionTrace) -> None:
-        stack, row = self._stack, self._row
-        for t in range(rows.start, rows.stop):
-            row[:-1] = X[t]
-            trace.losses[t] = stack.advance(row[self._gather], y[t], self.lam, self.spec)[1]
-            trace.ewma[t] = stack.ewma.value
-            trace.ready[t] = stack.all_ready
 
     def ewma_losses(self) -> dict[frozenset, float]:
         if self._stack is None:

@@ -26,7 +26,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, is_integer
 from .errors import ParameterError
 from .losses import LossSpec
 from .market import (
@@ -50,8 +50,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.case not in CASES:
             raise ParameterError(f"unknown scenario case {self.case!r}")
-        if self.T is not None and (isinstance(self.T, bool)
-                                   or not isinstance(self.T, (int, np.integer))):
+        if self.T is not None and not is_integer(self.T):
             raise ParameterError(f"T must be an integer, not {self.T!r}")
         if self.T is not None and self.T < 1:
             raise ParameterError("T must be >= 1")

@@ -380,6 +380,25 @@ def test_singular_zero_start_memory_is_a_numeric_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_overflowing_batch_loss_is_a_config_error(tmp_path, capsys):
+    # the squared residuals of a 1e160 target overflow: the batch market
+    # would write NaN payments and exit 0
+    rng = np.random.default_rng(0)
+    T = 200
+    owners = {"x1": "a2", "x2": "a3"}
+    dataset_to_csv(Dataset(np.arange(T), 1e160 * rng.normal(size=T),
+                           {"x1": rng.normal(size=T), "x2": rng.normal(size=T)}, owners,
+                           target_owner="a1"), tmp_path / "dataset.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\ncsv = {tmp_path / 'dataset.csv'}\nout = {tmp_path / 'out'}\n"
+                   "[task]\ncentral_agent = a1\nphi_oos = 1.0\n"
+                   "[ownership]\nx1 = a2\nx2 = a3\n")
+    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
+    assert code == 1
+    assert "rescale the target" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_untyped_exception_is_an_internal_error(config_file, monkeypatch, capsys):
     cfg, out = config_file
     error = RuntimeError("boom\nsecond line")

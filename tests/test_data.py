@@ -122,6 +122,22 @@ def test_make_lags_rejects_bad_lags():
         make_lags(ds, {"x1": (10,)})
 
 
+@pytest.mark.parametrize("lags", [(1.5,), (1.0,), (True,), ("1",), 1],
+                         ids=["half", "float", "bool", "str", "bare-int"])
+def test_make_lags_rejects_lags_that_are_not_integers(lags):
+    # a float lag would fail as a slice index, and a bare int as a sequence
+    with pytest.raises(ParameterError, match="integer"):
+        make_lags(small_dataset(), {"x1": lags})
+
+
+def test_make_lags_takes_numpy_integer_lags():
+    ds = small_dataset()
+    out, expected = make_lags(ds, {"x1": np.array([1, 2])}), make_lags(ds, {"x1": (1, 2)})
+    assert list(out.features) == list(expected.features)
+    for name, column in expected.features.items():
+        assert np.array_equal(out.features[name], column)
+
+
 # -- polynomial expansion ----------------------------------------------------
 
 def test_expand_order_two_with_two_features():

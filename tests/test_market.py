@@ -181,6 +181,52 @@ def test_negative_warmup_is_rejected():
         linear_task(warmup=-5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("warmup", 100.5), ("warmup", True), ("warmup", 100.0), ("degree", 1.5),
+    ("degree", True), ("enumeration_cap", 2.5), ("train_rows", 150.5),
+    ("train_rows", False),
+])
+def test_task_sizes_must_be_integers(field, value):
+    # a float size would fail as a slice index or a range bound, and a bool
+    # would pass as 0 or 1 rows
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        linear_task(**{field: value})
+
+
+def test_task_sizes_take_numpy_integers():
+    task = linear_task(warmup=np.int64(50), degree=np.int32(1), enumeration_cap=np.int64(4),
+                       train_rows=np.int64(300))
+    ds = linear_market_dataset(T=600)
+    assert run_oos_market(ds, task, model_source="batch").audit["passed"]
+    assert run_online_market(ds, task).audit["passed"]
+
+
+def overflowing_target_market():
+    """A target at 1e160: finite, so Dataset accepts it, but its squared
+    residuals overflow the quadratic loss."""
+    rng = np.random.default_rng(0)
+    T = 200
+    owners = {"x1": "a2", "x2": "a3"}
+    ds = Dataset(np.arange(T), 1e160 * rng.normal(size=T),
+                 {"x1": rng.normal(size=T), "x2": rng.normal(size=T)}, owners,
+                 target_owner="a1")
+    return ds, TaskSpec("a1", owners, phi_oos=1.0)
+
+
+@pytest.mark.parametrize("clear", [
+    clear_batch_market,
+    lambda ds, task: run_oos_market(ds, task, model_source="batch"),
+    run_online_market,
+    lambda ds, task: run_oos_market(ds, task, model_source="online"),
+], ids=["batch", "oos-batch", "online", "oos-online"])
+def test_an_overflowing_batch_loss_is_a_typed_error(clear):
+    # the batch losses (and the online markets' warm-up fit) would be
+    # infinite, and the batch market would book NaN payments
+    ds, task = overflowing_target_market()
+    with pytest.raises(ParameterError, match="rescale the target"):
+        clear(ds, task)
+
+
 def test_agent_split_leaves_feature_payments_unchanged():
     ds = linear_market_dataset(seed=19)
     merged = clear_batch_market(ds, linear_task())
