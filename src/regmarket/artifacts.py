@@ -3,8 +3,15 @@
 :func:`write_artifacts` writes ``report.json``, ``ledger.csv``,
 ``cumulative_revenues.csv``, ``losses.csv`` and ``audit.json``, in that
 order, as ``regmarket market`` does; each writer states its byte format.
-The float lists that ``report.json`` and a CSV file both write go through
-``repr`` once: the memo of :func:`_report_texts` keeps their lines.
+
+A settled report keeps its series and its ledger as columns
+(:class:`~regmarket.market.MarketReport`), and the writers format them
+from there without making their lists: :func:`_array_lines` puts each run
+of bit-identical values through ``repr`` once.  ``report.json`` and a CSV
+file both write the payments and their running totals, so the lines of
+the report written last are kept, keyed by column (:func:`_report_texts`),
+and a ledger amount's line is the line of its payment.  A series or
+ledger read as lists is written from the lists.
 """
 
 from __future__ import annotations
@@ -14,15 +21,20 @@ import io
 import itertools
 import json
 import operator
-import struct
 import weakref
 from collections.abc import Iterable
+from dataclasses import fields
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .market import LEDGER_COLUMNS, MarketReport
+from .market import LEDGER_COLUMNS, Ledger, MarketReport
+
+# float runs made into Python objects, CSV rows, or JSON list items for the
+# C encoder, at a time: a bound on memory
+ROWS_PER_WRITE = 1024
 
 
 def write_artifacts(report: MarketReport, outdir) -> None:
@@ -47,145 +59,165 @@ def report_to_json(report: MarketReport, path) -> None:
     escapes, floats by ``repr`` with ``NaN``, ``Infinity`` and
     ``-Infinity`` for the non-finite ones, and ``[]``/``{}`` for empty
     containers.  The ledger is written as one list per column.  The pieces
-    are streamed to the file, so the text is never held as one string; the
-    float lists a CSV file writes as well are joined from the memo's lines.
+    are streamed to the file, so the text is never held as one string.
     """
     texts = _report_texts(report)
-    _amount_lines(report, texts)
-    for name in ("payments", "cumulative"):
-        if isinstance(report.series.get(name), dict):
-            for values in report.series[name].values():
-                _float_text(values, texts)
+    data = {f.name: getattr(report, f.name) for f in fields(report)
+            if f.name not in ("series", "ledger")}
+    columns = report._series_columns()
+    data["series"] = report.series if columns is None else {
+        name: {k: _series_column(c, name) for k, c in values.items()}
+        if isinstance(values, dict) else _series_column(values, name)
+        for name, values in columns.items()}
+    ledger = report.ledger
+    data["ledger"] = {name: partial(_ledger_column, ledger, name, texts) for name in LEDGER_COLUMNS}
     with open(path, "w") as fh:
-        fh.writelines(_iter_json(report.to_dict(), 0, texts))
+        fh.writelines(_iter_json(data, 0, texts))
         fh.write("\n")
 
 
-# The float lines of the report written last: (weak reference to it, lines).
-_last_written: tuple[weakref.ref, dict[bytes, list[str]]] | None = None
+def _series_column(column: np.ndarray, name: str):
+    """A settled series column for :func:`_iter_json`: the payments and
+    running totals, which the CSV files write again, as themselves, so
+    their lines are kept; any other as its lines, made when written."""
+    return column if name in ("payments", "cumulative") else lambda: _Lines(_array_lines(column))
 
 
-def _report_texts(report: MarketReport) -> dict[bytes, list[str]]:
-    """The memo of ``report``'s float lines, keyed by the lists' float64
-    bytes.  Only the report written last keeps one, and it goes with its
-    report; it holds no reference to the report or its lists, and a list
-    changed in place gets new lines, never stale ones."""
+def _ledger_column(ledger: Ledger, name: str, texts: dict):
+    """Ledger column ``name`` to write: a settled ledger's amounts as the
+    lines of their payments, else the column as a list."""
+    if name == "amount" and ledger._lists is None:
+        return _Lines(_amount_lines(ledger, texts))
+    return ledger._column(name)
+
+
+# The lines of the report written last: (weak reference to it, lines).
+_last_written: tuple[weakref.ref, dict] | None = None
+
+
+def _report_texts(report: MarketReport) -> dict:
+    """The memo of ``report``'s lines, keyed by the ``id`` of their column
+    (a settled array or a list).  Only the report written last keeps one,
+    and it goes with its report; it holds no reference to the report."""
     global _last_written
     memo = _last_written
     if memo is None or memo[0]() is not report:
-        texts: dict[bytes, list[str]] = {}
+        texts: dict = {}
         memo = _last_written = (weakref.ref(report, lambda _: texts.clear()), texts)
     return memo[1]
 
 
-def _content_key(values) -> bytes:
-    """The float64 bytes of a list of floats: its key in the memo."""
-    return struct.pack(f"{len(values)}d", *values)
+def _array_lines(column: np.ndarray) -> list[str]:
+    """``list(map(repr, column.tolist()))`` of a float64 or int64 column,
+    with each run of bit-identical neighbours put through ``repr`` once and
+    sharing its line.  Values are compared as ``uint64``, so ``0.0`` and
+    ``-0.0``, and NaNs with different payloads, stay apart; ``tolist``
+    takes ``ROWS_PER_WRITE`` runs at a time."""
+    bits = column.view(np.uint64)
+    heads = np.empty(len(bits), dtype=bool)
+    heads[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    firsts = column[heads]
+    lines = list(itertools.chain.from_iterable(
+        map(repr, firsts[lo:lo + ROWS_PER_WRITE].tolist())
+        for lo in range(0, len(firsts), ROWS_PER_WRITE)))
+    if len(lines) < len(column):
+        lines = np.array(lines, dtype=object)[np.cumsum(heads) - 1].tolist()
+    return lines
 
 
-def _float_text(values, texts: dict[bytes, list[str]], make=None) -> list[str] | None:
-    """The ``repr`` lines of a non-empty list of exact floats, made once per
-    content and kept in ``texts``; None for anything else (an ``int`` has
-    its float's bytes, not its text).  ``make(values)`` gives the lines
-    where it can; otherwise a run of one float object in neighbouring
-    places (:func:`_shared_runs`) goes through ``repr`` once.
+def _float_text(values, texts: dict) -> list[str] | None:
+    """The ``repr`` lines of a settled column (:func:`_array_lines`) or of
+    a non-empty list of exact floats, kept in the memo ``texts``; None for
+    any other list (an ``int`` has its own text).  A list's lines are kept
+    while it holds the same float objects, so a list changed in place gets
+    new lines, never stale ones.
     """
-    if not (isinstance(values, list) and values
+    is_array = isinstance(values, np.ndarray)
+    if not (is_array or isinstance(values, list) and values
             and list(map(type, values)).count(float) == len(values)):
         return None
-    key = _content_key(values)
-    if key not in texts:
-        lines = make(values) if make is not None else None
-        if lines is None:
-            heads = [True, *map(operator.is_not, itertools.islice(values, 1, None), values)]
-            lines = list(map(repr, itertools.compress(values, heads)))
-            if len(lines) < len(values):
-                lines = np.array(lines, dtype=object)[np.cumsum(heads) - 1].tolist()
-        texts[key] = lines
-    return texts[key]
+    kept = texts.get(id(values))
+    if kept is None or not (kept[0] is values if is_array else len(kept[0]) == len(values)
+                            and all(map(operator.is_, kept[0], values))):
+        kept = texts[id(values)] = ((values, _array_lines(values)) if is_array
+                                    else (tuple(values), list(map(repr, values))))
+    return kept[1]
 
 
-def _amount_lines(report: MarketReport, texts: dict[bytes, list[str]]) -> list[str] | None:
-    """The ``repr`` lines of the ledger's amounts, kept in ``texts``, or
-    None when they are not a list of floats.  :func:`_settle` books a
-    streamed report's positive payments as the series' own floats in time,
-    then feature order: when every amount is the series' float gathered in
-    that order, the amounts take the gathered lines, and any other ledger
-    (batch, hand-built, edited) is put through ``repr``."""
-    def gathered(amounts: list) -> list[str] | None:
-        payments = report.series.get("payments")
-        columns = list(payments.values()) if isinstance(payments, dict) else []
-        lines = [_float_text(values, texts) for values in columns]
-        if not columns or None in lines or len(set(map(len, columns))) > 1:
-            return None
-        positive = np.array(columns).T > 0.0
-        booked, booked_lines = (np.array(table, dtype=object).T[positive].tolist()
-                                for table in (columns, lines))
-        matched = len(booked) == len(amounts) and all(map(operator.is_, booked, amounts))
-        return booked_lines if matched else None
+def _amount_lines(ledger: Ledger, texts: dict) -> list[str]:
+    """The lines of a settled ledger's amounts: each is the line of its
+    payment, at its (row, feature) index."""
+    book = ledger._book
+    lines = [_float_text(column, texts) for column in book.series["payments"].values()]
+    return np.array(lines, dtype=object)[book.codes, book.rows].tolist() if len(book.rows) else []
 
-    return _float_text(report.ledger.amount, texts, gathered)
+
+class _Lines(list):
+    """A JSON list given as the ``repr`` lines of its numbers."""
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONTAINERS = (dict, list, tuple)
-# CSV rows, or JSON list items for the C encoder, joined at once: a bound on memory
-ROWS_PER_WRITE = 1024
+_SCALARS = (str, int, float, type(None))
 
 
-def _iter_json(obj, level: int, texts: dict[bytes, list[str]] | None = None):
+def _iter_json(obj, level: int, texts: dict | None = None):
     """Yield the pieces of ``json.dumps(obj, indent=1, sort_keys=True)``
     for ``obj`` at indent ``level``.
 
     A container of scalars is one piece, its items joined by a separator
-    that holds their newline and indent: a list of floats from its lines in
-    the memo ``texts`` where it has them, a list of strings from each
-    distinct string's code, anything else by the C encoder,
-    ``ROWS_PER_WRITE`` items at a time.  Only containers of containers are
+    that holds their newline and indent: a list of floats from its lines
+    in the memo ``texts`` when one is given (:func:`_float_text`), a list
+    of strings from each distinct string's code, anything else by the C
+    encoder, ``ROWS_PER_WRITE`` items at a time.  A settled column and a
+    :class:`_Lines` are joined from their lines, and a callable is called
+    for the value to write when it is reached.  Other containers are
     walked item by item, and their keys must be strings.
     """
-    if not isinstance(obj, _CONTAINERS):
+    if callable(obj):
+        obj = obj()
+    lines = (obj if type(obj) is _Lines else
+             _float_text(obj, texts) if isinstance(obj, np.ndarray) else None)
+    if lines is None and not isinstance(obj, _CONTAINERS):
         yield json.dumps(obj)
         return
     is_dict = isinstance(obj, dict)
-    if not obj:
+    if not (obj if lines is None else lines):
         yield "{}" if is_dict else "[]"
         return
     inner = "\n" + " " * (level + 1)
     close = "\n" + " " * level + ("}" if is_dict else "]")
-    types = set(map(type, obj.values() if is_dict else obj))
     sep = "," + inner
-    if not any(issubclass(t, _CONTAINERS) for t in types):
-        lines = (texts.get(_content_key(obj))
-                 if texts and not is_dict and types == {float} else None)
-        if lines is not None:
-            body = sep.join(lines)
-            # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf an "n"
-            if "n" in body:
-                body = sep.join(map(_JSON_NONFINITE.get, lines, lines))
-        elif not is_dict and types == {str}:
-            codes = {s: encode_basestring_ascii(s) for s in set(obj)}
-            body = sep.join(map(codes.__getitem__, obj))
-        else:
-            blocks = [obj] if is_dict else (obj[lo:lo + ROWS_PER_WRITE]
-                                            for lo in range(0, len(obj), ROWS_PER_WRITE))
-            body = sep.join(json.dumps(block, sort_keys=True, separators=(sep, ": "))[1:-1]
-                            for block in blocks)
-        yield ("{" if is_dict else "[") + inner
-        yield body
-        yield close
-        return
     start = ("{" if is_dict else "[") + inner
-    if is_dict:
-        for key, value in sorted(obj.items()):
-            yield start + encode_basestring_ascii(key) + ": "
-            yield from _iter_json(value, level + 1, texts)
-            start = sep
+    if lines is None:
+        types = set(map(type, obj.values() if is_dict else obj))
+        if not all(issubclass(t, _SCALARS) for t in types):
+            items = (((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
+                     if is_dict else (("", v) for v in obj))
+            for key, value in items:
+                yield start + key
+                yield from _iter_json(value, level + 1, texts)
+                start = sep
+            yield close
+            return
+        if texts is not None and not is_dict and types == {float}:
+            lines = _float_text(obj, texts)
+    if lines is not None:
+        body = sep.join(lines)
+        # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf an "n"
+        if "n" in body:
+            body = sep.join(map(_JSON_NONFINITE.get, lines, lines))
+    elif not is_dict and types == {str}:
+        codes = {s: encode_basestring_ascii(s) for s in set(obj)}
+        body = sep.join(map(codes.__getitem__, obj))
     else:
-        for value in obj:
-            yield start
-            yield from _iter_json(value, level + 1, texts)
-            start = sep
+        blocks = [obj] if is_dict else (obj[lo:lo + ROWS_PER_WRITE]
+                                        for lo in range(0, len(obj), ROWS_PER_WRITE))
+        body = sep.join(json.dumps(block, sort_keys=True, separators=(sep, ": "))[1:-1]
+                        for block in blocks)
+    yield start
+    yield body
     yield close
 
 
@@ -221,16 +253,21 @@ def _write_rows(fh, *columns: Iterable[str]) -> None:
 def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
 
-    The amounts are the payments' lines gathered by :func:`_amount_lines`,
-    and the rows are joined in C by :func:`_write_rows`.
+    A settled ledger's amounts are the lines of their payments
+    (:func:`_amount_lines`), and the rows are joined in C by
+    :func:`_write_rows`.
     """
-    ledger = report.ledger
+    ledger, texts = report.ledger, _report_texts(report)
+    if ledger._lists is None:
+        lines = _amount_lines(ledger, texts)
+    else:
+        amounts = ledger._lists["amount"]
+        lines = _float_text(amounts, texts) or map(repr, amounts)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(LEDGER_COLUMNS)
-        _write_rows(fh, *map(_csv_column, (ledger.time, ledger.payer, ledger.payee,
-                                           ledger.feature)),
-                    _amount_lines(report, _report_texts(report)) or map(repr, ledger.amount),
-                    itertools.repeat(","), _csv_column(ledger.market, "\r\n"))
+        _write_rows(fh, *(_csv_column(ledger._column(name))
+                          for name in ("time", "payer", "payee", "feature")),
+                    lines, itertools.repeat(","), _csv_column(ledger._column("market"), "\r\n"))
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
@@ -246,13 +283,16 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
-        series = report.series
+        series = report._series_columns() or report.series
         if series and "payments" in series:
             texts = _report_texts(report)
-            steps = list(_csv_column(series["step"]))
+            steps = series["step"]
+            steps = list(_csv_column(steps.tolist() if isinstance(steps, np.ndarray)
+                                     else steps))
             for k in sorted(series["payments"]):
-                pays, running = (_float_text(v, texts) or map(repr, v)
-                                 for v in (series["payments"][k], series["cumulative"][k]))
+                pays, running = (_float_text(series[name][k], texts)
+                                 or map(repr, series[name][k])
+                                 for name in ("payments", "cumulative"))
                 middle = _csv_cells(report.feature_owners.get(k, ""), k) + ","
                 _write_rows(fh, steps, itertools.repeat(middle), pays, itertools.repeat(","),
                             running, itertools.repeat("\r\n"))

@@ -348,9 +348,15 @@ def polynomial_expand(dataset: Dataset, degree: int,
             powers = tuple((c, combo.count(c)) for c in dict.fromkeys(combo))
             support = frozenset(dataset.market_name(c) for c, _ in powers)
             value = np.ones(dataset.T)
-            for c, p in powers:
-                value = value * dataset.features[c] ** p
-            terms.append(_describe_term(dataset, powers, support))
+            # the features are finite, so only an overflowed product is not
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c, p in powers:
+                    value = value * dataset.features[c] ** p
+            term = _describe_term(dataset, powers, support)
+            if not np.all(np.isfinite(value)):
+                raise ParameterError(f"design term {term.name!r} is not finite: "
+                                     "its monomial overflows")
+            terms.append(term)
             columns.append(value)
     return AugmentedDesign(tuple(terms), np.column_stack(columns), owners)
 

@@ -155,49 +155,108 @@ class LedgerEntry:
 LEDGER_COLUMNS = tuple(f.name for f in fields(LedgerEntry))
 
 
+@dataclass(eq=False)
+class _Book:
+    """What :func:`_settle` keeps of a market, as arrays: the clamped
+    ``(T, K)`` payments ``paid``, one row per step of ``steps``; the ledger
+    as the ``rows`` and feature ``codes`` of its positive payments, with the
+    ``payer`` and the ``market`` once; and ``series`` shaped as
+    ``MarketReport.series``, with a column in place of each list (a batch
+    market's holds only its ``payments``)."""
+
+    features: tuple[str, ...]
+    payees: tuple[str, ...]
+    payer: str
+    market: str
+    steps: np.ndarray
+    paid: np.ndarray
+    rows: np.ndarray
+    codes: np.ndarray
+    series: dict
+    objects: tuple[dict, dict] | None = None
+
+    def column(self, name: str, lo: int = 0, hi: int | None = None) -> list:
+        """Ledger column ``name`` of entries ``lo`` to ``hi``, as a new list."""
+        rows, codes = self.rows[lo:hi], self.codes[lo:hi]
+        if name == "time":
+            return self.steps[rows].tolist()
+        if name == "amount":
+            return self.paid[rows, codes].tolist()
+        if name in ("payer", "market"):
+            return [getattr(self, name)] * len(rows)
+        return np.array(self.payees if name == "payee" else self.features,
+                        dtype=object)[codes].tolist()
+
+    def lists(self) -> tuple[dict, dict]:
+        """The series and the ledger's columns as lists, made once; the
+        ledger's amounts are the float objects of the payment lists."""
+        if self.objects is None:
+            pays = self.paid.T.tolist()
+            amounts = (np.array(pays, dtype=object)[self.codes, self.rows].tolist()
+                       if len(self.rows) else [])
+            ledger = {name: amounts if name == "amount" else self.column(name)
+                      for name in LEDGER_COLUMNS}
+            self.objects = {name: dict(zip(self.features, pays)) if name == "payments" else
+                            {k: v.tolist() for k, v in values.items()}
+                            if isinstance(values, dict) else values.tolist()
+                            for name, values in self.series.items()}, ledger
+        return self.objects
+
+
 class Ledger(Sequence):
-    """The ledger as one list per :class:`LedgerEntry` field.
+    """The ledger as one column per :class:`LedgerEntry` field.
 
     It reads as a sequence of ``LedgerEntry`` values, built only when an
     entry is read: ``len``, iteration, indexing, and slicing, which returns
-    a list.  It compares equal to a list of the same entries.  Markets
-    book into the columns directly; :meth:`append` books one entry.
+    a list.  It compares equal to a list of the same entries.  A settled
+    ledger keeps index columns into its market's payments (``_Book``):
+    ``len``, iteration and indexing keep no list.  Reading a column
+    (``ledger.amount``) or :meth:`append` makes its six columns lists from
+    then on; the amounts are the float objects of the report's payment
+    series.
     """
 
-    __slots__ = LEDGER_COLUMNS
+    __slots__ = ("_lists", "_book")
 
-    def __init__(self, entries: Iterable[LedgerEntry] = ()):
-        for name in LEDGER_COLUMNS:
-            setattr(self, name, [])
+    def __init__(self, entries: Iterable[LedgerEntry] = (), book: _Book | None = None):
+        self._book = book
+        self._lists = {name: [] for name in LEDGER_COLUMNS} if book is None else None
         for entry in entries:
             self.append(entry)
 
-    def append(self, entry: LedgerEntry) -> None:
-        for name in LEDGER_COLUMNS:
-            getattr(self, name).append(getattr(entry, name))
+    def __getattr__(self, name):
+        # reached only for a name that is not a slot: a column
+        if name not in LEDGER_COLUMNS:
+            raise AttributeError(f"'Ledger' object has no attribute {name!r}")
+        self._columns()
+        return self._lists[name]
 
-    def extend_columns(self, time: Sequence, payer: Sequence, payee: Sequence,
-                       feature: Sequence, amount: Sequence, market: Sequence) -> None:
-        """Book many entries at once, given one sequence per column."""
-        columns = (time, payer, payee, feature, amount, market)
-        if len(set(map(len, columns))) > 1:
-            raise ParameterError("ledger columns must have equal lengths")
-        for col, values in zip(self._columns(), columns):
-            col.extend(values)
+    def append(self, entry: LedgerEntry) -> None:
+        for col, name in zip(self._columns(), LEDGER_COLUMNS):
+            col.append(getattr(entry, name))
 
     def _columns(self) -> list[list]:
-        return [getattr(self, name) for name in LEDGER_COLUMNS]
+        """The six columns as lists, from now on."""
+        if self._lists is None:
+            self._lists = self._book.lists()[1]
+        return list(self._lists.values())
+
+    def _column(self, name: str) -> list:
+        """Column ``name``: its list, or a list made from the book and not kept."""
+        return self._book.column(name) if self._lists is None else self._lists[name]
 
     def __len__(self) -> int:
-        return len(self.amount)
+        return len(self._book.rows) if self._lists is None else len(self._lists["amount"])
 
     def __iter__(self):
-        return map(LedgerEntry, *self._columns())
+        return map(LedgerEntry, *map(self._column, LEDGER_COLUMNS))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(LedgerEntry, *(col[index] for col in self._columns())))
-        return LedgerEntry(*(col[index] for col in self._columns()))
+            return list(self)[index]
+        i = range(len(self))[index]
+        return LedgerEntry(*(self._book.column(name, i, i + 1)[0] if self._lists is None
+                             else self._lists[name][i] for name in LEDGER_COLUMNS))
 
     def __eq__(self, other):
         if isinstance(other, (Ledger, list)):
@@ -210,6 +269,15 @@ class Ledger(Sequence):
 
 @dataclass
 class MarketReport:
+    """A cleared market: its header, money, losses, series and ledger.
+
+    A settled report keeps its series and ledger as float64 and index
+    columns (``_Book``): about 8 bytes per series value and 16 per ledger
+    entry.  ``series`` becomes a dict of lists on its first read, and the
+    ledger's columns lists on theirs (:class:`Ledger`); the artifact
+    writers format the columns without making the lists.
+    """
+
     market: str
     central_agent: str
     rows: int
@@ -248,6 +316,18 @@ class MarketReport:
             value = Ledger(value)
         super().__setattr__(name, value)
 
+    def __getattr__(self, name):
+        # reached only for an attribute the report does not hold: the
+        # series that _settle keeps as columns, made lists on first read
+        if name != "series" or "_book" not in vars(self):
+            raise AttributeError(f"'MarketReport' object has no attribute {name!r}")
+        self.series = self._book.lists()[0]
+        return self.series
+
+    def _series_columns(self) -> dict | None:
+        """The settled series as columns while ``series`` is unread, else None."""
+        return None if "series" in vars(self) else self._book.series
+
     def to_dict(self) -> dict:
         """The report as JSON data, with the ledger as one list per column.
 
@@ -255,7 +335,8 @@ class MarketReport:
         fields and a new dict of the ledger's column lists; every other
         container (``series``, ``metrics``, ``notes``, ``audit``, the
         per-feature mappings, the column lists) is the report's own object,
-        shared rather than copied.  Copy before mutating it.
+        shared rather than copied.  Copy before mutating it.  It makes the
+        series and the ledger's columns lists.
         """
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["support"] = list(self.support)
@@ -394,36 +475,18 @@ def screen_features(dataset: Dataset, task: TaskSpec) -> tuple[str, ...]:
 # settlement
 
 
-def _shared_runs(column: np.ndarray) -> list[float]:
-    """``column.tolist()`` of a float64 column, with each run of
-    bit-identical consecutive values as one float object.
-
-    Values are compared as ``uint64``, so ``0.0`` and ``-0.0``, and NaNs
-    with different payloads, stay apart.  A settled series repeats a lot
-    (every step without a payment is ``0.0``, and a running total stays
-    put after one), so one object per run keeps it small; the writers
-    format each run once (:func:`_float_text`).
-    """
-    bits = column.view(np.uint64)
-    heads = np.empty(len(bits), dtype=bool)
-    heads[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
-    if heads.all():
-        return column.tolist()
-    firsts = np.array(column[heads].tolist(), dtype=object)
-    return firsts[np.cumsum(heads) - 1].tolist()
-
-
-def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: list,
-            surplus: np.ndarray | None = None) -> MarketReport:
+def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: Sequence,
+            surplus: np.ndarray | None = None,
+            allocations: np.ndarray | None = None) -> MarketReport:
     """Clamp, book, total and audit a ``(steps, features)`` matrix of
     pre-clamp payments, one column per feature of ``report.support``.
 
     Strictly negative amounts count as clamped, and every amount that is
-    not positive is paid as ``0.0``.  Positive amounts become ledger
-    entries in time, then feature order, tagged with ``times``.  Given the
-    per-step ``surplus``, the report gets the per-step series, each run of
-    repeated values in them one float object (:func:`_shared_runs`).  Each
+    not positive is paid as ``0.0``.  The report keeps the clamped matrix,
+    and its positive amounts as ledger entries in time, then feature order,
+    tagged with ``times`` (``_Book``).  Given the per-step ``surplus``, it
+    keeps the series too: steps, surplus, central payment (each row's exact
+    sum), payments, running totals and the ``allocations`` given.  Each
     feature is paid the exact sum of its column, a screened-out feature
     zero, and the central agent is debited the sum of the support credits.
     ``support_share_sum`` is the exact sum of ``report.allocations``.  The
@@ -432,29 +495,20 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: li
     features, owners = report.support, report.feature_owners
     report.clamped_entries = int(np.count_nonzero(amounts < 0.0))
     paid = np.where(amounts <= 0.0, 0.0, amounts)
-    pay_series = {k: _shared_runs(paid[:, j]) for j, k in enumerate(features)}
-    rows, cols = np.nonzero(paid > 0.0)
-    n = len(rows)
-    # object arrays gather references: the ledger's times and amounts are
-    # the series' own int and float objects, one copy in memory, not two
-    report.ledger.extend_columns(
-        time=np.array(times, dtype=object)[rows].tolist(), payer=[task.central_agent] * n,
-        payee=np.array([owners[k] for k in features], dtype=object)[cols].tolist(),
-        feature=np.array(features, dtype=object)[cols].tolist(),
-        amount=np.array(list(pay_series.values()), dtype=object).reshape(paid.T.shape)[
-            cols, rows].tolist(),
-        market=[report.market] * n)
+    steps = np.asarray(times)
+    series = {"payments": dict(zip(features, paid.T))}
     if surplus is not None:
-        central = np.array([math.fsum(row) for row in zip(*pay_series.values())])
-        report.series.update({
-            "step": times,
-            "surplus": _shared_runs(surplus),
-            "central_payment": _shared_runs(central),
-            "payments": pay_series,
-            "cumulative": {k: _shared_runs(np.cumsum(paid[:, j]))
-                           for j, k in enumerate(features)},
-        })
-    report.payments = {k: math.fsum(v) for k, v in pay_series.items()}
+        series = {**({} if allocations is None else
+                     {"allocations": dict(zip(features, allocations.T))}),
+                  "step": steps, "surplus": surplus,
+                  "central_payment": np.array(list(map(math.fsum, paid.tolist()))),
+                  "payments": series["payments"],
+                  "cumulative": dict(zip(features, np.cumsum(paid, axis=0).T))}
+        del report.series  # made from the columns on first read
+    report._book = _Book(features, tuple(owners[k] for k in features), task.central_agent,
+                         report.market, steps, paid, *np.nonzero(paid > 0.0), series)
+    report.ledger = Ledger(book=report._book)
+    report.payments = dict(zip(features, map(math.fsum, paid.T.tolist())))
     report.support_share_sum = math.fsum(report.allocations.values())
     agent_feats: dict[str, list[str]] = {}
     for k in features:
@@ -550,7 +604,7 @@ def _batch_feature_game(report: MarketReport, design, y, task: TaskSpec, central
 
 
 def _allocate_and_pay(report: MarketReport, task: TaskSpec, players, losses, pot,
-                      times: list, surplus: np.ndarray | None = None) -> MarketReport:
+                      times: Sequence, surplus: np.ndarray | None = None) -> MarketReport:
     """Pay each feature of ``report.support`` ``pot`` times its share of the
     game ``losses`` over ``players`` under the report's policy, and settle.
 
@@ -565,11 +619,8 @@ def _allocate_and_pay(report: MarketReport, task: TaskSpec, players, losses, pot
         report.no_surplus = bool(shares.no_surplus) or report.surplus <= 0
         if report.no_surplus:
             pot, psi = 0.0, np.zeros_like(psi)
-    else:
-        report.series["allocations"] = {k: _shared_runs(shares.values[k])
-                                        for k in report.support}
     report.allocations = dict(zip(report.support, psi[-1].tolist()))
-    report = _settle(report, task, np.reshape(pot, (-1, 1)) * psi, times, surplus)
+    report = _settle(report, task, np.reshape(pot, (-1, 1)) * psi, times, surplus, psi)
     if surplus is None and not report.no_surplus:
         report.central_share = 1.0 - report.support_share_sum
     return report
@@ -603,8 +654,7 @@ def run_online_market(dataset: Dataset, task: TaskSpec,
     report.surplus = report.central_loss - report.full_loss
     report.loss_table = _loss_table(final)
     report.benchmark_payment = math.fsum(pot.tolist())
-    return _allocate_and_pay(report, task, chosen, ewma, pot, list(range(w, design.T)),
-                             surplus)
+    return _allocate_and_pay(report, task, chosen, ewma, pot, np.arange(w, design.T), surplus)
 
 
 def _stream_session(design, y, central, support,
@@ -686,7 +736,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     report.notes = {"model_source": model_source}
     report.surplus = report.central_loss - report.full_loss
     amounts = np.column_stack([paid[k] for k in chosen]) * scale
-    return _settle(report, task, amounts, [int(t) for t in eval_rows], surplus)
+    return _settle(report, task, amounts, eval_rows, surplus)
 
 
 def _batch_oos_losses(design, X, y, train, central, support, task):
@@ -745,7 +795,8 @@ def audit_ledger(report: MarketReport) -> AuditResult:
     """Verify the market-design properties on a finished report."""
     checks: dict[str, dict] = {}
 
-    ledger_total = math.fsum(report.ledger.amount)
+    amounts = report.ledger._column("amount")
+    ledger_total = math.fsum(amounts)
     gap = abs(report.central_total - ledger_total)
     tol = 1e-9 * max(abs(report.central_total), 1e-12)
     checks["budget_balance"] = {
@@ -755,7 +806,7 @@ def audit_ledger(report: MarketReport) -> AuditResult:
         "shortfall_vs_benchmark": report.benchmark_payment - report.central_total,
     }
 
-    min_amount = min(report.ledger.amount, default=0.0)
+    min_amount = min(amounts, default=0.0)
     neg_payments = [k for k, v in report.payments.items() if v < 0]
     checks["individual_rationality"] = {
         "passed": bool(min_amount >= 0.0 and not neg_payments),

@@ -12,6 +12,8 @@ from regmarket import (
     OrderingError,
     ParameterError,
     SchemaError,
+    TaskSpec,
+    clear_batch_market,
     coalition_design,
     dataset_to_csv,
     ingest_csv,
@@ -165,6 +167,23 @@ def test_expand_term_count_matches_binomial():
 def test_expand_rejects_degree_zero():
     with pytest.raises(ParameterError):
         polynomial_expand(small_dataset(), degree=0)
+
+
+def test_an_overflowing_monomial_is_a_parameter_error_naming_its_term():
+    # x1 near 1e300 is finite, its square is not: the expansion, and the
+    # batch market that builds it, raise ParameterError, not a bare NumPy
+    # overflow warning (the suite turns RuntimeWarning into an error)
+    rng = np.random.default_rng(0)
+    ds = Dataset(np.arange(60), rng.normal(size=60),
+                 {"x1": 1e300 * rng.normal(size=60), "x2": rng.normal(size=60)},
+                 ownership={"x1": "a2", "x2": "a3"}, target_owner="a1")
+    with pytest.raises(ParameterError, match=r"'x1\^2'"):
+        polynomial_expand(ds, degree=2)
+    task = TaskSpec(central_agent="a1", ownership={"x1": "a2", "x2": "a3"}, degree=2)
+    with pytest.raises(ParameterError, match=r"'x1\^2'"):
+        clear_batch_market(ds, task)
+    # at degree 1 the same data expands
+    assert polynomial_expand(ds, degree=1).n == 3
 
 
 def test_lags_then_linear_expand_reproduces_arx_design():

@@ -14,6 +14,7 @@ import gc
 import json
 import math
 import operator
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from unittest import mock
@@ -31,8 +32,9 @@ from regmarket import (
     run_online_market,
     run_oos_market,
 )
-from regmarket import artifacts, market
+from regmarket import artifacts, market, scenarios
 from regmarket.artifacts import (
+    _array_lines,
     _float_text,
     _iter_json,
     _report_texts,
@@ -46,7 +48,6 @@ from regmarket.market import (
     Ledger,
     LedgerEntry,
     MarketReport,
-    _shared_runs,
     audit_ledger,
 )
 
@@ -384,6 +385,42 @@ def test_ledger_reads_as_a_sequence_of_frozen_entries():
     assert ledger[0].amount == 0.5
 
 
+@pytest.mark.parametrize("kind", ["online", "oos"])
+def test_a_settled_report_keeps_its_series_and_ledger_as_columns(kind):
+    # about 8 bytes per series value and 16 per ledger entry, where a list
+    # of float objects takes over 30; reading the ledger's length, its
+    # entries or its audit keeps nothing more
+    spec = scenarios.ScenarioSpec("online-arx", T=2000, seed=1)
+    ds, _ = scenarios.generate(spec)
+    task = dataclasses.replace(scenarios.task_for_case(spec), phi_oos=1.0)
+    if kind == "online":
+        def clear():
+            return run_online_market(ds, task)
+    else:
+        def clear():
+            return run_oos_market(ds, task, model_source="online")
+    clear()  # imports and caches that outlive a market are made here
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        report = clear()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+        assert len(report.ledger) > 1000
+        assert sum(1 for _ in report.ledger) == len(report.ledger)
+        assert audit_ledger(report).passed
+        gc.collect()
+        # the interpreter's free lists may keep a few objects
+        assert tracemalloc.get_traced_memory()[0] - base - kept < 4096
+    finally:
+        tracemalloc.stop()
+    values = sum(len(v) for series in report.series.values()
+                 for v in (series.values() if isinstance(series, dict) else [series]))
+    assert values > 10000
+    assert kept / (values + len(report.ledger)) < 16
+
+
 def test_artifacts_are_identical_when_written_again_after_another_report(tmp_path):
     a = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
     b = oos_report()
@@ -422,14 +459,18 @@ def test_csv_writers_see_lists_changed_in_place_after_the_json(tmp_path, before,
     assert_artifacts_match(report, tmp_path)
 
 
-def test_float_texts_are_kept_for_the_report_written_last_only(tmp_path):
+def test_column_lines_are_kept_for_the_report_written_last_only(tmp_path):
+    # the memo is keyed by column, and keeps the payment and running-total
+    # lines the CSV files write again, and nothing else
     a, b = oos_report(), oos_report()
     report_to_json(a, tmp_path / "a.json")
     texts = _report_texts(a)
-    assert texts and _report_texts(a) is texts
+    columns = settled_columns(a, "payments", "cumulative")
+    assert set(texts) == set(map(id, columns)) and len(columns) == 2 * len(a.support)
+    assert _report_texts(a) is texts
     report_to_json(b, tmp_path / "b.json")
     assert _report_texts(b) is not texts
-    # the memo holds no reference to its report: it goes, and its texts with it
+    # the memo holds no reference to its report: it goes, and its lines with it
     texts = _report_texts(b)
     gone = weakref.ref(b)
     del b
@@ -461,23 +502,20 @@ def test_json_writer_with_float_texts_matches_json_dumps(obj):
 
 
 @pytest.mark.parametrize("first", ["report.json", "ledger.csv"])
-def test_streamed_ledger_amounts_are_formatted_once(tmp_path, monkeypatch, first):
-    # the ledger's amounts are the payment series' own floats: each is put
-    # through repr once, for the series, and the ledger reuses that text
+def test_streamed_ledger_amount_lines_are_the_payment_lines(tmp_path, monkeypatch, first):
+    # a ledger amount takes the line of its payment: ledger.csv puts each run
+    # of the payment columns through repr once and no amount on its own,
+    # and report.json, before or after it, does not format them again
     report = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
     assert report.ledger
-    calls = collections.Counter()
-
-    def counting_repr(value):
-        calls[id(value)] += 1
-        return builtins.repr(value)
-
-    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
+    calls = count_float_reprs(monkeypatch)
+    second = "report.json" if first == "ledger.csv" else "ledger.csv"
     WRITERS[first][0](report, tmp_path / first)
-    for name in ("report.json", "ledger.csv"):
-        WRITERS[name][0](report, tmp_path / name)
+    if first == "ledger.csv":
+        assert len(calls) == column_runs(report, "payments")
+    WRITERS[second][0](report, tmp_path / second)
     monkeypatch.undo()
-    assert {calls[id(a)] for a in report.ledger.amount} == {1}
+    assert len(calls) == column_runs(report, *SERIES_FLOATS)
     assert_artifacts_match(report, tmp_path)
 
 
@@ -490,25 +528,20 @@ def test_ledger_amounts_not_in_the_series_are_formatted_by_repr(tmp_path):
     assert_artifacts_match(report, tmp_path)
 
 
-def test_series_floats_are_formatted_once_across_the_four_writers(tmp_path, monkeypatch):
-    # the writers in the order the market command calls them: each float of
-    # the payment and cumulative series goes through repr once, for all four
+def test_series_columns_are_formatted_once_across_the_four_writers(tmp_path, monkeypatch):
+    # the writers in the order the market command calls them: each run of
+    # bit-identical values in a series column goes through repr once for
+    # all four, and a ledger amount never does
     report = oos_report()
     assert report.ledger
-    floats = [v for name in ("payments", "cumulative")
-              for values in report.series[name].values() for v in values]
-    calls = collections.Counter()
-
-    def counting_repr(value):
-        calls[id(value)] += 1
-        return builtins.repr(value)
-
-    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
+    calls = count_float_reprs(monkeypatch)
     for write, _ in WRITERS.values():
         write(report, tmp_path / "out")
     monkeypatch.undo()
-    assert {calls[id(v)] for v in floats} == {1}
-    assert {calls[id(a)] for a in report.ledger.amount} == {1}
+    assert len(calls) == column_runs(report, *SERIES_FLOATS)
+    # every formatted value is one of the series' own
+    assert set(calls) <= {b for column in settled_columns(report, *SERIES_FLOATS)
+                          for b in bits(column).tolist()}
     assert_artifacts_match(report, tmp_path)
 
 
@@ -608,55 +641,81 @@ def test_non_int_steps_and_times_are_cells_as_csv_writes_them(tmp_path):
     assert_artifacts_match(report, tmp_path)
 
 
-# -- settled series share their runs of repeated values --------------------------
+# -- settled reports keep columns, and the writers format each run once --------
 
 # quiet NaNs with different payloads, and the same NaN with its sign bit set
 NAN_BITS = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000001],
                     dtype=np.uint64)
 SPECIAL = np.concatenate([[0.0, -0.0, 1.0], NAN_BITS.view(float)])
+# the float columns of a settled series; "step" holds ints
+SERIES_FLOATS = ("surplus", "central_payment", "payments", "cumulative", "allocations")
 
 
 def bits(values) -> np.ndarray:
     return np.array(values, dtype=float).view(np.uint64)
 
 
-def assert_shares_its_runs(values: list, reference: np.ndarray) -> None:
-    """``values`` is ``reference.tolist()`` bit for bit, and two places hold
-    one object exactly when they are neighbours with the same bits."""
-    assert all(type(v) is float for v in values)
-    assert np.array_equal(bits(values), reference.view(np.uint64))
-    same_bits = (reference[1:].view(np.uint64) == reference[:-1].view(np.uint64)).tolist()
-    assert list(map(operator.is_, values[1:], values)) == same_bits
-    assert len(set(map(id, values))) == len(values) - sum(same_bits)
+def runs(column) -> int:
+    """The number of runs of bit-identical neighbours in a column."""
+    b = bits(column)
+    return int(len(b) > 0) + int(np.count_nonzero(b[1:] != b[:-1]))
 
 
-def test_shared_runs_keep_zero_signs_and_nan_payloads_apart():
-    column = SPECIAL[[0, 0, 1, 1, 0, 3, 3, 4, 5, 5, 2, 2, 2]]
-    values = _shared_runs(column)
-    assert_shares_its_runs(values, column)
-    assert len(set(map(id, values))) == 7
-    # a strided column, as _settle takes it from its payment matrix
-    matrix = np.stack([column, column[::-1]], axis=1)
-    for j in range(2):
-        assert_shares_its_runs(_shared_runs(matrix[:, j]), matrix[:, j].copy())
-    assert _shared_runs(np.array([])) == []
+def settled_columns(report, *names) -> list[np.ndarray]:
+    """Every column of the settled series ``names``."""
+    series = report._series_columns()
+    return [column for name in names if name in series
+            for column in (series[name].values() if isinstance(series[name], dict)
+                           else [series[name]])]
 
 
-def test_float_text_formats_each_run_of_one_object_once():
-    zero, negative_zero, other_negative_zero = 0.0, -0.0, float("-0.0")
-    nan = float("nan")
-    values = [zero, zero, negative_zero, other_negative_zero, nan, nan, 2.5]
-    calls = collections.Counter()
+def column_runs(report, *names) -> int:
+    """The runs in every column of the settled series ``names``."""
+    return sum(map(runs, settled_columns(report, *names)))
+
+
+def count_float_reprs(monkeypatch) -> list:
+    """Patch the writers' ``repr``; the returned list gets the bits of each
+    float it is called on."""
+    calls = []
 
     def counting_repr(value):
-        calls[id(value)] += 1
+        if type(value) is float:
+            calls.append(bits(value).item())
         return builtins.repr(value)
 
-    with mock.patch.object(artifacts, "repr", counting_repr, create=True):
-        lines = _float_text(values, {})
-    assert lines == list(map(repr, values))
-    assert lines[0] is lines[1] and lines[4] is lines[5] and lines[2] is not lines[3]
-    assert sum(calls.values()) == 5 and set(calls.values()) == {1}
+    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
+    return calls
+
+
+def test_array_lines_keep_zero_signs_and_nan_payloads_apart(monkeypatch):
+    column = SPECIAL[[0, 0, 1, 1, 0, 3, 3, 4, 5, 5, 2, 2, 2]]
+    calls = count_float_reprs(monkeypatch)
+    lines = _array_lines(column)
+    assert lines == list(map(repr, column.tolist()))
+    # 0.0, -0.0, 0.0, three NaNs and 1.0: seven runs, one repr each
+    assert len(calls) == runs(column) == 7
+    same_bits = (bits(column)[1:] == bits(column)[:-1]).tolist()
+    assert list(map(operator.is_, lines[1:], lines)) == same_bits
+    # a strided column, as a series takes it from its matrix
+    matrix = np.stack([column, column[::-1]], axis=1)
+    for j in range(2):
+        assert _array_lines(matrix[:, j]) == list(map(repr, matrix[:, j].tolist()))
+    assert _array_lines(np.array([])) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL.tolist()) | st.floats(-5.0, 5.0), max_size=40),
+       st.lists(st.integers(-2**63, 2**63 - 1), max_size=10))
+def test_array_lines_format_each_run_once(floats, ints):
+    column = np.array(floats, dtype=float)
+    calls = []
+    with mock.patch.object(artifacts, "repr", lambda v: calls.append(v) or repr(v),
+                           create=True):
+        lines = _array_lines(column)
+    assert lines == list(map(repr, column.tolist()))
+    assert len(calls) == runs(column)
+    assert _array_lines(np.array(ints, dtype=np.int64)) == list(map(repr, ints))
 
 
 RUN_PAYMENT = st.sampled_from([0.0, -0.0, -1.5, 0.5, 2.0]) | st.floats(-5.0, 5.0)
@@ -669,7 +728,7 @@ RUN_PAYMENT = st.sampled_from([0.0, -0.0, -1.5, 0.5, 2.0]) | st.floats(-5.0, 5.0
                                st.lists(st.booleans(), min_size=K, max_size=K),
                                st.lists(st.integers(0, len(SPECIAL) - 1), min_size=T,
                                         max_size=T)))))
-def test_settled_series_share_their_runs_and_are_formatted_once(tmp_path_factory, case):
+def test_settled_columns_are_formatted_once_per_run(tmp_path_factory, case):
     rows, zero_columns, surplus_picks = case
     amounts = np.array(rows, dtype=float)
     amounts[:, zero_columns] = 0.0
@@ -682,46 +741,25 @@ def test_settled_series_share_their_runs_and_are_formatted_once(tmp_path_factory
                           support=features, feature_owners=owners)
     report = market._settle(report, TaskSpec(central_agent="a1", ownership=owners), amounts,
                             list(range(len(amounts))), surplus)
-    series = report.series
+    # the report keeps the clamped matrix and its series as float64 columns
     paid = np.where(amounts <= 0.0, 0.0, amounts)
-    assert_shares_its_runs(series["surplus"], surplus)
-    assert_shares_its_runs(series["central_payment"],
-                           np.array([math.fsum(row) for row in paid.tolist()]))
+    columns = report._series_columns()
+    assert all(c.dtype == np.float64 for c in settled_columns(report, *SERIES_FLOATS))
+    assert np.array_equal(bits(columns["surplus"]), bits(surplus))
+    assert np.array_equal(bits(columns["central_payment"]),
+                          bits([math.fsum(row) for row in paid.tolist()]))
     for j, k in enumerate(features):
-        assert_shares_its_runs(series["payments"][k], paid[:, j].copy())
-        assert_shares_its_runs(series["cumulative"][k], np.cumsum(paid[:, j].tolist()))
-    lists = [series["surplus"], series["central_payment"],
-             *series["payments"].values(), *series["cumulative"].values()]
-    # no object is shared between two lists either
-    objects = {id(v) for values in lists for v in values}
-    assert len(objects) == sum(len(set(map(id, values))) for values in lists)
+        assert np.array_equal(bits(columns["payments"][k]), bits(paid[:, j]))
+        assert np.array_equal(bits(columns["cumulative"][k]),
+                              bits(np.cumsum(paid[:, j].tolist())))
 
-    # across the four writers each run of a payment or cumulative list goes
-    # through repr at most once, as its one object, and nothing else does:
-    # a list is formatted whole, or takes the lines of a list with its
-    # content formatted before (the ledger's amounts take the payments')
-    calls = collections.Counter()
-
-    def counting_repr(value):
-        calls[id(value)] += 1
-        return builtins.repr(value)
-
-    tmp_path = tmp_path_factory.mktemp("runs")
-    with mock.patch.object(artifacts, "repr", counting_repr, create=True):
+    # across the four writers each run of a float column goes through repr
+    # once, and nothing else does: the ledger's amounts take the payments'
+    calls = []
+    with mock.patch.object(artifacts, "repr",
+                           lambda v: (type(v) is float and calls.append(v)) or repr(v),
+                           create=True):
         for write, _ in WRITERS.values():
-            write(report, tmp_path / "out")
-    assert set(calls.values()) <= {1}
-    formatted, untouched, listed = collections.Counter(), set(), set()
-    for values in [*series["payments"].values(), *series["cumulative"].values()]:
-        ids = set(map(id, values))
-        listed |= ids
-        called = len(ids & calls.keys())
-        assert called in (0, len(ids))
-        if called:
-            formatted[bits(values).tobytes()] += 1
-        else:
-            untouched.add(bits(values).tobytes())
-    assert calls.keys() <= listed
-    assert set(formatted.values()) <= {1}
-    assert untouched <= formatted.keys() | {bits(report.ledger.amount).tobytes()}
-    assert_artifacts_match(report, tmp_path)
+            write(report, tmp_path_factory.mktemp("runs") / "out")
+    assert len(calls) == column_runs(report, *SERIES_FLOATS)
+    assert_artifacts_match(report, tmp_path_factory.mktemp("runs"))
