@@ -9,9 +9,11 @@ A settled report keeps its series and its ledger as columns
 from there without making their lists: :func:`_array_lines` puts each run
 of bit-identical values through ``repr`` once.  ``report.json`` and a CSV
 file both write the payments and their running totals, so the lines of
-the report written last are kept, keyed by column (:func:`_report_texts`),
-and a ledger amount's line is the line of its payment.  A series or
-ledger read as lists is written from the lists.
+those columns of the report written last are kept, keyed by column
+(:func:`_column_lines`), and a ledger amount's line is the line of its
+payment.  A series or ledger read as lists is written by the encoders
+that define its bytes, the C ``json`` encoder and ``repr``, and no line of
+it is kept.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import csv
 import io
 import itertools
 import json
-import operator
 import weakref
 from collections.abc import Iterable
 from dataclasses import fields
@@ -65,29 +66,25 @@ def report_to_json(report: MarketReport, path) -> None:
     data = {f.name: getattr(report, f.name) for f in fields(report)
             if f.name not in ("series", "ledger")}
     columns = report._series_columns()
+    # a settled column's lines are made when the writer reaches it; the
+    # payments and running totals, which the CSV files write again, are kept
     data["series"] = report.series if columns is None else {
-        name: {k: _series_column(c, name) for k, c in values.items()}
-        if isinstance(values, dict) else _series_column(values, name)
+        name: {k: partial(_column_lines, c, texts if name in ("payments", "cumulative")
+                          else None) for k, c in values.items()}
+        if isinstance(values, dict) else partial(_column_lines, values)
         for name, values in columns.items()}
     ledger = report.ledger
     data["ledger"] = {name: partial(_ledger_column, ledger, name, texts) for name in LEDGER_COLUMNS}
     with open(path, "w") as fh:
-        fh.writelines(_iter_json(data, 0, texts))
+        fh.writelines(_iter_json(data, 0))
         fh.write("\n")
-
-
-def _series_column(column: np.ndarray, name: str):
-    """A settled series column for :func:`_iter_json`: the payments and
-    running totals, which the CSV files write again, as themselves, so
-    their lines are kept; any other as its lines, made when written."""
-    return column if name in ("payments", "cumulative") else lambda: _Lines(_array_lines(column))
 
 
 def _ledger_column(ledger: Ledger, name: str, texts: dict):
     """Ledger column ``name`` to write: a settled ledger's amounts as the
     lines of their payments, else the column as a list."""
     if name == "amount" and ledger._lists is None:
-        return _Lines(_amount_lines(ledger, texts))
+        return _amount_lines(ledger, texts)
     return ledger._column(name)
 
 
@@ -96,9 +93,9 @@ _last_written: tuple[weakref.ref, dict] | None = None
 
 
 def _report_texts(report: MarketReport) -> dict:
-    """The memo of ``report``'s lines, keyed by the ``id`` of their column
-    (a settled array or a list).  Only the report written last keeps one,
-    and it goes with its report; it holds no reference to the report."""
+    """The memo of ``report``'s lines, keyed by the ``id`` of their settled
+    column (:func:`_column_lines`).  Only the report written last keeps
+    one, and it goes with its report; it holds no reference to the report."""
     global _last_written
     memo = _last_written
     if memo is None or memo[0]() is not report:
@@ -126,31 +123,24 @@ def _array_lines(column: np.ndarray) -> list[str]:
     return lines
 
 
-def _float_text(values, texts: dict) -> list[str] | None:
-    """The ``repr`` lines of a settled column (:func:`_array_lines`) or of
-    a non-empty list of exact floats, kept in the memo ``texts``; None for
-    any other list (an ``int`` has its own text).  A list's lines are kept
-    while it holds the same float objects, so a list changed in place gets
-    new lines, never stale ones.
-    """
-    is_array = isinstance(values, np.ndarray)
-    if not (is_array or isinstance(values, list) and values
-            and list(map(type, values)).count(float) == len(values)):
-        return None
-    kept = texts.get(id(values))
-    if kept is None or not (kept[0] is values if is_array else len(kept[0]) == len(values)
-                            and all(map(operator.is_, kept[0], values))):
-        kept = texts[id(values)] = ((values, _array_lines(values)) if is_array
-                                    else (tuple(values), list(map(repr, values))))
+def _column_lines(column: np.ndarray, texts: dict | None = None) -> _Lines:
+    """The lines of a settled column (:func:`_array_lines`), kept in the
+    memo ``texts``, when one is given, with the column they were made from."""
+    if texts is None:
+        return _Lines(_array_lines(column))
+    kept = texts.get(id(column))
+    if kept is None or kept[0] is not column:
+        kept = texts[id(column)] = (column, _Lines(_array_lines(column)))
     return kept[1]
 
 
-def _amount_lines(ledger: Ledger, texts: dict) -> list[str]:
+def _amount_lines(ledger: Ledger, texts: dict) -> _Lines:
     """The lines of a settled ledger's amounts: each is the line of its
     payment, at its (row, feature) index."""
     book = ledger._book
-    lines = [_float_text(column, texts) for column in book.series["payments"].values()]
-    return np.array(lines, dtype=object)[book.codes, book.rows].tolist() if len(book.rows) else []
+    lines = [_column_lines(column, texts) for column in book.series["payments"].values()]
+    return _Lines(np.array(lines, dtype=object)[book.codes, book.rows].tolist()
+                  if len(book.rows) else [])
 
 
 class _Lines(list):
@@ -162,52 +152,46 @@ _CONTAINERS = (dict, list, tuple)
 _SCALARS = (str, int, float, type(None))
 
 
-def _iter_json(obj, level: int, texts: dict | None = None):
+def _iter_json(obj, level: int):
     """Yield the pieces of ``json.dumps(obj, indent=1, sort_keys=True)``
     for ``obj`` at indent ``level``.
 
     A container of scalars is one piece, its items joined by a separator
-    that holds their newline and indent: a list of floats from its lines
-    in the memo ``texts`` when one is given (:func:`_float_text`), a list
-    of strings from each distinct string's code, anything else by the C
-    encoder, ``ROWS_PER_WRITE`` items at a time.  A settled column and a
-    :class:`_Lines` are joined from their lines, and a callable is called
-    for the value to write when it is reached.  Other containers are
-    walked item by item, and their keys must be strings.
+    that holds their newline and indent: a :class:`_Lines` from its lines,
+    a list of strings from each distinct string's code, anything else by
+    the C encoder, ``ROWS_PER_WRITE`` items at a time.  A callable is
+    called for the value to write when it is reached.  Other containers
+    are walked item by item, and their keys must be strings.
     """
     if callable(obj):
         obj = obj()
-    lines = (obj if type(obj) is _Lines else
-             _float_text(obj, texts) if isinstance(obj, np.ndarray) else None)
-    if lines is None and not isinstance(obj, _CONTAINERS):
+    if not isinstance(obj, _CONTAINERS):
         yield json.dumps(obj)
         return
     is_dict = isinstance(obj, dict)
-    if not (obj if lines is None else lines):
+    if not obj:
         yield "{}" if is_dict else "[]"
         return
     inner = "\n" + " " * (level + 1)
     close = "\n" + " " * level + ("}" if is_dict else "]")
     sep = "," + inner
     start = ("{" if is_dict else "[") + inner
-    if lines is None:
-        types = set(map(type, obj.values() if is_dict else obj))
-        if not all(issubclass(t, _SCALARS) for t in types):
-            items = (((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
-                     if is_dict else (("", v) for v in obj))
-            for key, value in items:
-                yield start + key
-                yield from _iter_json(value, level + 1, texts)
-                start = sep
-            yield close
-            return
-        if texts is not None and not is_dict and types == {float}:
-            lines = _float_text(obj, texts)
-    if lines is not None:
-        body = sep.join(lines)
+    is_lines = type(obj) is _Lines
+    types = set() if is_lines else set(map(type, obj.values() if is_dict else obj))
+    if not all(issubclass(t, _SCALARS) for t in types):
+        items = (((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
+                 if is_dict else (("", v) for v in obj))
+        for key, value in items:
+            yield start + key
+            yield from _iter_json(value, level + 1)
+            start = sep
+        yield close
+        return
+    if is_lines:
+        body = sep.join(obj)
         # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf an "n"
         if "n" in body:
-            body = sep.join(map(_JSON_NONFINITE.get, lines, lines))
+            body = sep.join(map(_JSON_NONFINITE.get, obj, obj))
     elif not is_dict and types == {str}:
         codes = {s: encode_basestring_ascii(s) for s in set(obj)}
         body = sep.join(map(codes.__getitem__, obj))
@@ -254,15 +238,12 @@ def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
 
     A settled ledger's amounts are the lines of their payments
-    (:func:`_amount_lines`), and the rows are joined in C by
-    :func:`_write_rows`.
+    (:func:`_amount_lines`), a ledger read as lists puts each amount
+    through ``repr``, and the rows are joined in C by :func:`_write_rows`.
     """
-    ledger, texts = report.ledger, _report_texts(report)
-    if ledger._lists is None:
-        lines = _amount_lines(ledger, texts)
-    else:
-        amounts = ledger._lists["amount"]
-        lines = _float_text(amounts, texts) or map(repr, amounts)
+    ledger = report.ledger
+    lines = (_amount_lines(ledger, _report_texts(report)) if ledger._lists is None
+             else map(repr, ledger._lists["amount"]))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(LEDGER_COLUMNS)
         _write_rows(fh, *(_csv_column(ledger._column(name))
@@ -276,23 +257,23 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
     Rows are ``step,agent,feature,amount,cumulative`` with CRLF line ends
     and floats by ``repr``, grouped by feature in sorted order, one per
     (integer) step; a report with no per-step series has one ``batch`` row
-    per feature in ``payments``.  The floats are the memo's lines, the
-    ``agent,feature`` cells are quoted once per feature, and the rows are
-    joined in C by :func:`_write_rows`.
+    per feature in ``payments``.  A settled series' floats are the memo's
+    lines (:func:`_column_lines`), a series read as lists goes through
+    ``repr``, the ``agent,feature`` cells are quoted once per feature, and
+    the rows are joined in C by :func:`_write_rows`.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
-        series = report._series_columns() or report.series
+        columns = report._series_columns()
+        series = report.series if columns is None else columns
         if series and "payments" in series:
-            texts = _report_texts(report)
+            lines = (partial(map, repr) if columns is None
+                     else partial(_column_lines, texts=_report_texts(report)))
             steps = series["step"]
-            steps = list(_csv_column(steps.tolist() if isinstance(steps, np.ndarray)
-                                     else steps))
+            steps = list(_csv_column(steps if columns is None else steps.tolist()))
             for k in sorted(series["payments"]):
-                pays, running = (_float_text(series[name][k], texts)
-                                 or map(repr, series[name][k])
-                                 for name in ("payments", "cumulative"))
+                pays, running = (lines(series[name][k]) for name in ("payments", "cumulative"))
                 middle = _csv_cells(report.feature_owners.get(k, ""), k) + ","
                 _write_rows(fh, steps, itertools.repeat(middle), pays, itertools.repeat(","),
                             running, itertools.repeat("\r\n"))
@@ -305,6 +286,9 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
 
 
 def write_loss_table_csv(report: MarketReport, path) -> None:
+    """Write the coalition losses: a ``coalition,loss`` header, then one row
+    per entry of ``loss_table`` in its order, the key as ``csv.writer``
+    quotes it and the loss by ``repr``, with CRLF line ends."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coalition", "loss"])

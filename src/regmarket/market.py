@@ -173,7 +173,6 @@ class _Book:
     rows: np.ndarray
     codes: np.ndarray
     series: dict
-    objects: tuple[dict, dict] | None = None
 
     def column(self, name: str, lo: int = 0, hi: int | None = None) -> list:
         """Ledger column ``name`` of entries ``lo`` to ``hi``, as a new list."""
@@ -187,21 +186,6 @@ class _Book:
         return np.array(self.payees if name == "payee" else self.features,
                         dtype=object)[codes].tolist()
 
-    def lists(self) -> tuple[dict, dict]:
-        """The series and the ledger's columns as lists, made once; the
-        ledger's amounts are the float objects of the payment lists."""
-        if self.objects is None:
-            pays = self.paid.T.tolist()
-            amounts = (np.array(pays, dtype=object)[self.codes, self.rows].tolist()
-                       if len(self.rows) else [])
-            ledger = {name: amounts if name == "amount" else self.column(name)
-                      for name in LEDGER_COLUMNS}
-            self.objects = {name: dict(zip(self.features, pays)) if name == "payments" else
-                            {k: v.tolist() for k, v in values.items()}
-                            if isinstance(values, dict) else values.tolist()
-                            for name, values in self.series.items()}, ledger
-        return self.objects
-
 
 class Ledger(Sequence):
     """The ledger as one column per :class:`LedgerEntry` field.
@@ -212,8 +196,8 @@ class Ledger(Sequence):
     ledger keeps index columns into its market's payments (``_Book``):
     ``len``, iteration and indexing keep no list.  Reading a column
     (``ledger.amount``) or :meth:`append` makes its six columns lists from
-    then on; the amounts are the float objects of the report's payment
-    series.
+    then on, made from the book: its amounts are new floats, not those of
+    the report's series lists.
     """
 
     __slots__ = ("_lists", "_book")
@@ -238,7 +222,7 @@ class Ledger(Sequence):
     def _columns(self) -> list[list]:
         """The six columns as lists, from now on."""
         if self._lists is None:
-            self._lists = self._book.lists()[1]
+            self._lists = {name: self._book.column(name) for name in LEDGER_COLUMNS}
         return list(self._lists.values())
 
     def _column(self, name: str) -> list:
@@ -321,7 +305,9 @@ class MarketReport:
         # series that _settle keeps as columns, made lists on first read
         if name != "series" or "_book" not in vars(self):
             raise AttributeError(f"'MarketReport' object has no attribute {name!r}")
-        self.series = self._book.lists()[0]
+        self.series = {name: {k: v.tolist() for k, v in values.items()}
+                       if isinstance(values, dict) else values.tolist()
+                       for name, values in self._book.series.items()}
         return self.series
 
     def _series_columns(self) -> dict | None:
@@ -806,11 +792,12 @@ def audit_ledger(report: MarketReport) -> AuditResult:
         "shortfall_vs_benchmark": report.benchmark_payment - report.central_total,
     }
 
-    min_amount = min(amounts, default=0.0)
-    neg_payments = [k for k, v in report.payments.items() if v < 0]
+    # each amount and payment on its own, so that a NaN fails wherever it
+    # stands; min() would pass or fail it by its position
     checks["individual_rationality"] = {
-        "passed": bool(min_amount >= 0.0 and not neg_payments),
-        "min_ledger_amount": min_amount,
+        "passed": all(a >= 0.0 for a in amounts)
+        and all(v >= 0.0 for v in report.payments.values()),
+        "min_ledger_amount": min(amounts, default=0.0),
     }
 
     recomputed: dict[str, float] = {}

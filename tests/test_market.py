@@ -780,6 +780,27 @@ def test_audit_flags_negative_ledger_amount():
     assert not audit.checks["individual_rationality"]["passed"]
 
 
+@pytest.mark.parametrize("amounts, payments, passed", [
+    ([1.0, 0.5], [1.0, 0.5], True),
+    ([1.0, math.nan], [1.0, 0.5], False),
+    ([math.nan, 1.0], [1.0, 0.5], False),
+    ([1.0, 0.5], [1.0, math.nan], False),
+])
+def test_audit_fails_individual_rationality_on_a_nan_wherever_it_stands(amounts, payments,
+                                                                        passed):
+    from regmarket.market import LedgerEntry
+
+    owners = {"x2": "a2", "x3": "a3"}
+    report = MarketReport(market="oos", central_agent="a1", rows=2, phi=1.0,
+                          allocation_policy="shapley", game="support-coalitions",
+                          support=tuple(owners), feature_owners=owners,
+                          payments=dict(zip(owners, payments)))
+    for t, (k, amount) in enumerate(zip(owners, amounts)):
+        report.ledger.append(LedgerEntry(t, "a1", owners[k], k, amount, "oos"))
+    check = audit_ledger(report).checks["individual_rationality"]
+    assert check["passed"] is passed
+
+
 def test_fit_all_coalitions_task_wrapper():
     ds = linear_market_dataset(T=600, seed=77)
     table = fit_all_coalitions(ds, linear_task())

@@ -35,7 +35,7 @@ from regmarket import (
 from regmarket import artifacts, market, scenarios
 from regmarket.artifacts import (
     _array_lines,
-    _float_text,
+    _Lines,
     _iter_json,
     _report_texts,
     report_to_json,
@@ -324,17 +324,37 @@ def test_ledger_entries_have_no_instance_dict():
 SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
            | st.floats(allow_nan=True, allow_infinity=True))
 KEYS = st.text(max_size=3) | st.integers(-5, 5).map(str)
+FLOAT_LISTS = st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0),
+                       min_size=1, max_size=5)
 JSON_DATA = st.recursive(
-    SCALARS,
+    SCALARS | FLOAT_LISTS,
     lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4)
                    | st.lists(inner, max_size=3).map(tuple)),
     max_leaves=20)
+
+
+def as_lines(obj):
+    """``obj`` with each non-empty list of floats given as the ``_Lines`` of
+    their reprs, as the writers give a settled column."""
+    if isinstance(obj, dict):
+        return {k: as_lines(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if obj and all(type(v) is float for v in obj):
+            return _Lines(map(repr, obj))
+        return type(obj)(map(as_lines, obj))
+    return obj
 
 
 @settings(max_examples=300, deadline=None)
 @given(JSON_DATA)
 def test_json_writer_matches_json_dumps(obj):
     assert "".join(_iter_json(obj, 0)) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DATA)
+def test_json_writer_with_float_texts_matches_json_dumps(obj):
+    assert "".join(_iter_json(as_lines(obj), 0)) == json.dumps(obj, indent=1, sort_keys=True)
 
 
 # -- the columnar ledger and the float texts ---------------------------------------
@@ -421,6 +441,28 @@ def test_a_settled_report_keeps_its_series_and_ledger_as_columns(kind):
     assert kept / (values + len(report.ledger)) < 16
 
 
+def test_a_report_read_as_lists_keeps_no_lines_after_it_is_written(tmp_path):
+    # the writers keep the lines of settled columns only: a series and a
+    # ledger read as lists are written by json and repr, and keep nothing
+    spec = scenarios.ScenarioSpec("online-arx", T=2000, seed=1)
+    ds, _ = scenarios.generate(spec)
+    report = run_online_market(ds, scenarios.task_for_case(spec))
+    assert len(report.series["step"]) > 1000 and len(report.ledger.amount) > 1000
+    write_artifacts(clear_batch_market(two_feature_dataset(300, 1),
+                                       two_feature_task(phi_insample=0.1)), tmp_path)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        write_artifacts(report, tmp_path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096
+    assert_artifacts_match(report, tmp_path)
+
+
 def test_artifacts_are_identical_when_written_again_after_another_report(tmp_path):
     a = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
     b = oos_report()
@@ -476,29 +518,6 @@ def test_column_lines_are_kept_for_the_report_written_last_only(tmp_path):
     del b
     gc.collect()
     assert gone() is None and not texts
-
-
-def put_float_texts(obj, texts):
-    """Put the text of every list of floats in ``obj`` into ``texts``."""
-    _float_text(obj, texts)
-    for value in (obj.values() if isinstance(obj, dict) else
-                  obj if isinstance(obj, (list, tuple)) else ()):
-        put_float_texts(value, texts)
-
-
-FLOAT_LISTS = st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0),
-                       min_size=1, max_size=5)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.recursive(
-    SCALARS | FLOAT_LISTS,
-    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4)),
-    max_leaves=20))
-def test_json_writer_with_float_texts_matches_json_dumps(obj):
-    texts = {}
-    put_float_texts(obj, texts)
-    assert "".join(_iter_json(obj, 0, texts)) == json.dumps(obj, indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("first", ["report.json", "ledger.csv"])
@@ -603,12 +622,11 @@ def test_gathered_ledger_amounts_match_the_reference_writers(tmp_path_factory, m
 
 @pytest.mark.parametrize("edit", ["equal", "negative-zero", "nan", "append", "remove"])
 def test_an_edited_streamed_ledger_formats_every_amount_by_repr(tmp_path, monkeypatch, edit):
-    # a ledger that is not the booked payments in their order takes no line
-    # from the series: each amount goes through repr once for the ledger,
-    # and a series float had gone through it once before, for the series
+    # a ledger read as lists takes no line from the series, written before
+    # it or not: ledger.csv puts each of its amounts through repr once
     report = settled_report(np.array([[0.5, 0.0, 2.0], [0.25, 0.0, -1.0], [1.0, 0.0, 3.0]]),
                             edit, 1)
-    in_series = {id(v) for values in report.series["payments"].values() for v in values}
+    report_to_json(report, tmp_path / "report.json")
     calls = collections.Counter()
 
     def counting_repr(value):
@@ -616,12 +634,11 @@ def test_an_edited_streamed_ledger_formats_every_amount_by_repr(tmp_path, monkey
         return builtins.repr(value)
 
     monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
-    report_to_json(report, tmp_path / "report.json")
     write_ledger_csv(report, tmp_path / "ledger.csv")
     monkeypatch.undo()
     amounts = report.ledger.amount
-    assert [calls[id(a)] for a in amounts] == [1 + (id(a) in in_series) for a in amounts]
-    assert sum(id(a) not in in_series for a in amounts) == (edit != "remove")
+    assert [calls[id(a)] for a in amounts] == [1] * len(amounts)
+    assert sum(calls.values()) == len(amounts)
     assert_artifacts_match(report, tmp_path)
 
 
