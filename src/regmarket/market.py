@@ -67,7 +67,6 @@ from .batch import (
     enumerate_coalitions,
     fit_all_coalitions as _fit_table,
     fit_column_sets,
-    fit_matrix,
     solve_column_sets,
 )
 from .data import AugmentedDesign, Dataset, is_integer, make_lags, polynomial_expand
@@ -339,10 +338,6 @@ from .artifacts import (report_to_json, write_cumulative_csv,  # noqa: E402,F401
                         write_ledger_csv, write_loss_table_csv)
 
 
-def coalition_key(coalition: frozenset) -> str:
-    return "|".join(sorted(coalition))
-
-
 # ---------------------------------------------------------------------------
 # design assembly
 
@@ -406,9 +401,9 @@ def _prepare(dataset: Dataset, task: TaskSpec, market: str,
 
 
 def _loss_table(losses: Mapping[frozenset, float]) -> dict[str, float]:
-    """Coalition losses keyed by :func:`coalition_key`, smallest coalitions first."""
-    return {coalition_key(c): v for c, v in sorted(
-        losses.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}
+    """Coalition losses, in the order given, keyed by each coalition's
+    sorted features joined by ``|``."""
+    return {"|".join(sorted(c)): v for c, v in losses.items()}
 
 
 def fit_all_coalitions(dataset: Dataset, task: TaskSpec,
@@ -428,33 +423,26 @@ def screen_features(dataset: Dataset, task: TaskSpec) -> tuple[str, ...]:
 
     A feature is retained when adding it to the central model lowers the
     loss of a 5-fold cross-validation.  Each feature is fitted on its own,
-    so screening runs above the enumeration cap; the central model's fold
-    losses are fitted once for all of them.
+    so screening runs above the enumeration cap; each fold fits the central
+    model, and it plus each feature alone, once, as one coalition table.
     """
     ds, design, central, report = _prepare(dataset, task, "batch", None)
     if not report.support:
         return ()
-    X, y = design.values, ds.target
-    T = X.shape[0]
-    bounds = np.linspace(0, T, SCREEN_FOLDS + 1).astype(int)
-    folds = [(np.r_[0:lo, hi:T], np.r_[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def cv_loss(coalition):
-        idx = list(design.columns_for(coalition))
-        loss = 0.0
-        for train, val in folds:
-            fit = fit_matrix(X[train][:, idx], y[train], task.loss)
-            loss += insample_loss(y[val] - X[val][:, idx] @ fit.coefficients, task.loss)
-        return loss
-
-    base = cv_loss(central)
-    retained = []
-    for k in report.support:
-        # "> 0" up to solver noise, so an exactly valueless column with
-        # a jittered fit still reads as zero
-        if base - cv_loss(central | {k}) > 1e-12 * max(1.0, abs(base)):
-            retained.append(k)
-    return tuple(retained)
+    X, y, T = design.values, ds.target, design.T
+    if T < SCREEN_FOLDS:
+        raise ParameterError(f"screening needs {SCREEN_FOLDS} rows, one per fold; have {T}")
+    sets = [central] + [central | {k} for k in report.support]
+    masks = np.array([[t.support <= S for t in design.terms] for S in sets])
+    cv = np.zeros(len(sets))
+    bounds = np.linspace(0, T, SCREEN_FOLDS + 1).astype(int).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        train = np.r_[0:lo, hi:T]
+        beta, _ = fit_column_sets(X[train], y[train], masks, task.loss, design.term_names)
+        cv += coalition_losses(beta, X[lo:hi], y[lo:hi], task.loss).mean(axis=1)
+    # "> 0" up to solver noise: a valueless column's jittered fit reads as zero
+    base, gains = cv[0], (cv[0] - cv[1:]).tolist()
+    return tuple(k for k, g in zip(report.support, gains) if g > 1e-12 * max(1.0, abs(base)))
 
 
 # ---------------------------------------------------------------------------
@@ -728,13 +716,19 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
 def _batch_oos_losses(design, X, y, train, central, support, task):
     """Each coalition's realised losses on the evaluation rows, with
     coefficients fitted on the training rows.  A quadratic fit needs only
-    the solve; a smooth-quantile fit runs its Newton iterations."""
+    the solve; a smooth-quantile fit runs its Newton iterations.  No
+    coalition fits a column that is zero on every training row, and
+    coalitions left with the same columns share one loss series."""
     coalitions, masks = coalition_masks(design, central, support, task.enumeration_cap)
+    masks &= X[:train].any(axis=0)
+    first: dict[bytes, int] = {}
+    shared = [first.setdefault(m.tobytes(), j) for j, m in enumerate(masks)]
     if task.loss.is_quadratic:
         beta, _ = solve_column_sets(X[:train], y[:train], masks)
     else:
         beta, _ = fit_column_sets(X[:train], y[:train], masks, task.loss, design.term_names)
-    return dict(zip(coalitions, coalition_losses(beta, X[train:], y[train:], task.loss)))
+    losses = coalition_losses(beta, X[train:], y[train:], task.loss)
+    return {c: losses[j] for c, j in zip(coalitions, shared)}
 
 
 def _online_oos_losses(design, y, central, support, task):

@@ -20,6 +20,8 @@ from regmarket import (
     screen_features,
 )
 from regmarket import market
+from regmarket.batch import fit_matrix
+from regmarket.losses import insample_loss
 from regmarket.market import MarketReport, build_design, fit_all_coalitions
 from regmarket.scenarios import ScenarioSpec, generate, task_for_case
 
@@ -334,27 +336,78 @@ def test_screening_rejects_pure_noise_regularly_and_never_signal():
     assert dropped >= 2
 
 
+def case_with_noise(case, T, seed):
+    """A study case's dataset and task with a standard-normal column ``junk``
+    owned by a4 (lagged once where the case lags its features)."""
+    spec = ScenarioSpec(case, T=T, seed=seed)
+    ds, _ = generate(spec)
+    task = task_for_case(spec)
+    rng = np.random.default_rng(seed)
+    ds = Dataset(ds.timestamps, ds.target, {**ds.features, "junk": rng.normal(size=T)},
+                 {**ds.ownership, "junk": "a4"}, target_owner="a1")
+    task = replace(task, ownership={**task.ownership, "junk": "a4"},
+                   lags={**task.lags, "junk": (1,)} if task.lags else task.lags)
+    return ds, task
+
+
 @pytest.mark.parametrize("case, retained", [
     ("batch-linear", ("x2", "x3", "x4")),
     # a smooth-quantile loss; the noise column clears the sign rule here
     ("batch-arx-quantile", ("junk", "x2", "x3", "x4")),
 ])
 def test_screening_fits_the_central_folds_once(monkeypatch, case, retained):
-    # the retained sets are those the per-candidate refit of the central
-    # model gave, on the same data
-    spec = ScenarioSpec(case, T=2000, seed=0)
-    ds, _ = generate(spec)
-    task = task_for_case(spec)
-    rng = np.random.default_rng(0)
-    ds = Dataset(ds.timestamps, ds.target, {**ds.features, "junk": rng.normal(size=2000)},
-                 {**ds.ownership, "junk": "a4"}, target_owner="a1")
-    task = replace(task, ownership={**task.ownership, "junk": "a4"},
-                   lags={**task.lags, "junk": (1,)} if task.lags else task.lags)
-    fits = []
-    real_fit = market.fit_matrix
-    monkeypatch.setattr(market, "fit_matrix", lambda *a: fits.append(a) or real_fit(*a))
+    # each fold fits one table: the central model, then the central model
+    # plus each support feature alone
+    ds, task = case_with_noise(case, 2000, 0)
+    _, design, central, report = market._prepare(ds, task, "batch", None)
+    sets = [central] + [central | {k} for k in report.support]
+    calls = []
+    real_fit = market.fit_column_sets
+    monkeypatch.setattr(market, "fit_column_sets",
+                        lambda *a: calls.append(a[2]) or real_fit(*a))
     assert screen_features(ds, task) == retained
-    assert len(fits) == 5 + 5 * 4
+    assert len(calls) == 5
+    for masks in calls:
+        assert [tuple(np.flatnonzero(m)) for m in masks] == [design.columns_for(S)
+                                                             for S in sets]
+
+
+def per_candidate_screening(dataset, task):
+    """Screening by one cross-validated fit per fold and candidate: the
+    central model, and it plus each feature, each fitted on its own columns."""
+    ds, design, central, report = market._prepare(dataset, task, "batch", None)
+    X, y, T = design.values, ds.target, design.T
+    bounds = np.linspace(0, T, 6).astype(int)
+    folds = [(np.r_[0:lo, hi:T], np.r_[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def cv_loss(coalition):
+        idx = list(design.columns_for(coalition))
+        loss = 0.0
+        for train, val in folds:
+            fit = fit_matrix(X[train][:, idx], y[train], task.loss)
+            loss += insample_loss(y[val] - X[val][:, idx] @ fit.coefficients, task.loss)
+        return loss
+
+    base = cv_loss(central)
+    return tuple(k for k in report.support
+                 if base - cv_loss(central | {k}) > 1e-12 * max(1.0, abs(base)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", ["batch-linear", "batch-poly", "batch-arx-quantile",
+                                  "online-arx", "online-quantile"])
+def test_screening_keeps_the_per_candidate_fits_retained_set(case, seed):
+    # the table solves from the whole design's Gram matrix, so its fold
+    # losses may differ from per-candidate fits in the last bits; the
+    # retained set must not
+    ds, task = case_with_noise(case, 2000, seed)
+    assert screen_features(ds, task) == per_candidate_screening(ds, task)
+
+
+def test_screening_needs_a_row_per_fold():
+    # a fold with no validation row has no loss to average
+    with pytest.raises(ParameterError, match="screening needs 5 rows"):
+        screen_features(linear_market_dataset(T=4), linear_task())
 
 
 def test_screened_out_features_pay_zero():
