@@ -5,15 +5,12 @@
 order, as ``regmarket market`` does; each writer states its byte format.
 
 A settled report keeps its series and its ledger as columns
-(:class:`~regmarket.market.MarketReport`), and the writers format them
-from there without making their lists: :func:`_array_lines` puts each run
-of bit-identical values through ``repr`` once.  ``report.json`` and a CSV
-file both write the payments and their running totals, so the lines of
-those columns of the report written last are kept, keyed by column
-(:func:`_column_lines`), and a ledger amount's line is the line of its
-payment.  A series or ledger read as lists is written by the encoders
-that define its bytes, the C ``json`` encoder and ``repr``, and no line of
-it is kept.
+(:class:`~regmarket.market.MarketReport`).  :func:`_array_lines` formats
+such a float64 or int64 column in one ``orjson`` call, as its ``repr``
+lines joined by commas; each writer formats the columns it writes, a
+settled ledger's times and amounts from their gathers, and keeps nothing.
+A series or ledger read as lists is written by the encoders that define
+its bytes, the C ``json`` encoder and ``repr``.
 """
 
 from __future__ import annotations
@@ -22,7 +19,8 @@ import csv
 import io
 import itertools
 import json
-import weakref
+import operator
+import re
 from collections.abc import Iterable
 from dataclasses import fields
 from functools import partial
@@ -33,8 +31,8 @@ import numpy as np
 
 from .market import LEDGER_COLUMNS, Ledger, MarketReport
 
-# float runs made into Python objects, CSV rows, or JSON list items for the
-# C encoder, at a time: a bound on memory
+# CSV rows, or JSON list items for the C encoder, made at a time: a bound
+# on memory
 ROWS_PER_WRITE = 1024
 
 
@@ -62,89 +60,85 @@ def report_to_json(report: MarketReport, path) -> None:
     containers.  The ledger is written as one list per column.  The pieces
     are streamed to the file, so the text is never held as one string.
     """
-    texts = _report_texts(report)
     data = {f.name: getattr(report, f.name) for f in fields(report)
             if f.name not in ("series", "ledger")}
     columns = report._series_columns()
-    # a settled column's lines are made when the writer reaches it; the
-    # payments and running totals, which the CSV files write again, are kept
+    # a settled column is formatted when the writer reaches it
     data["series"] = report.series if columns is None else {
-        name: {k: partial(_column_lines, c, texts if name in ("payments", "cumulative")
-                          else None) for k, c in values.items()}
-        if isinstance(values, dict) else partial(_column_lines, values)
+        name: {k: partial(_array_lines, c) for k, c in values.items()}
+        if isinstance(values, dict) else partial(_array_lines, values)
         for name, values in columns.items()}
-    ledger = report.ledger
-    data["ledger"] = {name: partial(_ledger_column, ledger, name, texts) for name in LEDGER_COLUMNS}
+    data["ledger"] = {name: partial(_ledger_column, report.ledger, name)
+                      for name in LEDGER_COLUMNS}
     with open(path, "w") as fh:
         fh.writelines(_iter_json(data, 0))
         fh.write("\n")
 
 
-def _ledger_column(ledger: Ledger, name: str, texts: dict):
-    """Ledger column ``name`` to write: a settled ledger's amounts as the
-    lines of their payments, else the column as a list."""
-    if name == "amount" and ledger._lists is None:
-        return _amount_lines(ledger, texts)
+def _ledger_column(ledger: Ledger, name: str):
+    """Ledger column ``name`` to write: a settled ledger's numeric times and
+    its amounts as the :func:`_array_lines` of their gathers, else the
+    column as a list."""
+    if name in ("time", "amount") and ledger._lists is None:
+        gathered = ledger._book.gather(name)
+        if gathered.dtype.kind in "if":
+            return _array_lines(gathered)
     return ledger._column(name)
 
 
-# The lines of the report written last: (weak reference to it, lines).
-_last_written: tuple[weakref.ref, dict] | None = None
+class _Lines(str):
+    """A JSON list or CSV column given as the ``repr`` lines of its
+    numbers, joined by commas."""
+
+    def cells(self) -> list[str]:
+        return self.split(",") if self else []
 
 
-def _report_texts(report: MarketReport) -> dict:
-    """The memo of ``report``'s lines, keyed by the ``id`` of their settled
-    column (:func:`_column_lines`).  Only the report written last keeps
-    one, and it goes with its report; it holds no reference to the report."""
-    global _last_written
-    memo = _last_written
-    if memo is None or memo[0]() is not report:
-        texts: dict = {}
-        memo = _last_written = (weakref.ref(report, lambda _: texts.clear()), texts)
-    return memo[1]
+# orjson writes an exponent with no "+", or with one digit, where repr
+# writes two; each pattern starts with a literal, which the scan looks for
+_ORJSON_PLUS = re.compile(r"e(?=\d)")
+_ORJSON_ONE_DIGIT = re.compile(r"e-(?=\d(?!\d))")
 
 
-def _array_lines(column: np.ndarray) -> list[str]:
-    """``list(map(repr, column.tolist()))`` of a float64 or int64 column,
-    with each run of bit-identical neighbours put through ``repr`` once and
-    sharing its line.  Values are compared as ``uint64``, so ``0.0`` and
-    ``-0.0``, and NaNs with different payloads, stay apart; ``tolist``
-    takes ``ROWS_PER_WRITE`` runs at a time."""
-    bits = column.view(np.uint64)
-    heads = np.empty(len(bits), dtype=bool)
-    heads[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
-    firsts = column[heads]
-    lines = list(itertools.chain.from_iterable(
-        map(repr, firsts[lo:lo + ROWS_PER_WRITE].tolist())
-        for lo in range(0, len(firsts), ROWS_PER_WRITE)))
-    if len(lines) < len(column):
-        lines = np.array(lines, dtype=object)[np.cumsum(heads) - 1].tolist()
-    return lines
+def _orjson_lines(column: np.ndarray) -> str:
+    """orjson's text of a contiguous column, unbracketed, with ``repr``'s exponents."""
+    import orjson
+    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii")
+    return _ORJSON_ONE_DIGIT.sub("e-0", _ORJSON_PLUS.sub("e+", text)) if "e" in text else text
 
 
-def _column_lines(column: np.ndarray, texts: dict | None = None) -> _Lines:
-    """The lines of a settled column (:func:`_array_lines`), kept in the
-    memo ``texts``, when one is given, with the column they were made from."""
-    if texts is None:
-        return _Lines(_array_lines(column))
-    kept = texts.get(id(column))
-    if kept is None or kept[0] is not column:
-        kept = texts[id(column)] = (column, _Lines(_array_lines(column)))
-    return kept[1]
+def _array_lines(column: np.ndarray) -> _Lines:
+    """``",".join(map(repr, column.tolist()))`` of a float64 or int64
+    column, from one ``orjson`` call over the whole column.
 
-
-def _amount_lines(ledger: Ledger, texts: dict) -> _Lines:
-    """The lines of a settled ledger's amounts: each is the line of its
-    payment, at its (row, feature) index."""
-    book = ledger._book
-    lines = [_column_lines(column, texts) for column in book.series["payments"].values()]
-    return _Lines(np.array(lines, dtype=object)[book.codes, book.rows].tolist()
-                  if len(book.rows) else [])
-
-
-class _Lines(list):
-    """A JSON list given as the ``repr`` lines of its numbers."""
+    orjson writes each float's shortest round-trip digits, as ``repr``
+    does, and in ``repr``'s notation but for its exponents
+    (:func:`_orjson_lines`) and two kinds of value: those of [1e-5, 1e-4),
+    which it writes positionally (``0.000015`` for ``1.5e-05``), and the
+    non-finite ones, which it writes as ``null``.  Those values are written
+    apart, the first from the digits orjson writes for them after the
+    column, the second by ``repr``, and each takes the place of a ``null``.
+    A strided column is copied, as orjson takes contiguous arrays only.
+    orjson is imported on the first call: importing the package does not
+    load it.
+    """
+    apart = np.zeros(len(column), dtype=bool)
+    if column.dtype.kind == "f":
+        size = np.abs(column)
+        apart = ~((size < 1e-5) | (size >= 1e-4) & (size < np.inf))  # a NaN compares false
+    if not apart.any():
+        return _Lines(_orjson_lines(np.ascontiguousarray(column)))
+    values = column[apart]
+    finite = np.isfinite(values)
+    # the finite values written apart follow the column, in the same call
+    text, *tail = _orjson_lines(np.concatenate([np.where(apart, np.nan, column),
+                                                values[finite]])).rsplit(",", finite.sum())
+    # "-0.0000ddd" to "-d.dde-05"
+    tail = (f"{sign}{d[0]}{'.' * (len(d) > 1)}{d[1:]}e-05"
+            for sign, _, d in (t.rpartition("0.0000") for t in tail))
+    lines = [next(tail) if ok else repr(v) for v, ok in zip(values.tolist(), finite.tolist())]
+    pieces = text.split("null")
+    return _Lines("".join(itertools.chain.from_iterable(zip(pieces, lines))) + pieces[-1])
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -157,15 +151,16 @@ def _iter_json(obj, level: int):
     for ``obj`` at indent ``level``.
 
     A container of scalars is one piece, its items joined by a separator
-    that holds their newline and indent: a :class:`_Lines` from its lines,
-    a list of strings from each distinct string's code, anything else by
-    the C encoder, ``ROWS_PER_WRITE`` items at a time.  A callable is
-    called for the value to write when it is reached.  Other containers
-    are walked item by item, and their keys must be strings.
+    that holds their newline and indent: a :class:`_Lines` with it for
+    each comma, a list of strings from each distinct string's code,
+    anything else by the C encoder, ``ROWS_PER_WRITE`` items at a time.
+    A callable is called for the value to write when it is reached.  Other
+    containers are walked item by item, and their keys must be strings.
     """
     if callable(obj):
         obj = obj()
-    if not isinstance(obj, _CONTAINERS):
+    is_lines = type(obj) is _Lines
+    if not (is_lines or isinstance(obj, _CONTAINERS)):
         yield json.dumps(obj)
         return
     is_dict = isinstance(obj, dict)
@@ -176,9 +171,9 @@ def _iter_json(obj, level: int):
     close = "\n" + " " * level + ("}" if is_dict else "]")
     sep = "," + inner
     start = ("{" if is_dict else "[") + inner
-    is_lines = type(obj) is _Lines
     types = set() if is_lines else set(map(type, obj.values() if is_dict else obj))
-    if not all(issubclass(t, _SCALARS) for t in types):
+    # a _Lines is a str that stands for a list
+    if _Lines in types or not all(issubclass(t, _SCALARS) for t in types):
         items = (((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
                  if is_dict else (("", v) for v in obj))
         for key, value in items:
@@ -188,10 +183,11 @@ def _iter_json(obj, level: int):
         yield close
         return
     if is_lines:
-        body = sep.join(obj)
+        body = obj.replace(",", sep)
         # finite reprs hold only digits, ".", "-", "+" and "e"; nan and inf an "n"
         if "n" in body:
-            body = sep.join(map(_JSON_NONFINITE.get, obj, obj))
+            lines = obj.cells()
+            body = sep.join(map(_JSON_NONFINITE.get, lines, lines))
     elif not is_dict and types == {str}:
         codes = {s: encode_basestring_ascii(s) for s in set(obj)}
         body = sep.join(map(codes.__getitem__, obj))
@@ -215,9 +211,12 @@ def _csv_cells(*cells: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def _csv_column(values: list, end: str = ",") -> Iterable[str]:
-    """Each of ``values`` as a cell of ``csv.writer`` followed by ``end``: an
-    int as its ``str``, a string quoted once per distinct string."""
+def _csv_column(values: list | _Lines, end: str = ",") -> Iterable[str]:
+    """Each of ``values`` as a cell of ``csv.writer`` followed by ``end``: a
+    :class:`_Lines`' lines as they are, an int as its ``str``, a string
+    quoted once per distinct string."""
+    if type(values) is _Lines:
+        return map(operator.add, values.cells(), itertools.repeat(end))
     if values and type(values[0]) is int and set(map(type, values)) == {int}:
         return map(("{}" + end).format, values)
     distinct = set(values)
@@ -237,18 +236,19 @@ def _write_rows(fh, *columns: Iterable[str]) -> None:
 def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
 
-    A settled ledger's amounts are the lines of their payments
-    (:func:`_amount_lines`), a ledger read as lists puts each amount
+    A settled ledger's times and amounts are formatted from their gathers
+    (:func:`_ledger_column`), a ledger read as lists puts each amount
     through ``repr``, and the rows are joined in C by :func:`_write_rows`.
     """
     ledger = report.ledger
-    lines = (_amount_lines(ledger, _report_texts(report)) if ledger._lists is None
-             else map(repr, ledger._lists["amount"]))
+    amounts = _ledger_column(ledger, "amount")
+    amounts = amounts.cells() if type(amounts) is _Lines else map(repr, amounts)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(LEDGER_COLUMNS)
-        _write_rows(fh, *(_csv_column(ledger._column(name))
+        _write_rows(fh, *(_csv_column(_ledger_column(ledger, name))
                           for name in ("time", "payer", "payee", "feature")),
-                    lines, itertools.repeat(","), _csv_column(ledger._column("market"), "\r\n"))
+                    amounts, itertools.repeat(","),
+                    _csv_column(ledger._column("market"), "\r\n"))
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
@@ -257,8 +257,8 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
     Rows are ``step,agent,feature,amount,cumulative`` with CRLF line ends
     and floats by ``repr``, grouped by feature in sorted order, one per
     (integer) step; a report with no per-step series has one ``batch`` row
-    per feature in ``payments``.  A settled series' floats are the memo's
-    lines (:func:`_column_lines`), a series read as lists goes through
+    per feature in ``payments``.  A settled series' columns are formatted
+    by :func:`_array_lines`, a series read as lists goes through
     ``repr``, the ``agent,feature`` cells are quoted once per feature, and
     the rows are joined in C by :func:`_write_rows`.
     """
@@ -269,9 +269,9 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
         series = report.series if columns is None else columns
         if series and "payments" in series:
             lines = (partial(map, repr) if columns is None
-                     else partial(_column_lines, texts=_report_texts(report)))
-            steps = series["step"]
-            steps = list(_csv_column(steps if columns is None else steps.tolist()))
+                     else lambda column: _array_lines(column).cells())
+            steps = series["step"] if columns is None else _array_lines(series["step"])
+            steps = list(_csv_column(steps))
             for k in sorted(series["payments"]):
                 pays, running = (lines(series[name][k]) for name in ("payments", "cumulative"))
                 middle = _csv_cells(report.feature_owners.get(k, ""), k) + ","

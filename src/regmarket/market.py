@@ -173,15 +173,18 @@ class _Book:
     codes: np.ndarray
     series: dict
 
+    def gather(self, name: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The ``time`` or ``amount`` of entries ``lo`` to ``hi``, as a new array."""
+        rows = self.rows[lo:hi]
+        return self.steps[rows] if name == "time" else self.paid[rows, self.codes[lo:hi]]
+
     def column(self, name: str, lo: int = 0, hi: int | None = None) -> list:
         """Ledger column ``name`` of entries ``lo`` to ``hi``, as a new list."""
-        rows, codes = self.rows[lo:hi], self.codes[lo:hi]
-        if name == "time":
-            return self.steps[rows].tolist()
-        if name == "amount":
-            return self.paid[rows, codes].tolist()
+        if name in ("time", "amount"):
+            return self.gather(name, lo, hi).tolist()
+        codes = self.codes[lo:hi]
         if name in ("payer", "market"):
-            return [getattr(self, name)] * len(rows)
+            return [getattr(self, name)] * len(codes)
         return np.array(self.payees if name == "payee" else self.features,
                         dtype=object)[codes].tolist()
 

@@ -130,6 +130,35 @@ def test_derivatives_above_the_bound_load_scipy_special():
     assert json.loads(_fresh(probe)) == [False, True]
 
 
+# imports the package, clears a small online market and writes its
+# artifacts, then prints whether orjson was loaded after each step
+ORJSON_PROBE = """\
+import json, sys
+import regmarket, regmarket.cli
+loaded = ["orjson" in sys.modules]
+from regmarket import ScenarioSpec, generate, scenarios
+from regmarket.artifacts import write_artifacts
+from regmarket.market import run_online_market
+spec = ScenarioSpec("online-arx", T=300, seed=3)
+dataset, _ = generate(spec)
+report = run_online_market(dataset, scenarios.task_for_case(spec))
+loaded.append("orjson" in sys.modules)
+write_artifacts(report, sys.argv[1])
+loaded.append("orjson" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_orjson_is_loaded_by_the_first_write_only(tmp_path):
+    # the writers import orjson on their first column: importing the
+    # package and clearing a market do not pay for it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", ORJSON_PROBE, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout) == [False, False, True]
+
+
 # unpickles residuals and specs from standard input, no spec constructed in
 # the process, and pickles the bytes of the three loss functions' values
 UNPICKLED_SPECS = """\

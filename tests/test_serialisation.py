@@ -13,13 +13,13 @@ import dataclasses
 import gc
 import json
 import math
-import operator
 import tracemalloc
 import weakref
 from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +37,6 @@ from regmarket.artifacts import (
     _array_lines,
     _Lines,
     _iter_json,
-    _report_texts,
     report_to_json,
     write_artifacts,
     write_cumulative_csv,
@@ -340,7 +339,7 @@ def as_lines(obj):
         return {k: as_lines(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         if obj and all(type(v) is float for v in obj):
-            return _Lines(map(repr, obj))
+            return _Lines(",".join(map(repr, obj)))
         return type(obj)(map(as_lines, obj))
     return obj
 
@@ -501,40 +500,43 @@ def test_csv_writers_see_lists_changed_in_place_after_the_json(tmp_path, before,
     assert_artifacts_match(report, tmp_path)
 
 
-def test_column_lines_are_kept_for_the_report_written_last_only(tmp_path):
-    # the memo is keyed by column, and keeps the payment and running-total
-    # lines the CSV files write again, and nothing else
-    a, b = oos_report(), oos_report()
-    report_to_json(a, tmp_path / "a.json")
-    texts = _report_texts(a)
-    columns = settled_columns(a, "payments", "cumulative")
-    assert set(texts) == set(map(id, columns)) and len(columns) == 2 * len(a.support)
-    assert _report_texts(a) is texts
-    report_to_json(b, tmp_path / "b.json")
-    assert _report_texts(b) is not texts
-    # the memo holds no reference to its report: it goes, and its lines with it
-    texts = _report_texts(b)
-    gone = weakref.ref(b)
-    del b
+def test_writers_keep_nothing_of_a_settled_report_once_they_return(tmp_path):
+    # each writer formats what it writes and keeps no line of it, nor any
+    # reference to the report
+    report = oos_report()
+    write_artifacts(oos_report(), tmp_path)  # imports and compiled patterns
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        write_artifacts(report, tmp_path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096
+    gone = weakref.ref(report)
+    del report
     gc.collect()
-    assert gone() is None and not texts
+    assert gone() is None
 
 
 @pytest.mark.parametrize("first", ["report.json", "ledger.csv"])
-def test_streamed_ledger_amount_lines_are_the_payment_lines(tmp_path, monkeypatch, first):
-    # a ledger amount takes the line of its payment: ledger.csv puts each run
-    # of the payment columns through repr once and no amount on its own,
-    # and report.json, before or after it, does not format them again
+def test_ledger_times_and_amounts_are_formatted_from_gathers(tmp_path, monkeypatch, first):
+    # report.json and ledger.csv, in either order, each put the gathers of
+    # the ledger's times and amounts through orjson once, and no value
+    # through repr
     report = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
     assert report.ledger
-    calls = count_float_reprs(monkeypatch)
+    reprs = count_float_reprs(monkeypatch)
+    calls = count_formatted_columns(monkeypatch)
     second = "report.json" if first == "ledger.csv" else "ledger.csv"
-    WRITERS[first][0](report, tmp_path / first)
-    if first == "ledger.csv":
-        assert len(calls) == column_runs(report, "payments")
-    WRITERS[second][0](report, tmp_path / second)
+    for name in (first, second):
+        done = len(calls)
+        WRITERS[name][0](report, tmp_path / name)
+        assert collections.Counter(calls[done:]) == written_columns(report, name), name
     monkeypatch.undo()
-    assert len(calls) == column_runs(report, *SERIES_FLOATS)
+    assert reprs == []
     assert_artifacts_match(report, tmp_path)
 
 
@@ -547,20 +549,21 @@ def test_ledger_amounts_not_in_the_series_are_formatted_by_repr(tmp_path):
     assert_artifacts_match(report, tmp_path)
 
 
-def test_series_columns_are_formatted_once_across_the_four_writers(tmp_path, monkeypatch):
-    # the writers in the order the market command calls them: each run of
-    # bit-identical values in a series column goes through repr once for
-    # all four, and a ledger amount never does
+def test_each_settled_column_reaches_orjson_once_per_writer_that_writes_it(tmp_path,
+                                                                           monkeypatch):
+    # the writers in the order the market command calls them: each formats
+    # every settled column it writes in one orjson call, and no finite
+    # value goes through repr
     report = oos_report()
     assert report.ledger
-    calls = count_float_reprs(monkeypatch)
-    for write, _ in WRITERS.values():
+    reprs = count_float_reprs(monkeypatch)
+    calls = count_formatted_columns(monkeypatch)
+    for name, (write, _) in WRITERS.items():
+        done = len(calls)
         write(report, tmp_path / "out")
+        assert collections.Counter(calls[done:]) == written_columns(report, name), name
     monkeypatch.undo()
-    assert len(calls) == column_runs(report, *SERIES_FLOATS)
-    # every formatted value is one of the series' own
-    assert set(calls) <= {b for column in settled_columns(report, *SERIES_FLOATS)
-                          for b in bits(column).tolist()}
+    assert reprs == []
     assert_artifacts_match(report, tmp_path)
 
 
@@ -658,24 +661,18 @@ def test_non_int_steps_and_times_are_cells_as_csv_writes_them(tmp_path):
     assert_artifacts_match(report, tmp_path)
 
 
-# -- settled reports keep columns, and the writers format each run once --------
+# -- settled reports keep columns, and each writer formats them in one call ---
 
 # quiet NaNs with different payloads, and the same NaN with its sign bit set
 NAN_BITS = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000001],
                     dtype=np.uint64)
-SPECIAL = np.concatenate([[0.0, -0.0, 1.0], NAN_BITS.view(float)])
+SPECIAL = np.concatenate([[0.0, -0.0, 1.0, np.inf, -np.inf], NAN_BITS.view(float)])
 # the float columns of a settled series; "step" holds ints
 SERIES_FLOATS = ("surplus", "central_payment", "payments", "cumulative", "allocations")
 
 
 def bits(values) -> np.ndarray:
     return np.array(values, dtype=float).view(np.uint64)
-
-
-def runs(column) -> int:
-    """The number of runs of bit-identical neighbours in a column."""
-    b = bits(column)
-    return int(len(b) > 0) + int(np.count_nonzero(b[1:] != b[:-1]))
 
 
 def settled_columns(report, *names) -> list[np.ndarray]:
@@ -686,9 +683,18 @@ def settled_columns(report, *names) -> list[np.ndarray]:
                            else [series[name]])]
 
 
-def column_runs(report, *names) -> int:
-    """The runs in every column of the settled series ``names``."""
-    return sum(map(runs, settled_columns(report, *names)))
+def column_key(column: np.ndarray) -> tuple[str, bytes]:
+    return column.dtype.str, column.tobytes()
+
+
+def written_columns(report, writer: str) -> collections.Counter:
+    """The settled columns ``writer`` writes, each once: series columns and
+    the gathers of the ledger's times and amounts, as :func:`column_key`."""
+    series = {"report.json": ("step", *SERIES_FLOATS),
+              "cumulative_revenues.csv": ("step", "payments", "cumulative")}.get(writer, ())
+    ledger = ("time", "amount") if writer in ("report.json", "ledger.csv") else ()
+    return collections.Counter(map(column_key, settled_columns(report, *series)
+                                   + [report._book.gather(name) for name in ledger]))
 
 
 def count_float_reprs(monkeypatch) -> list:
@@ -705,34 +711,84 @@ def count_float_reprs(monkeypatch) -> list:
     return calls
 
 
-def test_array_lines_keep_zero_signs_and_nan_payloads_apart(monkeypatch):
-    column = SPECIAL[[0, 0, 1, 1, 0, 3, 3, 4, 5, 5, 2, 2, 2]]
-    calls = count_float_reprs(monkeypatch)
-    lines = _array_lines(column)
-    assert lines == list(map(repr, column.tolist()))
-    # 0.0, -0.0, 0.0, three NaNs and 1.0: seven runs, one repr each
-    assert len(calls) == runs(column) == 7
-    same_bits = (bits(column)[1:] == bits(column)[:-1]).tolist()
-    assert list(map(operator.is_, lines[1:], lines)) == same_bits
+def count_formatted_columns(monkeypatch) -> list:
+    """Patch the writers' :func:`_array_lines` and ``orjson.dumps``; the
+    returned list gets the :func:`column_key` of each column formatted,
+    and each column must be formatted by one orjson call."""
+    calls, dumped = [], []
+    dumps, array_lines = orjson.dumps, artifacts._array_lines
+
+    def counting_dumps(value, *args, **kwargs):
+        dumped.append(value)
+        return dumps(value, *args, **kwargs)
+
+    def counting_lines(column):
+        done = len(dumped)
+        lines = array_lines(column)
+        assert len(dumped) == done + 1
+        calls.append(column_key(column))
+        return lines
+
+    monkeypatch.setattr(orjson, "dumps", counting_dumps)
+    monkeypatch.setattr(artifacts, "_array_lines", counting_lines)
+    return calls
+
+
+def test_array_lines_put_only_non_finite_values_through_repr(monkeypatch):
+    column = np.concatenate([SPECIAL[[0, 0, 1, 1, 0, 3, 4, 5, 5, 6, 7, 7, 2, 2, 2]],
+                             [1.5e-5, -1e-5, 1e-6, 1e16]])
+    reprs = count_float_reprs(monkeypatch)
+    calls = count_formatted_columns(monkeypatch)
+    lines = artifacts._array_lines(column)
+    assert lines == ",".join(map(repr, column.tolist()))
+    # inf, -inf and five NaNs, one repr each, in one orjson call
+    assert sorted(reprs) == sorted(bits(column[~np.isfinite(column)]).tolist())
+    assert len(reprs) == 7 and len(calls) == 1
     # a strided column, as a series takes it from its matrix
     matrix = np.stack([column, column[::-1]], axis=1)
     for j in range(2):
-        assert _array_lines(matrix[:, j]) == list(map(repr, matrix[:, j].tolist()))
-    assert _array_lines(np.array([])) == []
+        assert (artifacts._array_lines(matrix[:, j])
+                == ",".join(map(repr, matrix[:, j].tolist())))
+    empty = artifacts._array_lines(np.array([]))
+    assert empty == "" and empty.cells() == []
+    assert len(calls) == 4 and len(reprs) == 21
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(SPECIAL.tolist()) | st.floats(-5.0, 5.0), max_size=40),
-       st.lists(st.integers(-2**63, 2**63 - 1), max_size=10))
-def test_array_lines_format_each_run_once(floats, ints):
+def shifted_bits(base: float) -> st.SearchStrategy:
+    """Floats a few million ulps or less from ``base``, either sign."""
+    return st.tuples(st.integers(-2**22, 2**22), st.booleans()).map(
+        lambda c: (-1.0 if c[1] else 1.0)
+        * np.array(np.float64(base).view(np.uint64) + np.int64(c[0])).view(float).item())
+
+
+ANY_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: np.array(b, dtype=np.uint64).view(float).item())
+NEAR_BOUNDARIES = st.sampled_from([1e-5, 1e-4, 1e16]).flatmap(shifted_bits)
+FLOAT64S = (ANY_BITS | NEAR_BOUNDARIES | st.sampled_from(SPECIAL.tolist() + [5e-324])
+            | st.floats(1e-6, 1e17) | st.floats(allow_nan=True, allow_infinity=True))
+INT64S = st.sampled_from([-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 1]) | st.integers(-2**63,
+                                                                                 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOAT64S, max_size=40), st.lists(INT64S, max_size=10), st.integers(1, 3))
+def test_array_lines_are_the_joined_reprs_of_any_column(floats, ints, stride):
+    # the contract with orjson's float writer: every float64 bit pattern,
+    # dense draws around both ends of repr's positional notation, and int64
+    # extremes, contiguous, strided and empty; repr formats only non-finite
+    # values
     column = np.array(floats, dtype=float)
+    matrix = np.repeat(column, stride).reshape(-1, stride)
     calls = []
     with mock.patch.object(artifacts, "repr", lambda v: calls.append(v) or repr(v),
                            create=True):
-        lines = _array_lines(column)
-    assert lines == list(map(repr, column.tolist()))
-    assert len(calls) == runs(column)
-    assert _array_lines(np.array(ints, dtype=np.int64)) == list(map(repr, ints))
+        for c in (column, column[::stride], matrix[:, stride - 1]):
+            assert _array_lines(c) == ",".join(map(repr, c.tolist()))
+    assert len(calls) == sum(int(np.count_nonzero(~np.isfinite(c)))
+                             for c in (column, column[::stride], matrix[:, stride - 1]))
+    ints = np.array(ints, dtype=np.int64)
+    for c in (ints, ints[::stride]):
+        assert _array_lines(c) == ",".join(map(repr, c.tolist()))
 
 
 RUN_PAYMENT = st.sampled_from([0.0, -0.0, -1.5, 0.5, 2.0]) | st.floats(-5.0, 5.0)
@@ -745,7 +801,7 @@ RUN_PAYMENT = st.sampled_from([0.0, -0.0, -1.5, 0.5, 2.0]) | st.floats(-5.0, 5.0
                                st.lists(st.booleans(), min_size=K, max_size=K),
                                st.lists(st.integers(0, len(SPECIAL) - 1), min_size=T,
                                         max_size=T)))))
-def test_settled_columns_are_formatted_once_per_run(tmp_path_factory, case):
+def test_settled_columns_are_formatted_once_per_writer(tmp_path_factory, case):
     rows, zero_columns, surplus_picks = case
     amounts = np.array(rows, dtype=float)
     amounts[:, zero_columns] = 0.0
@@ -770,13 +826,14 @@ def test_settled_columns_are_formatted_once_per_run(tmp_path_factory, case):
         assert np.array_equal(bits(columns["cumulative"][k]),
                               bits(np.cumsum(paid[:, j].tolist())))
 
-    # across the four writers each run of a float column goes through repr
-    # once, and nothing else does: the ledger's amounts take the payments'
-    calls = []
-    with mock.patch.object(artifacts, "repr",
-                           lambda v: (type(v) is float and calls.append(v)) or repr(v),
-                           create=True):
-        for write, _ in WRITERS.values():
+    # each writer puts each settled column it writes through orjson once,
+    # and repr formats only the non-finite surplus values report.json writes
+    with pytest.MonkeyPatch.context() as patch:
+        reprs = count_float_reprs(patch)
+        calls = count_formatted_columns(patch)
+        for name, (write, _) in WRITERS.items():
+            done = len(calls)
             write(report, tmp_path_factory.mktemp("runs") / "out")
-    assert len(calls) == column_runs(report, *SERIES_FLOATS)
+            assert collections.Counter(calls[done:]) == written_columns(report, name), name
+    assert sorted(reprs) == sorted(bits(surplus[~np.isfinite(surplus)]).tolist())
     assert_artifacts_match(report, tmp_path_factory.mktemp("runs"))
