@@ -21,14 +21,16 @@ case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .batch import CoalitionLossTable, enumerate_coalitions
+from .batch import CoalitionLossTable, coalition_bits, enumerate_coalitions
 from .errors import CoverageError, NoSurplusError, ParameterError
 
 ORIGINAL = "original"
@@ -77,43 +79,78 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
 
     Losses may be scalars or equal-length arrays; arrays give a Shapley
     trajectory per time step in one pass, and the largest marginal is then
-    taken per element.  Each marginal is transformed, weighted and added
-    in place on arrays; scalars give Python floats.  Without ``peaks`` the
-    marginals are None and the sums are the same bits.
+    taken per element.  Each coalition's loss is looked up once and indexed
+    by its bit mask over ``players``, which must be distinct.  A player's
+    marginals run over the coalitions without it, sizes ascending, then in
+    ``itertools`` combination order.  On arrays each marginal is
+    transformed, weighted and added in place.  A scalar game takes a
+    player's marginals as one array, transforms and weights them, and adds
+    them left to right in Python floats.  Without ``peaks`` the marginals
+    are None and the sums are the same bits.
     """
     players = tuple(players)
     if variant not in (ORIGINAL, ZERO, ABSOLUTE):
         raise ParameterError(f"unknown Shapley variant {variant!r}")
-    missing = [c for c in enumerate_coalitions(players) if c not in losses]
-    if missing:
+    m = len(players)
+    if len(set(players)) < m:
+        raise ParameterError(f"players must be distinct, not {list(players)}")
+    try:
+        found = [losses[frozenset(combo)] for size in range(m + 1)
+                 for combo in itertools.combinations(players, size)]
+    except KeyError:
+        missing = [c for c in enumerate_coalitions(players) if c not in losses]
         raise CoverageError(
             f"loss table missing {len(missing)} coalitions, e.g. {sorted(missing[0])}",
-            missing=missing)
-    m = len(players)
-    weights = [shapley_weight(s, m) for s in range(m)]
-    shape = np.shape(losses[frozenset()])
+            missing=missing) from None
+    masks = coalition_bits(m)   # in the order of found
+    sizes = np.repeat(np.arange(m + 1), [math.comb(m, s) for s in range(m + 1)])
+    weights = np.array([shapley_weight(s, m) for s in range(m)])
+    walks = []   # per player: its bit, and the masks and weights of the coalitions without it
+    for i in range(m):
+        free = masks & (1 << i) == 0
+        walks.append((1 << i, masks[free], weights[sizes[free]]))
+    shape = np.shape(found[0])
     contribs: dict[str, float | np.ndarray] = {}
     max_marginal: dict[str, float | np.ndarray] | None = {} if peaks else None
-    for k in players:
-        rest = [p for p in players if p != k]
-        total = np.zeros(shape) if shape else 0.0
-        peak = np.zeros(shape) if shape else 0.0
-        for size in range(m):
-            w = weights[size]
-            for combo in itertools.combinations(rest, size):
-                sub = frozenset(combo)
-                diff = losses[sub] - losses[sub | {k}]
+    if not shape:
+        table = np.empty(len(found))
+        table[masks] = found
+        # no warnings, as Python floats raise none
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (bit, subs, subs_weights) in zip(players, walks):
+                diff = table[subs] - table[subs | bit]
                 if peaks:
-                    peak = np.maximum(peak, np.abs(diff), out=peak if shape else None)
+                    size = np.abs(diff)
+                    nan = np.isnan(size)
+                    # the first NaN, as a running maximum keeps it
+                    max_marginal[k] = float(size[nan][0] if nan.any()
+                                            else size.max(initial=0.0))
                 if variant == ZERO:
-                    diff = np.maximum(diff, 0.0, out=diff) if shape else max(diff, 0.0)
+                    np.maximum(diff, 0.0, out=diff)
                 elif variant == ABSOLUTE:
-                    diff = np.abs(diff, out=diff) if shape else abs(diff)
-                diff *= w
-                total += diff
-        contribs[k] = total if shape else float(total)
+                    np.abs(diff, out=diff)
+                diff *= subs_weights
+                contribs[k] = functools.reduce(operator.add, diff.tolist(), 0.0)
+        return contribs, max_marginal
+    table = [None] * len(found)
+    for mask, value in zip(masks.tolist(), found):
+        table[mask] = value
+    for k, (bit, subs, subs_weights) in zip(players, walks):
+        total = np.zeros(shape)
+        peak = np.zeros(shape)
+        for sub, w in zip(subs.tolist(), subs_weights.tolist()):
+            diff = table[sub] - table[sub | bit]
+            if peaks:
+                np.maximum(peak, np.abs(diff), out=peak)
+            if variant == ZERO:
+                np.maximum(diff, 0.0, out=diff)
+            elif variant == ABSOLUTE:
+                np.abs(diff, out=diff)
+            diff *= w
+            total += diff
+        contribs[k] = total
         if peaks:
-            max_marginal[k] = peak if shape else float(peak)
+            max_marginal[k] = peak
     return contribs, max_marginal
 
 

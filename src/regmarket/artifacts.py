@@ -8,7 +8,10 @@ A settled report keeps its series and its ledger as columns
 (:class:`~regmarket.market.MarketReport`).  :func:`_array_lines` formats
 such a float64 or int64 column in one ``orjson`` call, as its ``repr``
 lines joined by commas; each writer formats the columns it writes, a
-settled ledger's times and amounts from their gathers, and keeps nothing.
+settled ledger's times and amounts from their gathers, and keeps nothing;
+``ledger.csv`` quotes a settled ledger's names once per feature and
+gathers them by the entries' feature codes.  The CSV writers lay out
+each block of rows in one list.
 A series or ledger read as lists is written by the encoders that define
 its bytes, the C ``json`` encoder and ``repr``.
 """
@@ -19,9 +22,7 @@ import csv
 import io
 import itertools
 import json
-import operator
 import re
-from collections.abc import Iterable
 from dataclasses import fields
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -211,44 +212,66 @@ def _csv_cells(*cells: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def _csv_column(values: list | _Lines, end: str = ",") -> Iterable[str]:
-    """Each of ``values`` as a cell of ``csv.writer`` followed by ``end``: a
-    :class:`_Lines`' lines as they are, an int as its ``str``, a string
-    quoted once per distinct string."""
+def _csv_column(values: list | _Lines) -> list[str]:
+    """Each of ``values`` as a cell of ``csv.writer``: a :class:`_Lines`'
+    lines as they are, an int as its ``str``, a string quoted once per
+    distinct string."""
     if type(values) is _Lines:
-        return map(operator.add, values.cells(), itertools.repeat(end))
+        return values.cells()
     if values and type(values[0]) is int and set(map(type, values)) == {int}:
-        return map(("{}" + end).format, values)
+        return list(map(str, values))
     distinct = set(values)
     if all(type(v) is str for v in distinct):
-        return map({v: _csv_cells(v) + end for v in distinct}.__getitem__, values)
-    return (_csv_cells(v) + end for v in values)
+        return list(map({v: _csv_cells(v) for v in distinct}.__getitem__, values))
+    return [_csv_cells(v) for v in values]
 
 
-def _write_rows(fh, *columns: Iterable[str]) -> None:
-    """Write rows of one text per column, the last ending the row, joined in C."""
-    rows = zip(*columns)
-    while block := "".join(itertools.chain.from_iterable(
-            itertools.islice(rows, ROWS_PER_WRITE))):
-        fh.write(block)
+def _write_rows(fh, *columns: str | list[str]) -> None:
+    """Write rows of one text per column, the last ending the row.
+
+    A str column is the same text on every row; a list holds one text per
+    row.  Each block of ``ROWS_PER_WRITE`` rows is laid out in one list,
+    the constant texts once and each other column by one extended-slice
+    assignment, and joined in C.
+    """
+    width = len(columns)
+    varying = [(j, column) for j, column in enumerate(columns) if not isinstance(column, str)]
+    count = min(len(column) for _, column in varying)
+    block = [column if isinstance(column, str) else "" for column in columns]
+    block *= min(count, ROWS_PER_WRITE)
+    for lo in range(0, count, ROWS_PER_WRITE):
+        rows = min(count - lo, ROWS_PER_WRITE)
+        del block[rows * width:]
+        for j, column in varying:
+            block[j::width] = column[lo:lo + rows]
+        fh.write("".join(block))
 
 
 def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
 
     A settled ledger's times and amounts are formatted from their gathers
-    (:func:`_ledger_column`), a ledger read as lists puts each amount
-    through ``repr``, and the rows are joined in C by :func:`_write_rows`.
+    (:func:`_ledger_column`); its ``payer,payee,feature`` cells are quoted
+    once per feature and gathered by code, and its market cell once.  A
+    ledger read as lists puts each amount through ``repr`` and quotes each
+    distinct name once per column.  :func:`_write_rows` lays out the rows.
     """
     ledger = report.ledger
+    times = _csv_column(_ledger_column(ledger, "time"))
     amounts = _ledger_column(ledger, "amount")
-    amounts = amounts.cells() if type(amounts) is _Lines else map(repr, amounts)
+    amounts = amounts.cells() if type(amounts) is _Lines else list(map(repr, amounts))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(LEDGER_COLUMNS)
-        _write_rows(fh, *(_csv_column(_ledger_column(ledger, name))
-                          for name in ("time", "payer", "payee", "feature")),
-                    amounts, itertools.repeat(","),
-                    _csv_column(ledger._column("market"), "\r\n"))
+        if ledger._lists is None:
+            book = ledger._book
+            names = book.by_code(f",{_csv_cells(book.payer, payee, feature)},"
+                                 for payee, feature in zip(book.payees, book.features))
+            _write_rows(fh, times, names, amounts, f",{_csv_cells(book.market)}\r\n")
+        else:
+            payer, payee, feature, market = (_csv_column(ledger._column(name))
+                                             for name in ("payer", "payee", "feature", "market"))
+            _write_rows(fh, times, ",", payer, ",", payee, ",", feature, ",", amounts, ",",
+                        market, "\r\n")
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
@@ -268,15 +291,14 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
         columns = report._series_columns()
         series = report.series if columns is None else columns
         if series and "payments" in series:
-            lines = (partial(map, repr) if columns is None
+            lines = ((lambda values: list(map(repr, values))) if columns is None
                      else lambda column: _array_lines(column).cells())
-            steps = series["step"] if columns is None else _array_lines(series["step"])
-            steps = list(_csv_column(steps))
+            steps = _csv_column(series["step"] if columns is None
+                                else _array_lines(series["step"]))
             for k in sorted(series["payments"]):
                 pays, running = (lines(series[name][k]) for name in ("payments", "cumulative"))
-                middle = _csv_cells(report.feature_owners.get(k, ""), k) + ","
-                _write_rows(fh, steps, itertools.repeat(middle), pays, itertools.repeat(","),
-                            running, itertools.repeat("\r\n"))
+                middle = f",{_csv_cells(report.feature_owners.get(k, ''), k)},"
+                _write_rows(fh, steps, middle, pays, ",", running, "\r\n")
         else:
             running = 0.0
             for k in sorted(report.payments):

@@ -293,20 +293,36 @@ def check_enumeration_cap(support, cap: int) -> None:
             f"({cap}); {CAP_REMEDY}")
 
 
+def coalition_bits(m: int) -> np.ndarray:
+    """The bit mask of every coalition of ``m`` players, player ``i`` as bit
+    ``i``, in the order of :func:`enumerate_coalitions`: sizes ascending,
+    then ``itertools.combinations``."""
+    bits = [1 << i for i in range(m)]
+    return np.array([sum(combo) for size in range(m + 1)
+                     for combo in itertools.combinations(bits, size)], dtype=np.int64)
+
+
 def coalition_masks(design: AugmentedDesign, central: frozenset[str], support: tuple[str, ...],
                     cap: int) -> tuple[list[frozenset], np.ndarray]:
     """Every coalition of ``support``, within the enumeration ``cap``, and
     the ``(C, n)`` mask of the design columns each one sees on top of
-    ``central``."""
+    ``central``: the columns whose terms use no feature outside ``central``
+    and the coalition, counted by one integer matrix product."""
     support = tuple(sorted(support))
     check_enumeration_cap(support, cap)
     central = frozenset(central)
     coalition_design(design, central, support)   # checks the features
-    coalitions = list(enumerate_coalitions(support))
-    masks = np.zeros((len(coalitions), design.n), dtype=bool)
-    for j, coalition in enumerate(coalitions):
-        masks[j, design.columns_for(central | coalition)] = True
-    return coalitions, masks
+    features = design.market_features
+    # (F, n): term uses feature; (C, m): coalition holds support feature;
+    # (m, F): support feature is feature
+    uses = np.array([[f in t.support for t in design.terms] for f in features],
+                    dtype=np.int64).reshape(len(features), design.n)
+    member = (coalition_bits(len(support))[:, None] >> np.arange(len(support))) & 1
+    place = np.array([[f == k for f in features] for k in support],
+                     dtype=np.int64).reshape(len(support), len(features))
+    # central and support are disjoint, so no feature is counted inside twice
+    outside = 1 - (member @ place + np.array([f in central for f in features], dtype=np.int64))
+    return list(enumerate_coalitions(support)), outside @ uses == 0
 
 
 def fit_all_coalitions(design: AugmentedDesign, y: np.ndarray, *,

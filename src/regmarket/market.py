@@ -182,11 +182,14 @@ class _Book:
         """Ledger column ``name`` of entries ``lo`` to ``hi``, as a new list."""
         if name in ("time", "amount"):
             return self.gather(name, lo, hi).tolist()
-        codes = self.codes[lo:hi]
         if name in ("payer", "market"):
-            return [getattr(self, name)] * len(codes)
-        return np.array(self.payees if name == "payee" else self.features,
-                        dtype=object)[codes].tolist()
+            return [getattr(self, name)] * len(self.codes[lo:hi])
+        return self.by_code(self.payees if name == "payee" else self.features, lo, hi)
+
+    def by_code(self, texts: Iterable[str], lo: int = 0, hi: int | None = None) -> list:
+        """One of ``texts``, given per feature, for each of entries ``lo``
+        to ``hi``, by its feature code, as a new list."""
+        return np.array(list(texts), dtype=object)[self.codes[lo:hi]].tolist()
 
 
 class Ledger(Sequence):
@@ -388,6 +391,9 @@ def _prepare(dataset: Dataset, task: TaskSpec, market: str,
         raise FeatureLookupError(f"support names {unknown}, which are not support features "
                                  f"of the task: {list(all_support)}")
     chosen = tuple(sorted(support)) if support is not None else all_support
+    repeated = sorted({k for k, j in zip(chosen, chosen[1:]) if k == j})
+    if repeated:
+        raise ParameterError(f"support names {repeated} are given more than once")
     oos = market == "oos"
     if market != "batch" and has_mixed_terms(design, central, chosen):
         raise ParameterError(f"{'out-of-sample' if oos else market} market requires a "
@@ -697,10 +703,14 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     grand = frozenset(chosen)
     scale = task.loss_scale * report.phi
     surplus = losses_by_coalition[frozenset()] - losses_by_coalition[grand]
-    contribs, _ = step_contributions(losses_by_coalition, chosen,
-                                     POLICY_VARIANT[task.oos_allocation_policy],
+    # only the steps with a positive surplus pay, so only they are allocated
+    paying = surplus > 0
+    contribs, _ = step_contributions({c: v[paying] for c, v in losses_by_coalition.items()},
+                                     chosen, POLICY_VARIANT[task.oos_allocation_policy],
                                      peaks=False)
-    paid = {k: np.where(surplus > 0, contribs[k], 0.0) for k in chosen}
+    paid = {k: np.zeros(len(surplus)) for k in chosen}
+    for k in chosen:
+        paid[k][paying] = contribs[k]
     # period-level shares: summed paid contributions over summed surplus
     total = float(np.sum(np.maximum(surplus, 0.0)))
     shares = {k: float(np.sum(np.maximum(paid[k], 0.0))) / total if total > 0 else 0.0
@@ -778,8 +788,10 @@ def audit_ledger(report: MarketReport) -> AuditResult:
     """Verify the market-design properties on a finished report."""
     checks: dict[str, dict] = {}
 
-    amounts = report.ledger._column("amount")
-    ledger_total = math.fsum(amounts)
+    ledger = report.ledger
+    amounts = (ledger._book.gather("amount") if ledger._lists is None
+               else np.array(ledger._lists["amount"], dtype=float))
+    ledger_total = math.fsum(amounts.tolist())
     gap = abs(report.central_total - ledger_total)
     tol = 1e-9 * max(abs(report.central_total), 1e-12)
     checks["budget_balance"] = {
@@ -790,11 +802,12 @@ def audit_ledger(report: MarketReport) -> AuditResult:
     }
 
     # each amount and payment on its own, so that a NaN fails wherever it
-    # stands; min() would pass or fail it by its position
+    # stands, and NumPy's min, which is NaN wherever a NaN stands; Python's
+    # min() would pass or fail it, and keep it or not, by its position
     checks["individual_rationality"] = {
-        "passed": all(a >= 0.0 for a in amounts)
+        "passed": bool(np.all(amounts >= 0.0))
         and all(v >= 0.0 for v in report.payments.values()),
-        "min_ledger_amount": min(amounts, default=0.0),
+        "min_ledger_amount": float(amounts.min()) if amounts.size else 0.0,
     }
 
     recomputed: dict[str, float] = {}
