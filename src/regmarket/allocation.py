@@ -16,7 +16,8 @@ step in one array pass, under the Shapley variants or either leave-one-out
 variant: :func:`step_contributions` gives the unnormalised contributions
 and :func:`step_allocations` divides them by each step's surplus, with the
 zero snap applied step by step.  :func:`instant_allocation` is its one-step
-case.
+case, and :func:`shapley_allocation` and :func:`loo_allocation` apply that
+case to a coalition loss table with a positive surplus.
 """
 
 from __future__ import annotations
@@ -154,48 +155,30 @@ def shapley_contributions(losses: Mapping[frozenset, float], players: Sequence[s
     return contribs, max_marginal
 
 
-def _snap_and_normalise(contribs, max_marginal, normalizer, policy) -> AllocationVector:
-    scale = max(1.0, abs(normalizer))
-    values = {}
-    for k, v in contribs.items():
-        if max_marginal[k] <= _DUMMY_SNAP * scale:
-            values[k] = 0.0
-        else:
-            values[k] = float(v) / normalizer
-    return AllocationVector(values=values, policy=policy, normalizer=normalizer)
+def _table_allocation(table: CoalitionLossTable, variant: str) -> AllocationVector:
+    if not table.surplus > 0:
+        raise NoSurplusError(
+            f"loss improvement is {table.surplus:.3e}; market clears at zero")
+    return instant_allocation(table.losses, table.support, variant)
 
 
 def shapley_allocation(table: CoalitionLossTable,
                        variant: str = ORIGINAL) -> AllocationVector:
     """Shapley shares of the support features' surplus (the coalition game
-    over support features, every coalition fitted on top of the central ones)."""
-    normalizer = table.surplus
-    if normalizer <= 0:
-        raise NoSurplusError(
-            f"loss improvement is {normalizer:.3e}; market clears at zero")
-    contribs, peaks = shapley_contributions(table.losses, table.support, variant)
-    return _snap_and_normalise(contribs, peaks, normalizer, _VARIANT_LABEL[variant])
+    over support features, every coalition fitted on top of the central
+    ones): the table's one-step case of :func:`step_allocations`."""
+    if variant not in (ORIGINAL, ZERO, ABSOLUTE):
+        raise ParameterError(f"unknown Shapley variant {variant!r}")
+    return _table_allocation(table, variant)
 
 
-def loo_allocation(table: CoalitionLossTable, variant: str = "drop-one") -> AllocationVector:
+def loo_allocation(table: CoalitionLossTable, variant: str = DROP_ONE) -> AllocationVector:
     """Leave-one-out shares: drop a feature from the grand coalition, or add
-    it to the central model alone."""
-    normalizer = table.surplus
-    if normalizer <= 0:
-        raise NoSurplusError(
-            f"loss improvement is {normalizer:.3e}; market clears at zero")
-    full = frozenset(table.support)
-    values = {}
-    for k in table.support:
-        if variant == DROP_ONE:
-            diff = table.losses[full - {k}] - table.full_loss
-        elif variant == ADD_ONE:
-            diff = table.central_loss - table.losses[frozenset({k})]
-        else:
-            raise ParameterError(f"unknown leave-one-out variant {variant!r}")
-        values[k] = diff / normalizer
-    return AllocationVector(values=values, policy=_VARIANT_LABEL[variant],
-                            normalizer=normalizer)
+    it to the central model alone; the table's one-step case of
+    :func:`step_allocations`."""
+    if variant not in (DROP_ONE, ADD_ONE):
+        raise ParameterError(f"unknown leave-one-out variant {variant!r}")
+    return _table_allocation(table, variant)
 
 
 @dataclass(frozen=True)
@@ -228,11 +211,18 @@ def step_contributions(losses: Mapping[frozenset, np.ndarray], features: Sequenc
     full = frozenset(features)
     if frozenset() not in losses or full not in losses:
         raise CoverageError("loss map must contain empty and grand coalitions")
+    if variant not in (DROP_ONE, ADD_ONE):
+        return shapley_contributions(losses, features, variant, peaks)
+    # each feature's other coalition: the grand one without it, or it alone
+    other = {k: full - {k} if variant == DROP_ONE else frozenset({k}) for k in features}
+    missing = [c for c in other.values() if c not in losses]
+    if missing:
+        raise CoverageError(
+            f"loss map missing {len(missing)} coalitions, e.g. {sorted(missing[0])}",
+            missing=missing)
     if variant == DROP_ONE:
-        return {k: losses[full - {k}] - losses[full] for k in features}, None
-    if variant == ADD_ONE:
-        return {k: losses[frozenset()] - losses[frozenset({k})] for k in features}, None
-    return shapley_contributions(losses, features, variant, peaks)
+        return {k: losses[c] - losses[full] for k, c in other.items()}, None
+    return {k: losses[frozenset()] - losses[c] for k, c in other.items()}, None
 
 
 def step_allocations(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],

@@ -185,8 +185,9 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
     feat_arrs = {n: np.asarray(v, dtype=float) for n, v in feats.items()}
     if schema.capacities:
         for name, cap in schema.capacities.items():
-            if cap <= 0:
-                raise ParameterError(f"nominal capacity for {name!r} must be positive")
+            if not 0 < cap < np.inf:
+                raise ParameterError(
+                    f"nominal capacity for {name!r} must be finite and positive, not {cap!r}")
             if name == schema.target:
                 target_arr = target_arr / cap
             elif name in feat_arrs:

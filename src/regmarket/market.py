@@ -644,8 +644,12 @@ def _stream_session(design, y, central, support,
                     task: TaskSpec) -> tuple[OnlineSession, int, SessionTrace]:
     """A session over every coalition of ``support``, within the task's
     enumeration cap and initialised by its policy, its first streamed row,
-    and the trace of streaming the rows from there."""
+    and the trace of streaming the rows from there.  No coalition fits a
+    column that is zero on every row the session sees, warm-up included."""
     check_enumeration_cap(support, task.enumeration_cap)
+    nonzero = design.values.any(axis=0)
+    if not nonzero.all():
+        design = design.subset(np.flatnonzero(nonzero))
     X = design.values
     session = OnlineSession(design, central, list(enumerate_coalitions(support)),
                             task.lam, task.loss)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -59,10 +60,40 @@ class ScenarioSpec:
         if unknown:
             raise ParameterError(f"unknown {self.case} parameter(s) {', '.join(unknown)}; "
                                  f"accepted: {', '.join(accepted)}")
+        for key, default in _CASES[self.case]["params"].items():
+            if key in self.params:
+                _check_override(key, self.params[key], default)
 
     @property
     def rows(self) -> int:
         return self.T if self.T is not None else _CASES[self.case]["rows"]
+
+
+# the least value of the generator parameters that have one
+_LEAST = {"sigma_eps": 0, "burn": 0, "n_agents": 1}
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+def _check_override(key: str, value, default) -> None:
+    """Raise ParameterError unless ``value`` has the form of the generator
+    default it replaces: a finite number for a float, an integer for an
+    int, and a mapping of the same keys to finite numbers for a dict."""
+    if isinstance(default, dict):
+        valid = (isinstance(value, Mapping) and set(value) == set(default)
+                 and all(_is_finite_number(v) for v in value.values()))
+        form = f"a mapping of {', '.join(sorted(default))} to finite numbers"
+    else:
+        valid = is_integer(value) if isinstance(default, int) else _is_finite_number(value)
+        form = "an integer" if isinstance(default, int) else "a finite number"
+        if key in _LEAST:
+            valid = valid and value >= _LEAST[key]
+            form += f" >= {_LEAST[key]}"
+    if not valid:
+        raise ParameterError(f"{key} must be {form}, not {value!r}")
 
 
 def stream(seed: int, name: str) -> np.random.Generator:

@@ -1,13 +1,16 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from regmarket import (
     CoalitionLossTable,
+    CoverageError,
     NoSurplusError,
     ParameterError,
     instant_allocation,
@@ -86,6 +89,24 @@ def test_loo_no_surplus_error():
         loo_allocation(table)
     with pytest.raises(NoSurplusError):
         shapley_allocation(table)
+
+
+@pytest.mark.parametrize("variant, missing", [
+    (DROP_ONE, (frozenset({"b", "c"}), frozenset({"a", "c"}))),
+    (ADD_ONE, (frozenset({"a"}), frozenset({"c"}))),
+])
+def test_leave_one_out_over_an_incomplete_map_names_what_it_lacks(variant, missing):
+    # drop-one reads the grand coalition less each feature, add-one each
+    # feature alone; besides the ends the map has {b} and {a, b} only
+    losses = {frozenset(): 1.0, frozenset({"b"}): 0.7, frozenset({"a", "b"}): 0.6,
+              frozenset({"a", "b", "c"}): 0.5}
+    message = re.escape(f"loss map missing 2 coalitions, e.g. {sorted(missing[0])}")
+    with pytest.raises(CoverageError, match=message) as err:
+        step_allocations(losses, ("c", "b", "a"), variant)
+    assert err.value.missing == missing
+    with pytest.raises(CoverageError, match=message) as err:
+        loo_allocation(make_table(("a", "b", "c"), losses), variant)
+    assert err.value.missing == missing
 
 
 # -- exact Shapley -----------------------------------------------------------
@@ -234,8 +255,8 @@ def test_one_pass_allocation_equals_instant_allocation_per_step(policy):
             assert series.values[k][t] == inst[k]
         if not inst.no_surplus:
             table = make_table(features, {c: float(v[t]) for c, v in losses.items()})
-            oracle = (loo_allocation(table, variant) if policy.startswith("loo")
-                      else shapley_allocation(table, variant))
+            oracle = (oracles.loo_allocation(table, variant) if policy.startswith("loo")
+                      else oracles.shapley_allocation(table, variant))
             for k in features:
                 assert inst[k] == pytest.approx(oracle[k], abs=1e-12)
     assert np.all(series.values["dummy"] == 0.0)

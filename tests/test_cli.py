@@ -426,6 +426,22 @@ def test_error_while_clearing_leaves_no_output_directory(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_a_capacity_that_is_not_finite_and_positive_is_config_error(tmp_path, capsys, value):
+    # an infinite capacity would divide x2 down to zeros and clear with exit 0
+    assert run_cli(["simulate", "--case", "batch-linear", "--rows", "300",
+                    "--out", str(tmp_path)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("scenario = batch-linear\n",
+                            f"csv = {tmp_path / 'dataset.csv'}\ncapacities = x2={value}\n")
+                   .replace("rows = 600\nseed = 4\n", ""))
+    code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
+    assert code == 1
+    assert "nominal capacity for 'x2' must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source, line, key, other", [
     ("scenario", "capacities = y=2.96", "capacities", "csv"),
     ("scenario", "timestamp_column = when", "timestamp_column", "csv"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ def test_ingest_capacity_normalisation(tmp_path):
     ds = ingest_csv(p, CsvSchema(capacities={"y": 2.96}))
     assert ds.target[0] == pytest.approx(0.5)
     assert ds.target[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_ingest_refuses_a_capacity_that_is_not_finite_and_positive(tmp_path, cap):
+    # an infinite capacity divides its column down to zeros, and a NaN one
+    # turns every value of it into a missing one
+    p = tmp_path / "wind.csv"
+    p.write_text("ts,y,x2\n1,1.48,0.5\n2,2.96,0.7\n")
+    for name in ("y", "x2"):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"nominal capacity for {name!r} must be finite and positive, not {cap!r}")):
+            ingest_csv(p, CsvSchema(capacities={name: cap}))
 
 
 def test_ingest_row_errors_carry_line_numbers(tmp_path):

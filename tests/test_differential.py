@@ -2,6 +2,10 @@
 
 * ``allocation.shapley_contributions`` (coalitions indexed by bit mask)
   against the frozenset walk in ``oracles.py``, bit for bit;
+* the table allocations and ``instant_allocation``, one-step cases of
+  ``step_allocations``, against the table bodies they replaced, now in
+  ``oracles.py``: the same bits on finite losses, and the NaN cases where
+  the two differ;
 * ``batch.coalition_masks`` (one integer matrix product) against one
   ``design.columns_for`` call per coalition;
 * a settled ledger (written from its feature codes) against the reference
@@ -29,14 +33,26 @@ from regmarket import (
     run_oos_market,
 )
 from regmarket import market
-from regmarket.allocation import ABSOLUTE, ORIGINAL, ZERO, shapley_contributions
+from regmarket.allocation import (
+    ABSOLUTE,
+    ADD_ONE,
+    DROP_ONE,
+    ORIGINAL,
+    POLICY_VARIANT,
+    ZERO,
+    instant_allocation,
+    loo_allocation,
+    shapley_allocation,
+    shapley_contributions,
+)
 from regmarket.artifacts import write_artifacts
-from regmarket.batch import coalition_masks, enumerate_coalitions
+from regmarket.batch import CoalitionLossTable, coalition_masks, enumerate_coalitions
 from regmarket.data import make_lags, polynomial_expand
 from regmarket.errors import (
     CoverageError,
     EnumerationCapError,
     FeatureLookupError,
+    NoSurplusError,
     ParameterError,
 )
 from regmarket.market import MarketReport
@@ -143,6 +159,133 @@ def test_shapley_refuses_a_player_given_twice():
     losses = {frozenset(): 1.0, frozenset({"x0"}): 0.5}
     with pytest.raises(ParameterError, match="players must be distinct"):
         shapley_contributions(losses, ("x0", "x0"))
+
+
+# -- the allocation entry points against the table oracles ---------------------
+
+FINITE = [v for v in SPECIAL if np.isfinite(v)]
+FINITE_LOSS = st.sampled_from(FINITE) | st.floats(-3.0, 3.0) | st.floats(allow_nan=False,
+                                                                          allow_infinity=False)
+POLICIES = list(POLICY_VARIANT.items())
+
+
+@st.composite
+def tables(draw, loss=FINITE_LOSS):
+    """A loss table over 1-6 support features, in sorted order as every
+    market's table is: Hypothesis draws, or normal draws of mixed scales
+    with special values among them.  Some tables have no surplus, as the
+    grand coalition's loss is drawn at or above the central one's."""
+    m = draw(st.integers(1, 6))
+    support = tuple(f"x{i}" for i in range(m))
+    scalar_type = draw(st.sampled_from([float, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.sampled_from([None, 0.0, 0.1, 0.5]))
+    values = FINITE if loss is FINITE_LOSS else SPECIAL
+
+    def draw_loss() -> float:
+        if special is None:
+            return draw(loss)
+        if rng.random() < special:
+            return values[rng.integers(len(values))]
+        return rng.normal() * 10.0 ** rng.integers(-3, 4)
+
+    losses = {c: float(draw_loss()) for c in enumerate_coalitions(support)}
+    if draw(st.integers(0, 3)) == 0:
+        central = losses[frozenset()]
+        losses[frozenset(support)] = draw(st.sampled_from(
+            [central, central + abs(float(draw_loss()))]))
+    return CoalitionLossTable({c: scalar_type(v) for c, v in losses.items()}, support,
+                              frozenset({"c"}))
+
+
+def surplus(table):
+    with np.errstate(all="ignore"):
+        return table.surplus
+
+
+def entry_points(variant):
+    """The table entry point of ``variant``, and the reference it replaced."""
+    if variant in (DROP_ONE, ADD_ONE):
+        return loo_allocation, oracles.loo_allocation
+    return shapley_allocation, oracles.shapley_allocation
+
+
+def allocate(allocation, *args):
+    # both sides warn as NumPy or Python floats do on overflow; the bits
+    # are compared here, not the warnings
+    with np.errstate(all="ignore"):
+        try:
+            return allocation(*args)
+        except NoSurplusError as err:
+            return err
+
+
+def nan_marginals(table, variant) -> set:
+    """The features with a NaN Shapley marginal, which the market's rule
+    pays nothing and the reference pays NaN."""
+    if variant in (DROP_ONE, ADD_ONE):
+        return set()
+    with np.errstate(all="ignore"):
+        _, peaks = oracles.shapley_contributions(table.losses, table.support, variant)
+    return {k for k, peak in peaks.items() if np.isnan(peak)}
+
+
+def check_split(got, want, table, variant):
+    """``got`` is ``want`` bit for bit, but for a feature with a NaN
+    marginal, whose share the reference keeps as NaN and the market's rule
+    makes +0.0."""
+    assert (got.policy, list(got.values)) == (want.policy, list(want.values))
+    assert np.array_equal(bits(got.normalizer), bits(want.normalizer))
+    split = nan_marginals(table, variant)
+    for k in table.support:
+        if k in split:
+            assert np.isnan(want[k]) and raw_bits(got[k]) == raw_bits(0.0), k
+        else:
+            assert np.array_equal(bits(got[k]), bits(want[k])), k
+
+
+@given(tables(), st.sampled_from(POLICIES))
+def test_table_allocations_are_the_old_bodies_bit_for_bit(table, policy):
+    label, variant = policy
+    ours, reference = entry_points(variant)
+    got, want = allocate(ours, table, variant), allocate(reference, table, variant)
+    if isinstance(want, NoSurplusError):
+        assert isinstance(got, NoSurplusError) and str(got) == str(want)
+        return
+    assert got.policy == label and not got.no_surplus
+    # finite losses give no NaN marginal, so every bit is the reference's
+    assert not nan_marginals(table, variant)
+    check_split(got, want, table, variant)
+
+
+@given(tables(), st.sampled_from(POLICIES))
+def test_instant_allocation_is_the_table_oracle_or_no_surplus(table, policy):
+    label, variant = policy
+    got = allocate(instant_allocation, table.losses, table.support, variant)
+    assert got.policy == label
+    assert np.array_equal(bits(got.normalizer), bits(surplus(table)))
+    if surplus(table) > 0:
+        want = allocate(entry_points(variant)[1], table, variant)
+        check_split(got, want, table, variant)
+    else:
+        assert got.no_surplus
+        assert all(raw_bits(v) == raw_bits(0.0) for v in got.values.values())
+
+
+@given(tables(loss=LOSS), st.sampled_from(POLICIES))
+def test_table_allocations_split_from_the_reference_only_on_nan(table, policy):
+    # the reference keeps a NaN share where a Shapley marginal is NaN, and
+    # shares out a NaN surplus; the market's rule pays such a feature
+    # nothing, and refuses such a table
+    _, variant = policy
+    ours, reference = entry_points(variant)
+    got, want = allocate(ours, table, variant), allocate(reference, table, variant)
+    if np.isnan(surplus(table)):
+        assert isinstance(got, NoSurplusError) and not isinstance(want, NoSurplusError)
+    elif isinstance(want, NoSurplusError):
+        assert isinstance(got, NoSurplusError) and str(got) == str(want)
+    else:
+        check_split(got, want, table, variant)
 
 
 # -- coalition masks: one matrix product against columns_for ------------------

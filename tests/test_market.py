@@ -617,6 +617,32 @@ def test_zero_start_market_with_a_constant_feature_raises_a_typed_error(model_so
     assert err.value.step == 22
 
 
+@pytest.mark.parametrize("model_source", [None, "online"], ids=["online", "oos-online"])
+@pytest.mark.parametrize("init", ["warm-start", "zero-start"])
+@pytest.mark.parametrize("loss", [LossSpec("quadratic"),
+                                  LossSpec("smooth-quantile", tau=0.5, alpha=0.2)],
+                         ids=["quadratic", "smooth-quantile"])
+def test_online_session_pays_an_all_zero_feature_nothing(loss, init, model_source):
+    # the session fits no column that is zero on every row it sees, so the
+    # coalitions with and without x2 share their columns and losses; a warm
+    # start on the zero column would find its memory singular at step 1
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        T = 200
+        x1 = rng.normal(size=T)
+        ds = Dataset(np.arange(T), x1 + rng.normal(0, 0.3, T), {"x1": x1, "x2": np.zeros(T)},
+                     {"x1": "a1", "x2": "a2"}, target_owner="a1")
+        task = TaskSpec("a1", {"x1": "a1", "x2": "a2"}, loss=loss, lam=0.99, warmup=40,
+                        init_policy=init)
+        if model_source is None:
+            report = run_online_market(ds, task)
+            assert report.surplus == 0.0
+        else:
+            report = run_oos_market(ds, task, model_source=model_source)
+        assert report.audit["passed"], seed
+        assert report.payments == {"x2": 0.0} and not report.ledger.amount, seed
+
+
 def test_unpaid_amounts_are_positive_zeros(tmp_path):
     # on the steps before every estimator is ready, the pot is zero and a
     # negative share would make the amount -0.0
@@ -875,7 +901,7 @@ def test_build_design_marks_ownership():
 def test_batch_support_game_pays_the_pot_times_the_tables_shares(policy):
     # the batch market is the one-step case of the online market's
     # allocation; its shares must still be exactly those of the table
-    from regmarket import loo_allocation, shapley_allocation
+    from oracles import loo_allocation, shapley_allocation
     from regmarket.allocation import POLICY_VARIANT
 
     ds = linear_market_dataset(T=800, seed=21, beta={"x1": -0.3, "x2": 0.5,

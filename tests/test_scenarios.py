@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import mpmath as mp
@@ -366,6 +367,33 @@ def test_editing_a_returned_task_or_dataset_leaves_the_next_one_unchanged(case):
     ds, _ = generate(spec)
     ds.ownership["x9"] = "a9"
     assert generate(spec)[0].ownership == STUDY_TASKS[case]["ownership"]
+
+
+@pytest.mark.parametrize("case, key, value, form", [
+    ("batch-linear", "sigma_eps", -1, "a finite number >= 0"),
+    ("online-quantile", "sigma_eps", float("nan"), "a finite number >= 0"),
+    ("online-quantile", "beta4", float("inf"), "a finite number"),
+    ("batch-linear", "beta0", "0.1", "a finite number"),
+    ("online-arx", "burn", 2.5, "an integer >= 0"),
+    ("online-arx", "burn", True, "an integer >= 0"),
+    ("multi-agent-arx", "n_agents", 0, "an integer >= 1"),
+    ("multi-agent-arx", "n_agents", 2.5, "an integer >= 1"),
+    ("batch-linear", "beta", {"x9": 1.0}, "a mapping of x1, x2, x3, x4 to finite numbers"),
+    ("batch-linear", "beta", {"x2": "a"}, "a mapping of x1, x2, x3, x4 to finite numbers"),
+    ("batch-arx-quantile", "beta", {"x2": "a", "x3": 0.0, "x4": 0.0},
+     "a mapping of x2, x3, x4 to finite numbers"),
+    ("batch-arx-quantile", "beta", [("x2", 0.1)], "a mapping of x2, x3, x4 to finite numbers"),
+])
+def test_a_generator_override_of_the_wrong_form_is_rejected(case, key, value, form):
+    # each would reach NumPy unchecked: a bare ValueError, TypeError or
+    # KeyError, or a DataError about the target it spoils
+    with pytest.raises(ParameterError, match=re.escape(f"{key} must be {form}, not {value!r}")):
+        run_scenario(case, T=300, overrides={key: value})
+    # NumPy scalars and ints where floats are the default are numbers too
+    ScenarioSpec("batch-linear", params={"sigma_eps": np.float64(0.0), "beta0": 1,
+                                         "beta": {"x1": np.int64(1), "x2": 0.5, "x3": 0.0,
+                                                  "x4": -1.0}})
+    ScenarioSpec("multi-agent-arx", params={"n_agents": np.int64(1), "burn": 0})
 
 
 @pytest.mark.parametrize("T", [2.5, True, "100", 100.0])
