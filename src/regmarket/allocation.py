@@ -191,7 +191,8 @@ class AllocationSeries:
 
     @property
     def no_surplus(self) -> np.ndarray:
-        return self.normalizer <= 0
+        # the steps step_allocations zeroes: a NaN surplus is not positive
+        return ~(self.normalizer > 0)
 
 
 def step_contributions(losses: Mapping[frozenset, np.ndarray], features: Sequence[str],

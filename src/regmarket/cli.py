@@ -36,6 +36,7 @@ from .market import (
     run_oos_market,
     screen_features,
 )
+from .online import WARM_START
 
 EXIT_CONFIG = 1
 EXIT_IO = 2
@@ -121,10 +122,7 @@ def _cmd_market(args) -> int:
     if not cfg_path.exists():
         print(f"error: config {cfg_path} not found", file=sys.stderr)
         return EXIT_IO
-    run_cfg, task, screening = load_config(cfg_path)
-    if run_cfg["oos"] and args.mechanism != "oos":
-        raise ConfigError(f"[run] key(s) {', '.join(RUN_KEYS['oos'])} apply only to the "
-                          f"oos mechanism, not to {args.mechanism}")
+    run_cfg, task, screening = load_config(cfg_path, args.mechanism)
     dataset = _resolve_dataset(run_cfg, task)
 
     support = None
@@ -255,11 +253,35 @@ RUN_KEYS = {
             "target_column": ("target", str),
             "capacities": ("capacities", _parse_capacities)},          # CsvSchema
 }
+# The keys that not every market reads, grouped by what reads them: a market
+# that does not would accept such a key and ignore it.  Each test takes the
+# mechanism, whether its model is an online session, and the task.
+ONLINE_MODEL = "the online mechanism and oos with model_source = online"
+READERS = (
+    ("run", ("model_source",), "the oos mechanism", lambda mech, online, task: mech == "oos"),
+    ("task", ("lambda", "init_policy"), ONLINE_MODEL, lambda mech, online, task: online),
+    ("task", ("warmup",), f"{ONLINE_MODEL}, under init_policy = {WARM_START}",
+     lambda mech, online, task: online and task.init_policy == WARM_START),
+    ("task", ("phi_insample", "allocation"), "the batch and online mechanisms",
+     lambda mech, online, task: mech != "oos"),
+    ("task", ("phi_oos", "oos_allocation"), "the oos mechanism",
+     lambda mech, online, task: mech == "oos"),
+    ("task", ("train_rows",), "the oos mechanism with model_source = batch",
+     lambda mech, online, task: mech == "oos" and not online),
+    ("task", ("tau", "alpha"), "the smooth-quantile loss",
+     lambda mech, online, task: not task.loss.is_quadratic),
+    ("task", ("derivative_variant",), f"the smooth-quantile loss in {ONLINE_MODEL}",
+     lambda mech, online, task: online and not task.loss.is_quadratic),
+    ("task", ("interactions",), "designs of degree >= 2",
+     lambda mech, online, task: task.degree >= 2),
+)
 
 
-def load_config(path) -> tuple[dict, TaskSpec, str | None]:
-    """Parse the INI run configuration into (run options, task, screening);
-    the run options map each group of :data:`RUN_KEYS` to its fields."""
+def load_config(path, mechanism: str) -> tuple[dict, TaskSpec, str | None]:
+    """Parse the INI run configuration of a market that ``mechanism`` will
+    clear into (run options, task, screening); the run options map each group
+    of :data:`RUN_KEYS` to its fields.  A key that the market would not read
+    (:data:`READERS`) is rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -303,7 +325,25 @@ def load_config(path) -> tuple[dict, TaskSpec, str | None]:
     screening = run["run"].get("screening") or None
     if screening not in (None, "cv-loss"):
         raise ConfigError(f"unknown screening method {screening!r}")
+    # "batch" is run_oos_market's default model source
+    _refuse_unread(mechanism, run["oos"].get("model_source", "batch"), task,
+                   {"run": run_section, "task": parser["task"]})
     return run, task, screening
+
+
+def _refuse_unread(mechanism: str, source: str, task: TaskSpec, present: dict) -> None:
+    """Raise ConfigError naming every key in ``present`` (section -> keys)
+    that the market of ``mechanism`` and model ``source`` would not read."""
+    online = mechanism == "online" or mechanism == "oos" and source == "online"
+    market = f"oos with model_source = {source}" if mechanism == "oos" else mechanism
+    unread = []
+    for section, keys, reader, reads in READERS:
+        stray = [key for key in keys if key in present[section]]
+        if stray and not reads(mechanism, online, task):
+            unread.append(f"[{section}] key(s) {', '.join(stray)} apply only to {reader}, "
+                          f"not to {market}")
+    if unread:
+        raise ConfigError("; ".join(unread))
 
 
 def _read_section(name: str, section: dict, table: dict, *more: str) -> dict[str, dict]:

@@ -83,6 +83,7 @@ SCREEN_FOLDS = 5
 class TaskSpec:
     """Everything a central agent declares when posting a regression task."""
 
+    # cli.READERS lists the markets that read each field a config may leave out
     central_agent: str
     ownership: Mapping[str, str]          # market feature name -> agent
     loss: LossSpec = LossSpec()
@@ -599,7 +600,7 @@ def _allocate_and_pay(report: MarketReport, task: TaskSpec, players, losses, pot
     shares = step_allocations(losses, players, POLICY_VARIANT[report.allocation_policy])
     psi = np.column_stack([shares.values[k] for k in report.support])
     if surplus is None:
-        report.no_surplus = bool(shares.no_surplus) or report.surplus <= 0
+        report.no_surplus = bool(shares.no_surplus) or not report.surplus > 0
         if report.no_surplus:
             pot, psi = 0.0, np.zeros_like(psi)
     report.allocations = dict(zip(report.support, psi[-1].tolist()))

@@ -33,12 +33,18 @@ small lam.  The padded memory is block diagonal, so its Cholesky factor
 and solve give the design's own block unchanged, and every coalition
 advances with one gather of the row, one vectorised :func:`loss_terms`
 call for the loss, h1 and h2, one batched memory update, one batched
-Cholesky and one batched solve.  The update keeps the memory exactly
-symmetric: ``lam * M + h2 * x x'`` is elementwise on a symmetric ``M``.
-This per-step recursion is :meth:`_StackedStates.advance`, the reference
-for the two block paths below and the path that replays a block they
-decline; :meth:`OnlineSession.step` calls it, and :func:`online_step` is
-its one-coalition case.
+Cholesky and one batched solve.  This per-step recursion is
+:meth:`_StackedStates.advance`, the reference for the two block paths
+below and the path that replays a block they decline;
+:meth:`OnlineSession.step` calls it, and :func:`online_step` is its
+one-coalition case.
+
+Symmetry.  The stacked memory is exactly symmetric.  The stack symmetrises
+a memory only where a state enters it, which leaves a symmetric one as it
+is, and where a scan block stores its last memory, whose prefix sums round
+``x_i x_j`` and ``x_j x_i`` apart.  No step symmetrises: ``lam * M + h2 *
+x x'`` is elementwise on symmetric operands (``x_i x_j`` and ``x_j x_i``
+are one product), and the padding reset writes only the diagonal.
 
 Block scan.  With the quadratic loss (h1 = eps, h2 = 1) the update is
 recursive least squares, and both of its recursions are linear:
@@ -63,23 +69,17 @@ Newton blocks.  The smooth-quantile update has no linear recursion, so
 :meth:`OnlineSession.stream` runs it over blocks of the same length with
 the recursion's own arithmetic, one private kernel shared with the step,
 and makes the step's checks once per block: finite data, finite
-non-negative losses, finite final coefficients, no memory entry above
-``HALF_MAX`` and one batched Cholesky check of every step's memory.  Only
-the recursion runs per step: prior residual, h1 and h2, memory update,
-padding reset, right-hand side and solve.  The rest is elementwise in the
-step, so it runs once per block with the same operations and gives the
-same bits: one ``(B, C, N, N)`` multiply for the rows' outer products, one
-:func:`loss_array` call over the ``(B, C)`` residuals, and the EWMA as one
-``(1 - lam) * loss`` multiply and a ``lam * v + w`` loop.  The step
-symmetrises its memory, ``0.5 * (M + M')``, which on an exactly symmetric
-memory changes no bit unless an entry exceeds ``HALF_MAX`` and the sum
-overflows.  The block symmetrises on its first step, where the entering
-memory may not be symmetric, and drops it after that; the ``HALF_MAX``
-check declines where the step would have overflowed.  The loop runs with
-NumPy overflow, invalid and divide-by-zero errors raised.  A block that
-fails a check, or in which an estimator is not yet ready, is replayed
-step by step as for the scan, and the series and final state are bit for
-bit the recursion's.
+non-negative losses, finite final coefficients and one batched Cholesky
+check of every step's memory.  Only the recursion runs per step: prior
+residual, h1 and h2, memory update, padding reset, right-hand side and
+solve.  The rest is elementwise in the step, so it runs once per block
+with the same operations and gives the same bits: one ``(B, C, N, N)``
+multiply for the rows' outer products, one :func:`loss_array` call over
+the ``(B, C)`` residuals, and the EWMA as one ``(1 - lam) * loss``
+multiply and a ``lam * v + w`` loop.  The loop runs with NumPy overflow,
+invalid and divide-by-zero errors raised.  A block that fails a check, or
+in which an estimator is not yet ready, is replayed step by step as for
+the scan, and the series and final state are bit for bit the recursion's.
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ SCALE_LIMIT = 1e3
 # and a scan or Newton block holds about this many floats per (B, C, N, N)
 # array (256 KiB); larger blocks measured slower and grow peak memory
 SCAN_FLOATS = 1 << 15
-# a memory entry above half the largest float overflows when the step
-# symmetrises it
-HALF_MAX = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -133,6 +130,13 @@ def _lambda_weighted_gram(X: np.ndarray, weights: np.ndarray, lam: float) -> np.
     decay = lam ** np.arange(T - 1, -1, -1, dtype=float)
     W = weights * decay
     return (X.T * W) @ X
+
+
+def _symmetrised(memory: np.ndarray) -> np.ndarray:
+    """``memory`` averaged with its transpose, from halves so that no finite
+    entry overflows; an entry equal to its mirror is kept exactly."""
+    mirror = np.swapaxes(memory, -1, -2)
+    return np.where(memory == mirror, memory, 0.5 * memory + 0.5 * mirror)
 
 
 def init_state(X_warm: np.ndarray | None, y_warm: np.ndarray | None,
@@ -162,8 +166,7 @@ def init_state(X_warm: np.ndarray | None, y_warm: np.ndarray | None,
             f"warm-start slice has {X_warm.shape[0]} rows, needs >= {X_warm.shape[1]}")
     fit = fit_matrix(X_warm, y_warm, spec)
     res = y_warm - X_warm @ fit.coefficients
-    memory = _lambda_weighted_gram(X_warm, loss_h2(res, spec), lam)
-    memory = 0.5 * (memory + memory.T)
+    memory = _symmetrised(_lambda_weighted_gram(X_warm, loss_h2(res, spec), lam))
     return OnlineState(coefficients=fit.coefficients, memory=memory,
                        ewma=EwmaLoss(insample_loss(res, spec), lam))
 
@@ -185,6 +188,8 @@ class _StackedStates:
             self.memory[i, :s.n, :s.n] = s.memory
             if s.pending_gradient is not None:
                 self.pending_gradient[i, :s.n] = s.pending_gradient
+        # every update keeps this exact symmetry (see the module docstring)
+        self.memory = _symmetrised(self.memory)
         rows, dims = np.nonzero(np.arange(N) >= self.widths[:, None])
         self.padding = (rows, dims, dims)
         self.memory[self.padding] = 1.0
@@ -209,19 +214,16 @@ class _StackedStates:
         return f"{self.labels[i]}: " if self.labels else ""
 
     def _newton(self, memory: np.ndarray, X: np.ndarray, outer: np.ndarray,
-                h1: np.ndarray, h2: np.ndarray, symmetrise: bool):
+                h1: np.ndarray, h2: np.ndarray):
         """The memory update and Newton right-hand side of one step, shared
         by :meth:`advance` and :meth:`newton_block`, neither checked.
 
         ``outer`` holds the outer products of the rows ``X``, and ``h1`` and
-        ``h2`` the loss derivatives at their prior residuals.  The memory is
-        symmetrised when ``symmetrise`` is set.  The update keeps a memory
-        exactly symmetric, and symmetrising one that is changes no bit
-        unless an entry exceeds ``HALF_MAX``, where it overflows.
+        ``h2`` the loss derivatives at their prior residuals.  The update is
+        elementwise on symmetric operands, so it keeps the stacked memory
+        exactly symmetric and never symmetrises it.
         """
         memory = self.lam * memory + h2[:, None, None] * outer
-        if symmetrise:
-            memory = 0.5 * (memory + memory.transpose(0, 2, 1))
         memory[self.padding] = 1.0
         # ready estimators keep a zero pending gradient, so this is their
         # plain Newton direction and the accumulated one of the others
@@ -246,8 +248,7 @@ class _StackedStates:
             raise ParameterError("online step needs finite data")
         eps = _prior_residuals(self.coefficients, X, y_t)
         losses, h1, h2 = loss_terms(eps, self.spec)
-        memory, rhs = self._newton(self.memory, X, X[:, :, None] * X[:, None, :], h1, h2,
-                                   symmetrise=True)
+        memory, rhs = self._newton(self.memory, X, X[:, :, None] * X[:, None, :], h1, h2)
         steps = self.step_count + 1
         # a residual that is not finite has a loss that is not finite
         if not np.isfinite(losses).all():
@@ -321,16 +322,14 @@ class _StackedStates:
                 row = X[b].copy()
                 eps[b] = _prior_residuals(coefficients, row, y[b])
                 memory, rhs = self._newton(memory, row, outer[b],
-                                           *loss_derivatives(eps[b], spec),
-                                           symmetrise=b == 0)
+                                           *loss_derivatives(eps[b], spec))
                 coefficients = _newton_solve(coefficients, memory, rhs)
                 memories[b] = memory
             losses = loss_array(eps, spec)
             # a residual that is not finite has a loss that is not finite,
             # and coefficients that are not finite stay so to the end
             if not (np.isfinite(losses).all() and (losses >= 0).all()
-                    and np.isfinite(coefficients).all()
-                    and np.abs(memories).max() <= HALF_MAX):
+                    and np.isfinite(coefficients).all()):
                 return None
             np.linalg.cholesky(memories)
             # ewma_update's recursion
@@ -366,12 +365,11 @@ class _StackedStates:
         lam = self.lam
         decay = lam ** np.arange(B, dtype=float)
         grow = 1.0 / decay
-        memory = 0.5 * (self.memory + self.memory.transpose(0, 2, 1))
         # r = M beta + pending gradient holds for ready and waiting estimators
-        rhs = np.einsum("cmn,cn->cm", memory, self.coefficients) + self.pending_gradient
+        rhs = np.einsum("cmn,cn->cm", self.memory, self.coefficients) + self.pending_gradient
         scaled = X * grow[:, None, None]
         M = np.cumsum(scaled[:, :, :, None] * X[:, :, None, :], axis=0)
-        M += lam * memory
+        M += lam * self.memory
         M *= decay[:, None, None, None]
         M[(slice(None),) + self.padding] = 1.0
         r = np.cumsum(scaled * y[:, None, None], axis=0)
@@ -419,7 +417,8 @@ class _StackedStates:
             self.min_warm_steps = np.where(waiting, self.min_warm_steps, 0)
             self.ready = ready[-1].copy()
         self.coefficients = beta[-1].copy()
-        self.memory = M[-1].copy()
+        # stored symmetrised, as the stack holds it
+        self.memory = _symmetrised(M[-1])
         self.step_count = self.step_count + B
         self.ewma = EwmaLoss(ewma[-1].copy(), lam)
         return losses, ewma, ready.all(axis=1)

@@ -197,6 +197,21 @@ def test_instant_no_surplus_is_flagged_and_zero():
     assert all(v == 0.0 for v in alloc.values.values())
 
 
+def test_instant_nan_surplus_is_flagged_and_zero():
+    alloc = instant_allocation({frozenset(): np.nan, frozenset({"a"}): 0.5}, ("a",))
+    assert alloc.no_surplus
+    assert alloc.values == {"a": 0.0}
+
+
+@pytest.mark.parametrize("variant", [ORIGINAL, DROP_ONE])
+def test_a_nan_step_is_flagged_no_surplus_where_it_is_zeroed(variant):
+    losses = {frozenset(): np.array([0.9, np.nan, 0.7]),
+              frozenset({"a"}): np.array([0.4, 0.5, 0.6])}
+    series = step_allocations(losses, ("a",), variant)
+    assert series.values["a"].tolist() == [1.0, 0.0, 1.0]
+    assert series.no_surplus.tolist() == [False, True, False]
+
+
 def test_instant_single_feature():
     losses = {frozenset(): 0.4, frozenset({"a"}): 0.1}
     alloc = instant_allocation(losses, ("a",))

@@ -2,13 +2,16 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from regmarket import Dataset, LossSpec, TaskSpec, cli, dataset_to_csv
-from regmarket.cli import TASK_KEYS, load_config, main
+from regmarket import (Dataset, LossSpec, TaskSpec, clear_batch_market, cli, dataset_to_csv,
+                       run_online_market, run_oos_market, scenarios)
+from regmarket.cli import ONLINE_MODEL, READERS, TASK_KEYS, load_config, main
+from regmarket.errors import ParameterError
+from regmarket.online import WARM_START, ZERO_START
 
 CONFIG = """\
 [run]
@@ -259,7 +262,7 @@ def test_lag_keys_stay_valid(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(out=tmp_path / "out").replace(
         "[task]\n", "[task]\nlags_y = 1 2\nlags_x2 = 1\n"))
-    _, task, _ = load_config(cfg)
+    _, task, _ = load_config(cfg, "batch")
     assert dict(task.lags) == {"y": (1, 2), "x2": (1,)}
 
 
@@ -294,7 +297,7 @@ def test_unknown_or_default_section_is_config_error(tmp_path, capsys, before, af
     cfg = tmp_path / "run.cfg"
     cfg.write_text(before + CONFIG.format(out=tmp_path / "out") + after)
     with pytest.raises(ConfigError, match=re.escape(section)):
-        load_config(cfg)
+        load_config(cfg, "batch")
     code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
     assert code == 1
     assert section in capsys.readouterr().err
@@ -309,8 +312,12 @@ def test_unknown_or_default_section_is_config_error(tmp_path, capsys, before, af
 def test_feature_lookup_and_enumeration_cap_errors_are_config_errors(tmp_path, capsys,
                                                                     mechanism, line,
                                                                     message):
+    text = CONFIG.format(out=tmp_path / "out")
+    if mechanism == "oos":
+        # the oos market reads neither key
+        text = text.replace("phi_insample = 0.1\nallocation = shapley\n", "")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG.format(out=tmp_path / "out").replace("[task]\n", f"[task]\n{line}\n"))
+    cfg.write_text(text.replace("[task]\n", f"[task]\n{line}\n"))
     code = run_cli(["market", "--mechanism", mechanism, "--config", str(cfg)])
     assert code == 1
     err = capsys.readouterr().err
@@ -391,7 +398,7 @@ def test_an_overflowing_batch_loss_is_a_config_error(tmp_path, capsys):
                            target_owner="a1"), tmp_path / "dataset.csv")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[run]\ncsv = {tmp_path / 'dataset.csv'}\nout = {tmp_path / 'out'}\n"
-                   "[task]\ncentral_agent = a1\nphi_oos = 1.0\n"
+                   "[task]\ncentral_agent = a1\n"
                    "[ownership]\nx1 = a2\nx2 = a3\n")
     code = run_cli(["market", "--mechanism", "batch", "--config", str(cfg)])
     assert code == 1
@@ -482,6 +489,140 @@ def test_model_source_outside_the_oos_mechanism_is_config_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def market_config(tmp_path, task_lines, source=None):
+    """A config of the batch-linear scenario whose [task] holds the central
+    agent and ``task_lines``, with ``model_source = source`` when given."""
+    cfg = tmp_path / "run.cfg"
+    model_source = f"model_source = {source}\n" if source else ""
+    cfg.write_text(f"[run]\nscenario = batch-linear\nrows = 600\nseed = 4\n"
+                   f"out = {tmp_path / 'out'}\n{model_source}\n"
+                   f"[task]\ncentral_agent = a1\n{task_lines}\n\n"
+                   "[ownership]\nx1 = a1\nx2 = a2\nx3 = a3\nx4 = a3\n")
+    return cfg
+
+
+@pytest.mark.parametrize("mechanism, source, lines, message", [
+    ("batch", None, "lambda = 0.5\ninit_policy = zero-start",
+     f"[task] key(s) lambda, init_policy apply only to {ONLINE_MODEL}, not to batch"),
+    ("batch", None, "warmup = 40", f"warmup apply only to {ONLINE_MODEL}, under init_policy"),
+    ("batch", None, "phi_oos = 9.0\noos_allocation = shapley",
+     "[task] key(s) phi_oos, oos_allocation apply only to the oos mechanism, not to batch"),
+    ("batch", None, "train_rows = 100",
+     "train_rows apply only to the oos mechanism with model_source = batch, not to batch"),
+    ("online", None, "phi_oos = 9.0", "phi_oos apply only to the oos mechanism, not to online"),
+    ("online", None, "oos_allocation = shapley", "oos_allocation apply only to the oos"),
+    ("online", None, "train_rows = 100", "train_rows apply only to the oos mechanism"),
+    ("online", None, "init_policy = zero-start\nwarmup = 40",
+     f"[task] key(s) warmup apply only to {ONLINE_MODEL}, under init_policy = warm-start, "
+     "not to online"),
+    ("oos", None, "phi_insample = 0.1\nallocation = shapley",
+     "[task] key(s) phi_insample, allocation apply only to the batch and online mechanisms, "
+     "not to oos with model_source = batch"),
+    ("oos", None, "lambda = 0.5",
+     f"lambda apply only to {ONLINE_MODEL}, not to oos with model_source = batch"),
+    ("oos", None, "init_policy = warm-start\nwarmup = 40", "init_policy apply only to"),
+    ("oos", "online", "train_rows = 100",
+     "train_rows apply only to the oos mechanism with model_source = batch, "
+     "not to oos with model_source = online"),
+    ("oos", "online", "phi_insample = 0.1", "phi_insample apply only to the batch and online"),
+    ("batch", None, "tau = 0.3\nalpha = 0.5",
+     "[task] key(s) tau, alpha apply only to the smooth-quantile loss, not to batch"),
+    ("online", None, "alpha = 0.5", "alpha apply only to the smooth-quantile loss"),
+    ("online", None, "derivative_variant = paper-verbatim",
+     f"derivative_variant apply only to the smooth-quantile loss in {ONLINE_MODEL}"),
+    ("batch", None, "loss = smooth-quantile\nderivative_variant = paper-verbatim",
+     f"derivative_variant apply only to the smooth-quantile loss in {ONLINE_MODEL}, "
+     "not to batch"),
+    ("oos", None, "loss = smooth-quantile\nderivative_variant = paper-verbatim",
+     "not to oos with model_source = batch"),
+    ("batch", None, "degree = 1\ninteractions = false",
+     "[task] key(s) interactions apply only to designs of degree >= 2, not to batch"),
+], ids=["batch-lambda", "batch-warmup", "batch-phi_oos", "batch-train_rows", "online-phi_oos",
+        "online-oos_allocation", "online-train_rows", "online-zero-start-warmup",
+        "oos-phi_insample", "oos-lambda", "oos-init_policy", "oos-online-train_rows",
+        "oos-online-phi_insample", "batch-quadratic-tau", "online-quadratic-alpha",
+        "online-quadratic-derivative_variant", "batch-derivative_variant",
+        "oos-derivative_variant", "batch-degree-1-interactions"])
+def test_a_task_key_its_market_does_not_read_is_config_error(tmp_path, capsys, mechanism,
+                                                             source, lines, message):
+    # each such key would be accepted and ignored: the market writes the
+    # bytes it writes without it
+    cfg = market_config(tmp_path, lines, source)
+    code = run_cli(["market", "--mechanism", mechanism, "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mechanism, source, lines", [
+    ("batch", None, "loss = smooth-quantile\ntau = 0.3\nalpha = 0.5\ndegree = 2\n"
+     "interactions = false\nphi_insample = 0.1\nallocation = shapley"),
+    ("online", None, "loss = smooth-quantile\ntau = 0.3\nalpha = 0.5\n"
+     "derivative_variant = paper-verbatim\nlambda = 0.99\ninit_policy = warm-start\n"
+     "warmup = 40\nphi_insample = 0.1\nallocation = shapley"),
+    ("online", None, "init_policy = zero-start\nlambda = 0.99"),
+    ("oos", None, "phi_oos = 1.0\noos_allocation = shapley\ntrain_rows = 300"),
+    ("oos", "online", "loss = smooth-quantile\nderivative_variant = paper-verbatim\n"
+     "lambda = 0.99\ninit_policy = warm-start\nwarmup = 40\nphi_oos = 1.0"),
+], ids=["batch", "online", "online-zero-start", "oos", "oos-online"])
+def test_every_key_its_market_reads_is_accepted(tmp_path, mechanism, source, lines):
+    load_config(market_config(tmp_path, lines, source), mechanism)
+
+
+# a second value of each [task] key that READERS lists; init_policy swaps
+CHANGED = {"lambda": 0.99, "warmup": 60, "phi_insample": 0.2, "allocation": "loo-a",
+           "phi_oos": 2.0, "oos_allocation": "loo-a", "train_rows": 200, "tau": 0.3,
+           "alpha": 0.5, "derivative_variant": "paper-verbatim", "interactions": True}
+
+
+def with_changed_key(task, key):
+    group, (name, _) = next((g, keys[key]) for g, keys in TASK_KEYS.items() if key in keys)
+    value = CHANGED[key] if key in CHANGED else \
+        {WARM_START: ZERO_START, ZERO_START: WARM_START}[task.init_policy]
+    if group == "loss":
+        return replace(task, loss=replace(task.loss, **{name: value}))
+    return replace(task, **{name: value})
+
+
+@pytest.mark.parametrize("task", [
+    # every condition of READERS holds: at degree 2 an interaction term would
+    # mix central and support features, which only the batch market accepts
+    TaskSpec("a1", {"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"}, degree=2,
+             interactions=False, loss=LossSpec("smooth-quantile"), phi_oos=1.0),
+    # and none does
+    TaskSpec("a1", {"x1": "a1", "x2": "a2", "x3": "a3", "x4": "a3"}, init_policy=ZERO_START,
+             phi_oos=1.0),
+], ids=["smooth-quantile-degree-2-warm-start", "quadratic-degree-1-zero-start"])
+@pytest.mark.parametrize("mechanism, source", [
+    ("batch", None), ("online", None), ("oos", "batch"), ("oos", "online")])
+def test_readers_name_exactly_the_markets_whose_outcome_each_key_changes(task, mechanism,
+                                                                          source):
+    # READERS restates what the markets read, so a market that starts (or
+    # stops) reading a key must fail here until READERS says so too
+    dataset, _ = scenarios.generate(scenarios.ScenarioSpec("batch-linear", T=300, seed=4))
+
+    def outcome(task):
+        try:
+            if mechanism == "batch":
+                report = clear_batch_market(dataset, task)
+            elif mechanism == "online":
+                report = run_online_market(dataset, task)
+            else:
+                report = run_oos_market(dataset, task, model_source=source)
+        except ParameterError as err:
+            return repr(err)
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    before = outcome(task)
+    assert before.startswith("{")
+    online = mechanism == "online" or source == "online"
+    for section, keys, _, reads in READERS:
+        for key in keys if section == "task" else ():
+            changes = outcome(with_changed_key(task, key)) != before
+            assert changes == reads(mechanism, online, task), key
+
+
 # the TaskSpec fields no [task] key sets: [ownership] and lags_<series> set
 # the first two, the loss keys the LossSpec, and the flags are library-only
 NOT_TASK_KEYS = ("ownership", "lags", "loss", "flag_duplicates", "flag_dummies")
@@ -498,7 +639,7 @@ def test_task_keys_set_every_spec_field_exactly_once():
 def test_task_keys_left_out_keep_the_spec_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nscenario = batch-linear\n\n[task]\ncentral_agent = a1\n")
-    run, task, screening = load_config(cfg)
+    run, task, screening = load_config(cfg, "batch")
     expected = TaskSpec(central_agent="a1", ownership={})
     assert {f.name: getattr(task, f.name) for f in fields(TaskSpec)} == \
         {f.name: getattr(expected, f.name) for f in fields(TaskSpec)}

@@ -25,9 +25,11 @@ from regmarket import (
 )
 from regmarket.batch import enumerate_coalitions, fit_matrix
 from regmarket.losses import loss_terms
-from regmarket.online import HALF_MAX, WARM_START, ZERO_START
+from regmarket.online import WARM_START, ZERO_START, _StackedStates
 
 QUAD = LossSpec("quadratic")
+# the largest float whose doubling does not overflow
+HALF_MAX = np.finfo(float).max / 2
 
 
 def stream_data(T=300, n=4, seed=0, noise=0.3):
@@ -126,7 +128,7 @@ def test_memory_stays_symmetric_and_positive_definite():
     st = init_state(X[:80], y[:80], WARM_START, spec, lam)
     for t in range(80, 500):
         st, _, _ = online_step(st, X[t], y[t], lam, spec)
-        assert np.max(np.abs(st.memory - st.memory.T)) <= 1e-12
+        assert np.array_equal(st.memory, st.memory.T)
         np.linalg.cholesky(st.memory)  # raises if not positive definite
 
 
@@ -487,6 +489,7 @@ def test_stream_scan_matches_step_recursion(policy, lam):
     ready = assert_stream_matches_recursion(scan, recursion, design.values[start:],
                                             y[start:])
     assert ready.all() if policy == WARM_START else not ready[0] and ready[-1]
+    assert_memory_exactly_symmetric(scan)
 
 
 def test_stream_scan_warm_up_across_block_boundaries(monkeypatch):
@@ -820,19 +823,28 @@ def test_newton_blocks_are_the_per_step_arithmetic(lam, tau, alpha, variant, blo
 
 
 def skew_memories(session):
-    """Raise every memory's (0, 1) entry by one ulp: not exactly symmetric."""
+    """Raise every memory's (0, 1) entry by one ulp, so that no state is
+    exactly symmetric; the stack symmetrises each as it enters."""
     def edit(c, s):
         memory = s.memory.copy()
         memory[0, 1] = np.nextafter(memory[0, 1], np.inf)
+        assert not np.array_equal(memory, memory.T)
         return replace(s, memory=memory)
     edit_states(session, edit)
-    assert not np.array_equal(session._stack.memory,
-                              session._stack.memory.transpose(0, 2, 1))
+    assert_memory_exactly_symmetric(session)
 
 
-def test_newton_block_symmetrises_a_skewed_entry_memory_like_the_step(monkeypatch):
-    # the block symmetrises on its first step only, so a memory that enters
-    # it not exactly symmetric must come out of that step as the step's does
+def test_a_symmetric_state_enters_the_stack_as_it_is():
+    # the mean of a memory and its transpose would overflow the large entry
+    # if summed before halving, and round the subnormal one if halved first
+    memory = np.array([[1.5 * HALF_MAX, 5e-324], [5e-324, 1.0]])
+    state = OnlineState(coefficients=np.zeros(2), memory=memory, ewma=EwmaLoss(0.0, 0.99))
+    assert np.array_equal(_StackedStates([state], 0.99, QUAD).state(0).memory, memory)
+
+
+def test_a_skewed_state_enters_the_stack_symmetrised_and_blocks_like_the_step(monkeypatch):
+    # no step symmetrises, so a state that is not exactly symmetric must be
+    # symmetrised where it enters the stack, and block and step then agree
     monkeypatch.setattr("regmarket.online.SCAN_FLOATS", 7 * 8 * 25)
     design, y, coalitions = unequal_width_setup(200)
     X = design.values
@@ -848,6 +860,16 @@ def test_newton_block_symmetrises_a_skewed_entry_memory_like_the_step(monkeypatc
     assert_sessions_equal(stream, recursion)
     assert_memory_exactly_symmetric(stream)
     assert_memory_exactly_symmetric(recursion)
+
+
+@pytest.mark.parametrize("policy", [WARM_START, ZERO_START])
+def test_smooth_quantile_stream_keeps_the_memory_exactly_symmetric(policy):
+    # zero start replays its first blocks through the step, and no path
+    # symmetrises after the stack does
+    design, y, coalitions = unequal_width_setup(300)
+    (stream, _), start = twin_sessions(design, y, coalitions, 0.99, policy, spec=SMOOTH)
+    stream.stream(design.values[start:], y[start:])
+    assert_memory_exactly_symmetric(stream)
 
 
 def test_newton_block_losses_are_the_per_row_loss_terms():
@@ -866,11 +888,13 @@ def test_newton_block_losses_are_the_per_row_loss_terms():
         assert np.array_equal(trace.losses[t], loss_terms(row, spec)[0])
 
 
-def test_newton_block_declines_where_the_step_symmetrisation_overflows(monkeypatch):
+def test_a_memory_entry_at_half_the_largest_float_streams_in_blocks_like_the_recursion(
+        monkeypatch):
     # x4's memory entry starts at exactly half the largest float, which the
-    # first step's symmetrisation keeps, and x4 = 1e150 at step 15, the
-    # fifth of the second ten-step block, lifts it just above half: it stays
-    # finite, but the step's symmetrisation doubles it to infinity
+    # stack's symmetrisation keeps, and x4 = 1e150 at step 15, the fifth of
+    # the second ten-step block, lifts it just above half: no step
+    # symmetrises, so it stays finite and the blocks run as blocks; and
+    # online_step, which stacks its state anew at each call, keeps it too
     monkeypatch.setattr("regmarket.online.SCAN_FLOATS", 10 * 8 * 25)
     design, y, coalitions = unequal_width_setup(200)
     X = design.values.copy()
@@ -879,12 +903,21 @@ def test_newton_block_declines_where_the_step_symmetrisation_overflows(monkeypat
     stream = OnlineSession(design, frozenset({"x1"}), coalitions, 1.0, SMOOTH)
     stream.init_states(X[:60], y[:60], WARM_START)
     decouple_column(stream, j, HALF_MAX)
-    recursion = copy.deepcopy(stream)
-    err, replays = assert_stream_raises_like_step(stream, recursion, X[60:], y[60:])
-    assert isinstance(err, SingularUpdateError) and err.step == 15
-    assert "x4" in str(err)
-    # the first block ran as a block; the second declined and was replayed
-    assert len(replays) == 5
+    assert stream._stack.memory.max() == HALF_MAX
+    recursion, start = copy.deepcopy(stream), stream.states
+    replays = count_replays(stream)
+    trace = stream.stream(X[60:], y[60:])
+    assert not replays
+    assert stream._stack.memory.max() > HALF_MAX
+    losses, ewma, _ = step_trace(recursion, X[60:], y[60:])
+    assert np.array_equal(trace.losses, losses)
+    assert np.array_equal(trace.ewma, ewma)
+    assert_sessions_equal(stream, recursion)
+    assert_memory_exactly_symmetric(stream)
+    for c, state in start.items():
+        for t in range(60, len(y)):
+            state, _, _ = online_step(state, X[t, list(stream.columns[c])], y[t], 1.0, SMOOTH)
+        assert np.array_equal(state.memory, stream.states[c].memory)
 
 
 def test_newton_block_where_an_exp_overflows_is_the_step_bit_for_bit(monkeypatch):
