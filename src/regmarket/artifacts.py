@@ -11,9 +11,10 @@ lines joined by commas; each writer formats the columns it writes, a
 settled ledger's times and amounts from their gathers, and keeps nothing;
 ``ledger.csv`` quotes a settled ledger's names once per feature and
 gathers them by the entries' feature codes.  The CSV writers lay out
-each block of rows in one list.
+each block of a settled report's rows in one list.
 A series or ledger read as lists is written by the encoders that define
-its bytes, the C ``json`` encoder and ``repr``.
+its bytes: the C ``json`` encoder in ``report.json``, and ``csv.writer``
+itself, with each float through ``repr``, in the CSV files.
 """
 
 from __future__ import annotations
@@ -212,22 +213,9 @@ def _csv_cells(*cells: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def _csv_column(values: list | _Lines) -> list[str]:
-    """Each of ``values`` as a cell of ``csv.writer``: a :class:`_Lines`'
-    lines as they are, an int as its ``str``, a string quoted once per
-    distinct string."""
-    if type(values) is _Lines:
-        return values.cells()
-    if values and type(values[0]) is int and set(map(type, values)) == {int}:
-        return list(map(str, values))
-    distinct = set(values)
-    if all(type(v) is str for v in distinct):
-        return list(map({v: _csv_cells(v) for v in distinct}.__getitem__, values))
-    return [_csv_cells(v) for v in values]
-
-
 def _write_rows(fh, *columns: str | list[str]) -> None:
-    """Write rows of one text per column, the last ending the row.
+    """Write the rows of settled columns, one text per column, the last
+    ending the row.
 
     A str column is the same text on every row; a list holds one text per
     row.  Each block of ``ROWS_PER_WRITE`` rows is laid out in one list,
@@ -251,27 +239,26 @@ def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
 
     A settled ledger's times and amounts are formatted from their gathers
-    (:func:`_ledger_column`); its ``payer,payee,feature`` cells are quoted
-    once per feature and gathered by code, and its market cell once.  A
-    ledger read as lists puts each amount through ``repr`` and quotes each
-    distinct name once per column.  :func:`_write_rows` lays out the rows.
+    (:func:`_ledger_column`), a batch market's ``batch`` times quoted per
+    cell; its ``payer,payee,feature`` cells are quoted once per feature and
+    gathered by code, and its market cell once, and :func:`_write_rows`
+    lays out the rows.  A ledger read as lists is written by ``csv.writer``
+    row by row, each amount through ``repr``.
     """
     ledger = report.ledger
-    times = _csv_column(_ledger_column(ledger, "time"))
-    amounts = _ledger_column(ledger, "amount")
-    amounts = amounts.cells() if type(amounts) is _Lines else list(map(repr, amounts))
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(LEDGER_COLUMNS)
-        if ledger._lists is None:
+        writer = csv.writer(fh)
+        writer.writerow(LEDGER_COLUMNS)
+        if ledger._lists is not None:
+            times, payers, payees, features, amounts, markets = ledger._lists.values()
+            writer.writerows(zip(times, payers, payees, features, map(repr, amounts), markets))
+        else:
             book = ledger._book
+            times, amounts = (_ledger_column(ledger, name) for name in ("time", "amount"))
+            times = times.cells() if type(times) is _Lines else list(map(_csv_cells, times))
             names = book.by_code(f",{_csv_cells(book.payer, payee, feature)},"
                                  for payee, feature in zip(book.payees, book.features))
-            _write_rows(fh, times, names, amounts, f",{_csv_cells(book.market)}\r\n")
-        else:
-            payer, payee, feature, market = (_csv_column(ledger._column(name))
-                                             for name in ("payer", "payee", "feature", "market"))
-            _write_rows(fh, times, ",", payer, ",", payee, ",", feature, ",", amounts, ",",
-                        market, "\r\n")
+            _write_rows(fh, times, names, amounts.cells(), f",{_csv_cells(book.market)}\r\n")
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
@@ -281,30 +268,35 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
     and floats by ``repr``, grouped by feature in sorted order, one per
     (integer) step; a report with no per-step series has one ``batch`` row
     per feature in ``payments``.  A settled series' columns are formatted
-    by :func:`_array_lines`, a series read as lists goes through
-    ``repr``, the ``agent,feature`` cells are quoted once per feature, and
-    the rows are joined in C by :func:`_write_rows`.
+    by :func:`_array_lines`, its ``agent,feature`` cells are quoted once per
+    feature, and :func:`_write_rows` lays out the rows.  A series read as
+    lists is written by ``csv.writer``, one ``writerows`` call per feature,
+    each payment and running total through ``repr``.
     """
+    owners = report.feature_owners
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
         columns = report._series_columns()
         series = report.series if columns is None else columns
-        if series and "payments" in series:
-            lines = ((lambda values: list(map(repr, values))) if columns is None
-                     else lambda column: _array_lines(column).cells())
-            steps = _csv_column(series["step"] if columns is None
-                                else _array_lines(series["step"]))
-            for k in sorted(series["payments"]):
-                pays, running = (lines(series[name][k]) for name in ("payments", "cumulative"))
-                middle = f",{_csv_cells(report.feature_owners.get(k, ''), k)},"
-                _write_rows(fh, steps, middle, pays, ",", running, "\r\n")
-        else:
+        if not (series and "payments" in series):
             running = 0.0
             for k in sorted(report.payments):
                 running += report.payments[k]
-                writer.writerow(["batch", report.feature_owners.get(k, ""), k,
-                                 repr(report.payments[k]), repr(running)])
+                writer.writerow(["batch", owners.get(k, ""), k, repr(report.payments[k]),
+                                 repr(running)])
+        elif columns is None:
+            for k in sorted(series["payments"]):
+                writer.writerows(zip(series["step"], itertools.repeat(owners.get(k, "")),
+                                     itertools.repeat(k), map(repr, series["payments"][k]),
+                                     map(repr, series["cumulative"][k])))
+        else:
+            steps = _array_lines(series["step"]).cells()
+            for k in sorted(series["payments"]):
+                pays, running = (_array_lines(series[name][k]).cells()
+                                 for name in ("payments", "cumulative"))
+                _write_rows(fh, steps, f",{_csv_cells(owners.get(k, ''), k)},", pays, ",",
+                            running, "\r\n")
 
 
 def write_loss_table_csv(report: MarketReport, path) -> None:

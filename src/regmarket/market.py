@@ -161,8 +161,8 @@ class _Book:
     ``(T, K)`` payments ``paid``, one row per step of ``steps``; the ledger
     as the ``rows`` and feature ``codes`` of its positive payments, with the
     ``payer`` and the ``market`` once; and ``series`` shaped as
-    ``MarketReport.series``, with a column in place of each list (a batch
-    market's holds only its ``payments``)."""
+    ``MarketReport.series``, with a column in place of each list, kept only
+    for a market with a per-step surplus (a batch market's is empty)."""
 
     features: tuple[str, ...]
     payees: tuple[str, ...]
@@ -480,13 +480,13 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: Se
     report.clamped_entries = int(np.count_nonzero(amounts < 0.0))
     paid = np.where(amounts <= 0.0, 0.0, amounts)
     steps = np.asarray(times)
-    series = {"payments": dict(zip(features, paid.T))}
+    series = {}
     if surplus is not None:
         series = {**({} if allocations is None else
                      {"allocations": dict(zip(features, allocations.T))}),
                   "step": steps, "surplus": surplus,
                   "central_payment": np.array(list(map(math.fsum, paid.tolist()))),
-                  "payments": series["payments"],
+                  "payments": dict(zip(features, paid.T)),
                   "cumulative": dict(zip(features, np.cumsum(paid, axis=0).T))}
         del report.series  # made from the columns on first read
     report._book = _Book(features, tuple(owners[k] for k in features), task.central_agent,
@@ -531,7 +531,7 @@ def clear_batch_market(dataset: Dataset, task: TaskSpec,
     players, losses, base_loss = game(report, design, ds.target, task, central)
     report.surplus = report.central_loss - report.full_loss
     report.loss_table = _loss_table(losses)
-    scale = report.rows * task.loss_scale * task.phi_insample
+    scale = report.rows * task.loss_scale * report.phi
     report.benchmark_payment = max(scale * report.surplus, 0.0)
     return _allocate_and_pay(report, task, players, losses,
                              scale * (base_loss - report.full_loss), ["batch"])
@@ -679,7 +679,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     evolve through the evaluation period (the forecast residual of each
     step is also its learning residual).  Each step with a positive
     realised surplus pays every feature its contribution under
-    ``task.oos_allocation_policy``, clamped at zero.
+    the report's policy (``task.oos_allocation_policy``), clamped at zero.
     """
     if model_source not in ("batch", "online"):
         raise ParameterError(f"unknown model source {model_source!r}")
@@ -711,7 +711,7 @@ def run_oos_market(dataset: Dataset, task: TaskSpec, model_source: str = "batch"
     # only the steps with a positive surplus pay, so only they are allocated
     paying = surplus > 0
     contribs, _ = step_contributions({c: v[paying] for c, v in losses_by_coalition.items()},
-                                     chosen, POLICY_VARIANT[task.oos_allocation_policy],
+                                     chosen, POLICY_VARIANT[report.allocation_policy],
                                      peaks=False)
     paid = {k: np.zeros(len(surplus)) for k in chosen}
     for k in chosen:

@@ -173,11 +173,13 @@ def init_state(X_warm: np.ndarray | None, y_warm: np.ndarray | None,
 
 class _StackedStates:
     """The states of C estimators stacked into arrays padded to width N, with
-    the forgetting factor and the loss that every recursion advances them by."""
+    the forgetting factor and the loss that every recursion advances them by.
+    A state enters with finite coefficients, memory, pending gradient and
+    EWMA loss, or raises ParameterError."""
 
     def __init__(self, states: Sequence[OnlineState], lam: float, spec: LossSpec,
                  labels: Sequence[str] | None = None):
-        self.lam, self.spec = lam, spec
+        self.lam, self.spec, self.labels = lam, spec, labels
         self.widths = np.array([s.n for s in states], dtype=int)
         C, N = len(states), int(self.widths.max(initial=0))
         self.coefficients = np.zeros((C, N))
@@ -194,10 +196,16 @@ class _StackedStates:
         self.padding = (rows, dims, dims)
         self.memory[self.padding] = 1.0
         self.ewma = EwmaLoss(np.array([s.ewma.value for s in states], dtype=float), lam)
+        finite = np.isfinite(np.column_stack([self.coefficients, self.pending_gradient,
+                                              self.memory.reshape(C, N * N),
+                                              self.ewma.value])).all(axis=1)
+        if not finite.all():
+            raise ParameterError(f"{self._label(int(np.argmin(finite)))}online state is not "
+                                 "finite: coefficients, memory, pending gradient and EWMA "
+                                 "loss must all be finite")
         self.step_count = np.array([s.step_count for s in states], dtype=int)
         self.ready = np.array([s.ready for s in states], dtype=bool)
         self.min_warm_steps = np.array([s.min_warm_steps for s in states], dtype=int)
-        self.labels = labels
 
     def state(self, i: int) -> OnlineState:
         n = self.widths[i]

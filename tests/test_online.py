@@ -366,6 +366,35 @@ def test_singular_update_names_its_coalition():
         assert after[c].step_count == before[c].step_count
 
 
+# edits that leave a state of width n not finite
+NOT_FINITE = {
+    "memory": lambda n: {"memory": np.diag([np.inf] + [1.0] * (n - 1))},
+    "memory-nan": lambda n: {"memory": np.where(np.eye(n), 1.0, np.nan)},
+    "coefficients": lambda n: {"coefficients": np.full(n, -np.inf)},
+    "pending-gradient": lambda n: {"ready": False, "pending_gradient": np.full(n, np.nan),
+                                   "min_warm_steps": 2 * n},
+    "ewma": lambda n: {"ewma": EwmaLoss(np.inf, 0.99)},
+}
+
+
+@pytest.mark.parametrize("edit", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+def test_a_state_that_is_not_finite_is_refused_where_it_enters_the_stack(edit):
+    # a ready quadratic state with memory diag(inf, 1), stepped on the row
+    # [1, 1] with target 1, would otherwise return coefficients [0, 0.5025]
+    state = replace(OnlineState(np.zeros(2), np.eye(2), EwmaLoss(0.0, 0.99)), **edit(2))
+    with pytest.raises(ParameterError, match="online state is not finite"):
+        online_step(state, np.ones(2), 1.0, 0.99, QUAD)
+    design, y, coalitions = unequal_width_setup(100)
+    session = OnlineSession(design, frozenset({"x1"}), coalitions, 0.99, QUAD)
+    session.init_states(design.values[:60], y[:60], WARM_START)
+    before = session.states
+    with pytest.raises(ParameterError, match=r"coalition \['x3'\]: online state is not finite"):
+        edit_states(session, lambda c, s: replace(s, **edit(s.n)) if c == {"x3"} else s)
+    # the session keeps the states it had
+    for c in coalitions:
+        assert np.array_equal(session.states[c].memory, before[c].memory)
+
+
 # Singular, with a Cholesky factor: the determinant is 0, Cholesky's second
 # pivot 0.5 - (1/sqrt(2))^2 is a rounding-sized positive number, and the LU
 # factorisation of np.linalg.solve finds an exact zero pivot

@@ -305,6 +305,19 @@ def test_hand_built_batch_cumulative_csv(tmp_path):
     assert_artifacts_match(report, tmp_path)
 
 
+def test_a_list_value_whose_repr_holds_a_comma_is_one_cell(tmp_path):
+    # a report read as lists goes to the CSV files through csv.writer, which
+    # quotes the repr "'1,5'" of an amount or a payment edited to a string
+    report = hand_built_report()
+    report.ledger.amount[0] = report.series["payments"]["x4"][1] = "1,5"
+    assert_artifacts_match(report, tmp_path)
+    for name, width in (("ledger.csv", 6), ("cumulative_revenues.csv", 5)):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {width}
+        assert ["'1,5'"] == [cell for row in rows for cell in row if "1,5" in cell]
+
+
 def test_to_dict_shares_containers_and_matches_asdict():
     report = hand_built_report()
     out = report.to_dict()
