@@ -246,6 +246,13 @@ def write_ledger_csv(report: MarketReport, path) -> None:
     row by row, each amount through ``repr``.
     """
     ledger = report.ledger
+    if ledger._lists is None:
+        # split into cells before the file opens, each text dropped as it is
+        # split: split inside, the oos-online-arx pass touched some 800 more
+        # fresh pages (minor faults) and its time varied more from run to run
+        times, amounts = (_ledger_column(ledger, name) for name in ("time", "amount"))
+        times = times.cells() if type(times) is _Lines else list(map(_csv_cells, times))
+        amounts = amounts.cells()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LEDGER_COLUMNS)
@@ -254,11 +261,9 @@ def write_ledger_csv(report: MarketReport, path) -> None:
             writer.writerows(zip(times, payers, payees, features, map(repr, amounts), markets))
         else:
             book = ledger._book
-            times, amounts = (_ledger_column(ledger, name) for name in ("time", "amount"))
-            times = times.cells() if type(times) is _Lines else list(map(_csv_cells, times))
             names = book.by_code(f",{_csv_cells(book.payer, payee, feature)},"
                                  for payee, feature in zip(book.payees, book.features))
-            _write_rows(fh, times, names, amounts.cells(), f",{_csv_cells(book.market)}\r\n")
+            _write_rows(fh, times, names, amounts, f",{_csv_cells(book.market)}\r\n")
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
