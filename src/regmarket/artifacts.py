@@ -4,17 +4,14 @@
 ``cumulative_revenues.csv``, ``losses.csv`` and ``audit.json``, in that
 order, as ``regmarket market`` does; each writer states its byte format.
 
-A settled report keeps its series and its ledger as columns
+A report holds its series and its ledger as columns only
 (:class:`~regmarket.market.MarketReport`).  :func:`_array_lines` formats
-such a float64 or int64 column in one ``orjson`` call, as its ``repr``
-lines joined by commas; each writer formats the columns it writes, a
-settled ledger's times and amounts from their gathers, and keeps nothing;
-``ledger.csv`` quotes a settled ledger's names once per feature and
-gathers them by the entries' feature codes.  The CSV writers lay out
-each block of a settled report's rows in one list.
-A series or ledger read as lists is written by the encoders that define
-its bytes: the C ``json`` encoder in ``report.json``, and ``csv.writer``
-itself, with each float through ``repr``, in the CSV files.
+a float64 or int64 column in one ``orjson`` call, as its ``repr`` lines
+joined by commas; each writer formats the columns it writes, the
+ledger's numeric times and its amounts from their gathers, and keeps
+nothing.  ``ledger.csv`` quotes the ledger's names once per name row and
+gathers them by the entries' codes, and the CSV writers lay out each
+block of rows in one list.
 """
 
 from __future__ import annotations
@@ -33,8 +30,7 @@ import numpy as np
 
 from .market import LEDGER_COLUMNS, Ledger, MarketReport
 
-# CSV rows, or JSON list items for the C encoder, made at a time: a bound
-# on memory
+# CSV rows laid out at a time: a bound on memory
 ROWS_PER_WRITE = 1024
 
 
@@ -64,12 +60,10 @@ def report_to_json(report: MarketReport, path) -> None:
     """
     data = {f.name: getattr(report, f.name) for f in fields(report)
             if f.name not in ("series", "ledger")}
-    columns = report._series_columns()
-    # a settled column is formatted when the writer reaches it
-    data["series"] = report.series if columns is None else {
-        name: {k: partial(_array_lines, c) for k, c in values.items()}
-        if isinstance(values, dict) else partial(_array_lines, values)
-        for name, values in columns.items()}
+    # a column is formatted when the writer reaches it
+    data["series"] = {name: {k: partial(_array_lines, c) for k, c in values.items()}
+                      if isinstance(values, dict) else partial(_array_lines, values)
+                      for name, values in report.series.items()}
     data["ledger"] = {name: partial(_ledger_column, report.ledger, name)
                       for name in LEDGER_COLUMNS}
     with open(path, "w") as fh:
@@ -78,14 +72,11 @@ def report_to_json(report: MarketReport, path) -> None:
 
 
 def _ledger_column(ledger: Ledger, name: str):
-    """Ledger column ``name`` to write: a settled ledger's numeric times and
-    its amounts as the :func:`_array_lines` of their gathers, else the
-    column as a list."""
-    if name in ("time", "amount") and ledger._lists is None:
-        gathered = ledger._book.gather(name)
-        if gathered.dtype.kind in "if":
-            return _array_lines(gathered)
-    return ledger._column(name)
+    """Ledger column ``name`` to write: the :func:`_array_lines` of its
+    gather where that is numeric (the amounts, and the times a market
+    settles), else the gather as a list."""
+    gathered = ledger._book.gather(name)
+    return _array_lines(gathered) if gathered.dtype.kind in "if" else gathered.tolist()
 
 
 class _Lines(str):
@@ -155,7 +146,7 @@ def _iter_json(obj, level: int):
     A container of scalars is one piece, its items joined by a separator
     that holds their newline and indent: a :class:`_Lines` with it for
     each comma, a list of strings from each distinct string's code,
-    anything else by the C encoder, ``ROWS_PER_WRITE`` items at a time.
+    anything else by the C encoder.
     A callable is called for the value to write when it is reached.  Other
     containers are walked item by item, and their keys must be strings.
     """
@@ -194,10 +185,7 @@ def _iter_json(obj, level: int):
         codes = {s: encode_basestring_ascii(s) for s in set(obj)}
         body = sep.join(map(codes.__getitem__, obj))
     else:
-        blocks = [obj] if is_dict else (obj[lo:lo + ROWS_PER_WRITE]
-                                        for lo in range(0, len(obj), ROWS_PER_WRITE))
-        body = sep.join(json.dumps(block, sort_keys=True, separators=(sep, ": "))[1:-1]
-                        for block in blocks)
+        body = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[1:-1]
     yield start
     yield body
     yield close
@@ -214,8 +202,7 @@ def _csv_cells(*cells: str) -> str:
 
 
 def _write_rows(fh, *columns: str | list[str]) -> None:
-    """Write the rows of settled columns, one text per column, the last
-    ending the row.
+    """Write rows of columns, one text per column, the last ending the row.
 
     A str column is the same text on every row; a list holds one text per
     row.  Each block of ``ROWS_PER_WRITE`` rows is laid out in one list,
@@ -238,32 +225,25 @@ def _write_rows(fh, *columns: str | list[str]) -> None:
 def write_ledger_csv(report: MarketReport, path) -> None:
     """Write the ledger: one row per entry, amounts by ``repr``, CRLF ends.
 
-    A settled ledger's times and amounts are formatted from their gathers
-    (:func:`_ledger_column`), a batch market's ``batch`` times quoted per
-    cell; its ``payer,payee,feature`` cells are quoted once per feature and
-    gathered by code, and its market cell once, and :func:`_write_rows`
-    lays out the rows.  A ledger read as lists is written by ``csv.writer``
-    row by row, each amount through ``repr``.
+    The times and amounts are formatted from their gathers
+    (:func:`_ledger_column`), times that are not numeric quoted per cell;
+    the ``,payer,payee,feature,`` and ``,market`` cells are quoted once per
+    name row and gathered by code, and :func:`_write_rows` lays out the
+    rows.
     """
     ledger = report.ledger
-    if ledger._lists is None:
-        # split into cells before the file opens, each text dropped as it is
-        # split: split inside, the oos-online-arx pass touched some 800 more
-        # fresh pages (minor faults) and its time varied more from run to run
-        times, amounts = (_ledger_column(ledger, name) for name in ("time", "amount"))
-        times = times.cells() if type(times) is _Lines else list(map(_csv_cells, times))
-        amounts = amounts.cells()
+    # split into cells before the file opens, each text dropped as it is
+    # split: split inside, the oos-online-arx pass touched some 800 more
+    # fresh pages (minor faults) and its time varied more from run to run
+    times, amounts = (_ledger_column(ledger, name) for name in ("time", "amount"))
+    times = times.cells() if type(times) is _Lines else list(map(_csv_cells, times))
+    amounts = amounts.cells()
+    book = ledger._book
+    names = book.by_code(f",{_csv_cells(*row[:3])}," for row in book.names).tolist()
+    markets = book.by_code(f",{_csv_cells(row[3])}\r\n" for row in book.names).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEDGER_COLUMNS)
-        if ledger._lists is not None:
-            times, payers, payees, features, amounts, markets = ledger._lists.values()
-            writer.writerows(zip(times, payers, payees, features, map(repr, amounts), markets))
-        else:
-            book = ledger._book
-            names = book.by_code(f",{_csv_cells(book.payer, payee, feature)},"
-                                 for payee, feature in zip(book.payees, book.features))
-            _write_rows(fh, times, names, amounts, f",{_csv_cells(book.market)}\r\n")
+        csv.writer(fh).writerow(LEDGER_COLUMNS)
+        _write_rows(fh, times, names, amounts, markets)
 
 
 def write_cumulative_csv(report: MarketReport, path) -> None:
@@ -271,30 +251,22 @@ def write_cumulative_csv(report: MarketReport, path) -> None:
 
     Rows are ``step,agent,feature,amount,cumulative`` with CRLF line ends
     and floats by ``repr``, grouped by feature in sorted order, one per
-    (integer) step; a report with no per-step series has one ``batch`` row
-    per feature in ``payments``.  A settled series' columns are formatted
-    by :func:`_array_lines`, its ``agent,feature`` cells are quoted once per
-    feature, and :func:`_write_rows` lays out the rows.  A series read as
-    lists is written by ``csv.writer``, one ``writerows`` call per feature,
-    each payment and running total through ``repr``.
+    step; a report with no per-step payments has one ``batch`` row per
+    feature in ``payments``.  The series' columns are formatted by
+    :func:`_array_lines`, the ``agent,feature`` cells are quoted once per
+    feature, and :func:`_write_rows` lays out the rows.
     """
     owners = report.feature_owners
+    series = report.series
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
-        columns = report._series_columns()
-        series = report.series if columns is None else columns
-        if not (series and "payments" in series):
+        if "payments" not in series:
             running = 0.0
             for k in sorted(report.payments):
                 running += report.payments[k]
                 writer.writerow(["batch", owners.get(k, ""), k, repr(report.payments[k]),
                                  repr(running)])
-        elif columns is None:
-            for k in sorted(series["payments"]):
-                writer.writerows(zip(series["step"], itertools.repeat(owners.get(k, "")),
-                                     itertools.repeat(k), map(repr, series["payments"][k]),
-                                     map(repr, series["cumulative"][k])))
         else:
             steps = _array_lines(series["step"]).cells()
             for k in sorted(series["payments"]):

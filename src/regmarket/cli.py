@@ -159,26 +159,34 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot parse {path}: {err}", file=sys.stderr)
         return EXIT_IO
-    if args.per_agent:
-        _print_table(["agent", "revenue"],
-                     [(a, f"{v:.2f}") for a, v in sorted(data["per_agent"].items())])
-    elif args.per_feature:
-        rows = [(k, f"{100 * data['allocations'].get(k, 0.0):.2f}%",
-                 f"{v:.2f}")
-                for k, v in sorted(data["payments"].items())]
-        _print_table(["feature", "psi", "payment"], rows)
-    else:
-        surplus = data.get("surplus")
-        rows = [
-            ("market", data["market"]),
-            ("central agent", data["central_agent"]),
-            ("loss improvement", "n/a" if surplus is None else f"{surplus:.6f}"),
-            ("central payment", f"{data['central_total']:.2f}"),
-            ("support revenue", f"{sum(data['payments'].values()):.2f}"),
-            ("benchmark payment", f"{data['benchmark_payment']:.2f}"),
-            ("audit passed", str(data.get("audit", {}).get("passed"))),
-        ]
-        _print_table(["field", "value"], rows)
+    if not isinstance(data, dict):
+        print(f"error: {path} is not a report: not a JSON object", file=sys.stderr)
+        return EXIT_IO
+    # each table is built before it is printed, so a missing key prints nothing
+    try:
+        if args.per_agent:
+            _print_table(["agent", "revenue"],
+                         [(a, f"{v:.2f}") for a, v in sorted(data["per_agent"].items())])
+        elif args.per_feature:
+            rows = [(k, f"{100 * data['allocations'].get(k, 0.0):.2f}%",
+                     f"{v:.2f}")
+                    for k, v in sorted(data["payments"].items())]
+            _print_table(["feature", "psi", "payment"], rows)
+        else:
+            surplus = data.get("surplus")
+            rows = [
+                ("market", data["market"]),
+                ("central agent", data["central_agent"]),
+                ("loss improvement", "n/a" if surplus is None else f"{surplus:.6f}"),
+                ("central payment", f"{data['central_total']:.2f}"),
+                ("support revenue", f"{sum(data['payments'].values()):.2f}"),
+                ("benchmark payment", f"{data['benchmark_payment']:.2f}"),
+                ("audit passed", str(data.get("audit", {}).get("passed"))),
+            ]
+            _print_table(["field", "value"], rows)
+    except KeyError as err:
+        print(f"error: {path} is not a report: it has no key {err}", file=sys.stderr)
+        return EXIT_IO
     return 0
 
 

@@ -153,100 +153,98 @@ class LedgerEntry:
 
 
 LEDGER_COLUMNS = tuple(f.name for f in fields(LedgerEntry))
+NAME_COLUMNS = ("payer", "payee", "feature", "market")
 
 
 @dataclass(eq=False)
 class _Book:
-    """What :func:`_settle` keeps of a market, as arrays: the clamped
-    ``(T, K)`` payments ``paid``, one row per step of ``steps``; the ledger
-    as the ``rows`` and feature ``codes`` of its positive payments, with the
-    ``payer`` and the ``market`` once; and ``series`` shaped as
-    ``MarketReport.series``, with a column in place of each list, kept only
-    for a market with a per-step surplus (a batch market's is empty)."""
+    """A ledger as arrays: the payments ``paid``, one row per step of
+    ``steps`` and one column per ``(payer, payee, feature, market)`` row of
+    ``names``, and one entry per pair of ``rows`` and ``codes``, the step
+    row and the name row of the entry's amount.
 
-    features: tuple[str, ...]
-    payees: tuple[str, ...]
-    payer: str
-    market: str
+    :func:`_settle` books the clamped ``(T, K)`` payments, one name row per
+    feature, and an entry for each positive payment.  A ledger given as
+    entries (:meth:`of`) is booked with one step row per entry, its times
+    an object column, and one name row per distinct name tuple."""
+
+    names: tuple[tuple[str, str, str, str], ...]
     steps: np.ndarray
     paid: np.ndarray
     rows: np.ndarray
     codes: np.ndarray
-    series: dict
+
+    @classmethod
+    def of(cls, entries: Iterable[LedgerEntry]) -> _Book:
+        entries = list(entries)
+        odd = [e.amount for e in entries if not isinstance(e.amount, float)]
+        if odd:
+            raise ParameterError(f"a ledger amount must be a float, not {odd[0]!r}")
+        names: dict[tuple, int] = {}
+        codes = np.array([names.setdefault((e.payer, e.payee, e.feature, e.market), len(names))
+                          for e in entries], dtype=np.intp)
+        rows = np.arange(len(entries))
+        paid = np.zeros((len(entries), len(names)))
+        paid[rows, codes] = [e.amount for e in entries]
+        return cls(tuple(names), np.fromiter((e.time for e in entries), object, len(entries)),
+                   paid, rows, codes)
 
     def gather(self, name: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The ``time`` or ``amount`` of entries ``lo`` to ``hi``, as a new array."""
+        """Ledger column ``name`` of entries ``lo`` to ``hi``, as a new array."""
         rows = self.rows[lo:hi]
-        return self.steps[rows] if name == "time" else self.paid[rows, self.codes[lo:hi]]
+        if name == "time":
+            return self.steps[rows]
+        if name == "amount":
+            return self.paid[rows, self.codes[lo:hi]]
+        j = NAME_COLUMNS.index(name)
+        return self.by_code((row[j] for row in self.names), lo, hi)
 
-    def column(self, name: str, lo: int = 0, hi: int | None = None) -> list:
-        """Ledger column ``name`` of entries ``lo`` to ``hi``, as a new list."""
-        if name in ("time", "amount"):
-            return self.gather(name, lo, hi).tolist()
-        if name in ("payer", "market"):
-            return [getattr(self, name)] * len(self.codes[lo:hi])
-        return self.by_code(self.payees if name == "payee" else self.features, lo, hi)
-
-    def by_code(self, texts: Iterable[str], lo: int = 0, hi: int | None = None) -> list:
-        """One of ``texts``, given per feature, for each of entries ``lo``
-        to ``hi``, by its feature code, as a new list."""
-        return np.array(list(texts), dtype=object)[self.codes[lo:hi]].tolist()
+    def by_code(self, texts: Iterable, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """One of ``texts``, given per name row, for each of entries ``lo``
+        to ``hi``, by its code, as a new object array."""
+        return np.fromiter(texts, object, len(self.names))[self.codes[lo:hi]]
 
 
 class Ledger(Sequence):
-    """The ledger as one column per :class:`LedgerEntry` field.
+    """The ledger, booked as columns (``_Book``).
 
-    It reads as a sequence of ``LedgerEntry`` values, built only when an
-    entry is read: ``len``, iteration, indexing, and slicing, which returns
-    a list.  It compares equal to a list of the same entries.  A settled
-    ledger keeps index columns into its market's payments (``_Book``):
-    ``len``, iteration and indexing keep no list.  Reading a column
-    (``ledger.amount``) or :meth:`append` makes its six columns lists from
-    then on, made from the book: its amounts are new floats, not those of
-    the report's series lists.
+    It reads as a sequence of :class:`LedgerEntry` values of Python
+    scalars, each built when it is read: ``len``, iteration, indexing, and
+    slicing, which returns a list.  It compares equal to a list of the same
+    entries.  A column (``ledger.amount``, ``ledger.payee``, ...) is a new
+    read-only array gathered from the book, so an edit through it raises
+    ``ValueError``.  A ledger given as entries is booked entry by entry,
+    and each amount must be a float.
     """
 
-    __slots__ = ("_lists", "_book")
+    __slots__ = ("_book",)
 
     def __init__(self, entries: Iterable[LedgerEntry] = (), book: _Book | None = None):
-        self._book = book
-        self._lists = {name: [] for name in LEDGER_COLUMNS} if book is None else None
-        for entry in entries:
-            self.append(entry)
+        self._book = _Book.of(entries) if book is None else book
 
     def __getattr__(self, name):
         # reached only for a name that is not a slot: a column
         if name not in LEDGER_COLUMNS:
             raise AttributeError(f"'Ledger' object has no attribute {name!r}")
-        self._columns()
-        return self._lists[name]
+        column = self._book.gather(name)
+        column.flags.writeable = False
+        return column
 
-    def append(self, entry: LedgerEntry) -> None:
-        for col, name in zip(self._columns(), LEDGER_COLUMNS):
-            col.append(getattr(entry, name))
-
-    def _columns(self) -> list[list]:
-        """The six columns as lists, from now on."""
-        if self._lists is None:
-            self._lists = {name: self._book.column(name) for name in LEDGER_COLUMNS}
-        return list(self._lists.values())
-
-    def _column(self, name: str) -> list:
-        """Column ``name``: its list, or a list made from the book and not kept."""
-        return self._book.column(name) if self._lists is None else self._lists[name]
+    def _entries(self, lo: int = 0, hi: int | None = None):
+        return map(LedgerEntry, *(self._book.gather(name, lo, hi).tolist()
+                                  for name in LEDGER_COLUMNS))
 
     def __len__(self) -> int:
-        return len(self._book.rows) if self._lists is None else len(self._lists["amount"])
+        return len(self._book.rows)
 
     def __iter__(self):
-        return map(LedgerEntry, *map(self._column, LEDGER_COLUMNS))
+        return self._entries()
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
         i = range(len(self))[index]
-        return LedgerEntry(*(self._book.column(name, i, i + 1)[0] if self._lists is None
-                             else self._lists[name][i] for name in LEDGER_COLUMNS))
+        return next(self._entries(i, i + 1))
 
     def __eq__(self, other):
         if isinstance(other, (Ledger, list)):
@@ -257,15 +255,29 @@ class Ledger(Sequence):
         return f"Ledger({list(self)!r})"
 
 
+def _series_column(name: str, values) -> np.ndarray:
+    """``values`` as a read-only float64 or int64 column, a view where they
+    already are one."""
+    column = np.asarray(values)
+    kind = np.float64 if column.dtype.kind == "f" else np.int64
+    if column.ndim != 1 or column.dtype.kind not in "fiu" or not np.can_cast(column.dtype, kind):
+        raise ParameterError(f"series column {name!r} is not a list of float64 or int64 "
+                             f"values: {column.dtype}, shape {column.shape}")
+    column = column.astype(kind, copy=False).view()
+    column.flags.writeable = False
+    return column
+
+
 @dataclass
 class MarketReport:
     """A cleared market: its header, money, losses, series and ledger.
 
-    A settled report keeps its series and ledger as float64 and index
-    columns (``_Book``): about 8 bytes per series value and 16 per ledger
-    entry.  ``series`` becomes a dict of lists on its first read, and the
-    ledger's columns lists on theirs (:class:`Ledger`); the artifact
-    writers format the columns without making the lists.
+    ``series`` maps each name to a read-only float64 or int64 column, or
+    to a dict of them per feature; a series given as lists is stored as
+    such columns.  The ledger is a :class:`Ledger`; one given as entries
+    is booked.  So an edit through either raises, and every artifact
+    holds what the market settled.  :meth:`to_dict` makes new lists of
+    both.
     """
 
     market: str
@@ -300,42 +312,39 @@ class MarketReport:
     schema_version: int = SCHEMA_VERSION
 
     def __setattr__(self, name, value):
-        # a ledger given as a list of entries, at construction or later,
-        # is stored as columns
+        # a ledger given as entries is booked, and a series is stored as
+        # read-only columns, at construction or later
         if name == "ledger" and not isinstance(value, Ledger):
             value = Ledger(value)
+        elif name == "series":
+            value = {key: {k: _series_column(k, v) for k, v in column.items()}
+                     if isinstance(column, dict) else _series_column(key, column)
+                     for key, column in value.items()}
         super().__setattr__(name, value)
 
-    def __getattr__(self, name):
-        # reached only for an attribute the report does not hold: the
-        # series that _settle keeps as columns, made lists on first read
-        if name != "series" or "_book" not in vars(self):
-            raise AttributeError(f"'MarketReport' object has no attribute {name!r}")
-        self.series = {name: {k: v.tolist() for k, v in values.items()}
-                       if isinstance(values, dict) else values.tolist()
-                       for name, values in self._book.series.items()}
-        return self.series
-
-    def _series_columns(self) -> dict | None:
-        """The settled series as columns while ``series`` is unread, else None."""
-        return None if "series" in vars(self) else self._book.series
+    def __setstate__(self, state):
+        # a copied or unpickled report is stored as a new one is
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def to_dict(self) -> dict:
         """The report as JSON data, with the ledger as one list per column.
 
         The result is a new top-level dict with new lists for the tuple
-        fields and a new dict of the ledger's column lists; every other
-        container (``series``, ``metrics``, ``notes``, ``audit``, the
-        per-feature mappings, the column lists) is the report's own object,
-        shared rather than copied.  Copy before mutating it.  It makes the
-        series and the ledger's columns lists.
+        fields, the series' columns and the ledger's columns; every other
+        container (``metrics``, ``notes``, ``audit``, the per-feature
+        mappings) is the report's own object, shared rather than copied.
+        Copy before mutating it.
         """
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["support"] = list(self.support)
         out["screened_out"] = list(self.screened_out)
         out["flag_duplicates"] = [list(g) for g in self.flag_duplicates]
         out["flag_dummies"] = list(self.flag_dummies)
-        out["ledger"] = dict(zip(LEDGER_COLUMNS, self.ledger._columns()))
+        out["series"] = {name: {k: v.tolist() for k, v in values.items()}
+                         if isinstance(values, dict) else values.tolist()
+                         for name, values in self.series.items()}
+        out["ledger"] = {name: getattr(self.ledger, name).tolist() for name in LEDGER_COLUMNS}
         return out
 
 
@@ -480,18 +489,15 @@ def _settle(report: MarketReport, task: TaskSpec, amounts: np.ndarray, times: Se
     report.clamped_entries = int(np.count_nonzero(amounts < 0.0))
     paid = np.where(amounts <= 0.0, 0.0, amounts)
     steps = np.asarray(times)
-    series = {}
     if surplus is not None:
-        series = {**({} if allocations is None else
-                     {"allocations": dict(zip(features, allocations.T))}),
-                  "step": steps, "surplus": surplus,
-                  "central_payment": np.array(list(map(math.fsum, paid.tolist()))),
-                  "payments": dict(zip(features, paid.T)),
-                  "cumulative": dict(zip(features, np.cumsum(paid, axis=0).T))}
-        del report.series  # made from the columns on first read
-    report._book = _Book(features, tuple(owners[k] for k in features), task.central_agent,
-                         report.market, steps, paid, *np.nonzero(paid > 0.0), series)
-    report.ledger = Ledger(book=report._book)
+        report.series = {**({} if allocations is None else
+                            {"allocations": dict(zip(features, allocations.T))}),
+                         "step": steps, "surplus": surplus,
+                         "central_payment": np.array(list(map(math.fsum, paid.tolist()))),
+                         "payments": dict(zip(features, paid.T)),
+                         "cumulative": dict(zip(features, np.cumsum(paid, axis=0).T))}
+    names = tuple((task.central_agent, owners[k], k, report.market) for k in features)
+    report.ledger = Ledger(book=_Book(names, steps, paid, *np.nonzero(paid > 0.0)))
     report.payments = dict(zip(features, map(math.fsum, paid.T.tolist())))
     report.support_share_sum = math.fsum(report.allocations.values())
     agent_feats: dict[str, list[str]] = {}
@@ -793,9 +799,7 @@ def audit_ledger(report: MarketReport) -> AuditResult:
     """Verify the market-design properties on a finished report."""
     checks: dict[str, dict] = {}
 
-    ledger = report.ledger
-    amounts = (ledger._book.gather("amount") if ledger._lists is None
-               else np.array(ledger._lists["amount"], dtype=float))
+    amounts = report.ledger.amount
     ledger_total = math.fsum(amounts.tolist())
     gap = abs(report.central_total - ledger_total)
     tol = 1e-9 * max(abs(report.central_total), 1e-12)
@@ -826,11 +830,10 @@ def audit_ledger(report: MarketReport) -> AuditResult:
     checks["per_agent_additivity"] = {"passed": bool(additivity_ok)}
 
     if report.flag_duplicates:
-        worst = 0.0
-        for group in report.flag_duplicates:
-            pays = [report.payments.get(k, 0.0) for k in group]
-            worst = max(worst, max(pays) - min(pays))
-        ref = max(abs(v) for v in report.payments.values()) if report.payments else 1.0
+        # NumPy's max and min too, so that a NaN payment fails wherever it stands
+        worst = float(np.max([np.ptp([report.payments.get(k, 0.0) for k in group])
+                              for group in report.flag_duplicates]))
+        ref = float(np.max(np.abs(list(report.payments.values())))) if report.payments else 1.0
         checks["symmetry"] = {"passed": bool(worst <= 1e-9 * max(ref, 1.0)),
                               "max_gap": worst}
 

@@ -179,6 +179,16 @@ def test_report_malformed_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "report.json"
     bad.write_text("{not json")
     assert run_cli(["report", str(bad), "--summary"]) == 2
+    # JSON that is not a report: an I/O or parse problem, not an internal error
+    for text, keys in (("[]", None), ('{"market": "x"}', ("central_agent", "per_agent",
+                                                         "payments"))):
+        bad.write_text(text)
+        capsys.readouterr()
+        for j, flag in enumerate(("--summary", "--per-agent", "--per-feature")):
+            assert run_cli(["report", str(bad), flag]) == 2, (text, flag)
+            out, err = capsys.readouterr()
+            why = "not a JSON object" if keys is None else f"it has no key {keys[j]!r}"
+            assert out == "" and err == f"error: {bad} is not a report: {why}\n"
 
 
 def test_market_with_screening_from_config(tmp_path, capsys):

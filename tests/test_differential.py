@@ -16,6 +16,7 @@
 """
 
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -402,14 +403,16 @@ def test_a_settled_ledger_with_quoted_names_matches_the_reference_writers(
     else:
         report = market._settle(report, task, amounts, list(range(len(amounts))),
                                 np.ones(len(amounts)))
-    assert report.ledger._lists is None
     tmp_path = tmp_path_factory.mktemp("quoted")
     settled = written(report, tmp_path / "settled")
     # the reference writers read the series as lists, and the ledger by entry
     assert settled == referenced(report, tmp_path / "reference")
-    report.to_dict()   # the ledger's columns become lists too
-    assert report.ledger._lists is not None
+    report.to_dict()   # makes new lists, and leaves the report as it was
     assert written(report, tmp_path / "as-lists") == settled
+    # the same ledger given as entries is booked with one name row per
+    # distinct names, and writes the same bytes
+    assert written(dataclasses.replace(report, ledger=list(report.ledger)),
+                   tmp_path / "as-entries") == settled
     per_file = tmp_path / "per-file"
     per_file.mkdir()
     per_file_artifacts(report, per_file)
@@ -437,9 +440,8 @@ def test_the_least_ledger_amount_is_nan_wherever_a_nan_stands():
     assert report.audit["checks"]["individual_rationality"] == {
         "passed": True, "min_ledger_amount": 0.5}
     for at in range(3):
-        paid = report._book.paid
+        paid = report.ledger._book.paid
         paid[:, 0] = [0.5, 2.0, 1.0]
         paid[at, 0] = nan
         check = market.audit_ledger(report).checks["individual_rationality"]
         assert not check["passed"] and np.isnan(check["min_ledger_amount"]), at
-    assert report.ledger._lists is None

@@ -640,7 +640,7 @@ def test_online_session_pays_an_all_zero_feature_nothing(loss, init, model_sourc
         else:
             report = run_oos_market(ds, task, model_source=model_source)
         assert report.audit["passed"], seed
-        assert report.payments == {"x2": 0.0} and not report.ledger.amount, seed
+        assert report.payments == {"x2": 0.0} and not report.ledger, seed
 
 
 def test_unpaid_amounts_are_positive_zeros(tmp_path):
@@ -660,7 +660,7 @@ def test_unpaid_amounts_are_positive_zeros(tmp_path):
                for share, paid in zip(series["allocations"][k], series["central_payment"]))
     amounts = [*report.payments.values(), *report.ledger.amount, *series["central_payment"]]
     for k in report.support:
-        amounts += series["payments"][k] + series["cumulative"][k]
+        amounts += [*series["payments"][k], *series["cumulative"][k]]
     assert not any(math.copysign(1.0, v) < 0 for v in amounts)
     report_to_json(report, tmp_path / "report.json")
     write_cumulative_csv(report, tmp_path / "cumulative_revenues.csv")
@@ -854,7 +854,7 @@ def test_audit_flags_negative_ledger_amount():
                           support=("x2",), feature_owners={"x2": "a2"},
                           payments={"x2": -1.0}, per_agent={"a2": -1.0},
                           central_total=-1.0)
-    report.ledger.append(LedgerEntry("batch", "a1", "a2", "x2", -1.0, "batch"))
+    report.ledger = [LedgerEntry("batch", "a1", "a2", "x2", -1.0, "batch")]
     audit = audit_ledger(report)
     assert not audit.checks["individual_rationality"]["passed"]
 
@@ -874,10 +874,27 @@ def test_audit_fails_individual_rationality_on_a_nan_wherever_it_stands(amounts,
                           allocation_policy="shapley", game="support-coalitions",
                           support=tuple(owners), feature_owners=owners,
                           payments=dict(zip(owners, payments)))
-    for t, (k, amount) in enumerate(zip(owners, amounts)):
-        report.ledger.append(LedgerEntry(t, "a1", owners[k], k, amount, "oos"))
+    report.ledger = [LedgerEntry(t, "a1", owners[k], k, amount, "oos")
+                     for t, (k, amount) in enumerate(zip(owners, amounts))]
     check = audit_ledger(report).checks["individual_rationality"]
     assert check["passed"] is passed
+
+
+@pytest.mark.parametrize("payments, passed", [
+    ([1.0, 1.0], True),
+    ([math.nan, 1.0], False),
+    ([1.0, math.nan], False),
+])
+def test_audit_fails_symmetry_on_a_nan_wherever_it_stands(payments, passed):
+    owners = {"x2": "a2", "x3": "a3"}
+    report = MarketReport(market="oos", central_agent="a1", rows=2, phi=1.0,
+                          allocation_policy="shapley", game="support-coalitions",
+                          support=tuple(owners), feature_owners=owners,
+                          payments=dict(zip(owners, payments)),
+                          flag_duplicates=(("x2", "x3"),))
+    check = audit_ledger(report).checks["symmetry"]
+    assert check["passed"] is passed
+    assert math.isnan(check["max_gap"]) is not passed
 
 
 def test_fit_all_coalitions_task_wrapper():

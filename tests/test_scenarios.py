@@ -227,7 +227,7 @@ def test_run_scenario_is_reproducible_end_to_end():
     a = run_scenario("online-quantile", seed=9, T=1200)
     b = run_scenario("online-quantile", seed=9, T=1200)
     assert a["report"].payments == b["report"].payments
-    assert a["report"].series["surplus"] == b["report"].series["surplus"]
+    assert a["report"].series["surplus"].tolist() == b["report"].series["surplus"].tolist()
 
 
 def test_misspelled_override_is_rejected_with_the_accepted_keys():

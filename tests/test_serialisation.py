@@ -1,13 +1,15 @@
 """The artifact writers against plain reference writers, byte for byte.
 
 The references below are the straightforward forms of the byte-format
-contract: ``dataclasses.asdict`` for the report dict, ``json.dump`` with
-``indent=1`` and sorted keys for ``report.json``, and one
-``csv.writer.writerow`` per row for the CSV files.
+contract: ``dataclasses.asdict`` for the report dict, with the series'
+columns as lists, ``json.dump`` with ``indent=1`` and sorted keys for
+``report.json``, and one ``csv.writer.writerow`` per row for the CSV
+files.
 """
 
 import builtins
 import collections
+import copy
 import csv
 import dataclasses
 import gc
@@ -49,12 +51,21 @@ from regmarket.market import (
     MarketReport,
     audit_ledger,
 )
+from regmarket.errors import ParameterError
 
 
 # -- reference writers ---------------------------------------------------------
 
+def series_lists(report: MarketReport) -> dict:
+    """The report's series with each column as a list."""
+    return {name: {k: v.tolist() for k, v in values.items()}
+            if isinstance(values, dict) else values.tolist()
+            for name, values in report.series.items()}
+
+
 def reference_dict(report: MarketReport) -> dict:
     out = asdict(report)
+    out["series"] = series_lists(report)
     out["support"] = list(report.support)
     out["screened_out"] = list(report.screened_out)
     out["flag_duplicates"] = [list(g) for g in report.flag_duplicates]
@@ -88,7 +99,7 @@ def reference_cumulative_csv(report, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "agent", "feature", "amount", "cumulative"])
-        series = report.series
+        series = series_lists(report)
         if series and "payments" in series:
             steps = series["step"]
             for k in sorted(series["payments"]):
@@ -212,6 +223,13 @@ def test_batch_amount_cells_are_plain_floats(tmp_path, game, policy):
                 float(row[column])
 
 
+def written(report, outdir) -> dict[str, bytes]:
+    """The five files as ``write_artifacts`` writes them into ``outdir``."""
+    outdir.mkdir()
+    write_artifacts(report, outdir)
+    return {path.name: path.read_bytes() for path in outdir.iterdir()}
+
+
 def per_file_artifacts(report, outdir):
     """The five files as the benchmark harness writes them: the four
     per-file writers in turn, then the audit by ``json.dump``."""
@@ -305,25 +323,59 @@ def test_hand_built_batch_cumulative_csv(tmp_path):
     assert_artifacts_match(report, tmp_path)
 
 
-def test_a_list_value_whose_repr_holds_a_comma_is_one_cell(tmp_path):
-    # a report read as lists goes to the CSV files through csv.writer, which
-    # quotes the repr "'1,5'" of an amount or a payment edited to a string
+@pytest.mark.parametrize("amount", ["1,5", 1, True, None])
+def test_a_hand_built_ledger_amount_that_is_not_a_float_is_refused(amount):
     report = hand_built_report()
-    report.ledger.amount[0] = report.series["payments"]["x4"][1] = "1,5"
-    assert_artifacts_match(report, tmp_path)
-    for name, width in (("ledger.csv", 6), ("cumulative_revenues.csv", 5)):
-        with open(tmp_path / name, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert {len(row) for row in rows} == {width}
-        assert ["'1,5'"] == [cell for row in rows for cell in row if "1,5" in cell]
+    entries = list(report.ledger)
+    entries[0] = dataclasses.replace(entries[0], amount=amount)
+    with pytest.raises(ParameterError, match="ledger amount must be a float"):
+        report.ledger = entries
+    with pytest.raises(ParameterError, match="ledger amount must be a float"):
+        dataclasses.replace(report, ledger=entries)
+    assert report.ledger[0].amount == 0.1
+
+
+@pytest.mark.parametrize("column", [["1,5", 2.0], [None, 1.0], [True, False], [[1.0], [2.0]],
+                                    2.0, [1 + 2j], [2**64 - 1]])
+def test_a_hand_built_series_column_that_is_not_numeric_is_refused(column):
+    report = hand_built_report()
+    for series in ({**report.series, "surplus": column},
+                   {**report.series, "payments": {**report.series["payments"], "x4": column}}):
+        with pytest.raises(ParameterError, match="series column"):
+            report.series = series
+    with pytest.raises(ParameterError, match="series column"):
+        dataclasses.replace(report, series={"step": column})
+    assert report.series["surplus"].dtype == np.float64
 
 
 def test_to_dict_shares_containers_and_matches_asdict():
     report = hand_built_report()
     out = report.to_dict()
-    assert out["series"] is report.series and out["audit"] is report.audit
+    assert out["audit"] is report.audit and out["metrics"] is report.metrics
     assert json.dumps(out, sort_keys=True) == json.dumps(reference_dict(report), sort_keys=True)
     assert list(out) == list(reference_dict(report))
+    # the series and the ledger are new lists, so editing them leaves the report as it is
+    assert out["series"] is not report.series and type(out["series"]["payments"]["x4"]) is list
+    out["series"]["payments"]["x4"][0] = out["ledger"]["amount"][0] = "1,5"
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(reference_dict(report),
+                                                                      sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", REPORTS)
+def test_copied_and_replaced_reports_write_the_same_bytes(tmp_path, kind):
+    # the copies keep the contract: their columns are read-only too
+    report = REPORTS[kind]()
+    want = written(report, tmp_path / "report")
+    copies = {"deepcopy": copy.deepcopy(report), "replace": dataclasses.replace(report),
+              "entries": dataclasses.replace(report, ledger=list(report.ledger))}
+    for name, other in copies.items():
+        assert written(other, tmp_path / name) == want, name
+        assert asdict(other)["ledger"] == other.ledger
+        for column in [other.ledger.amount, *settled_columns(other, *other.series)]:
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = 0
+    # a ledger given as entries writes the reference writers' bytes
+    assert_artifacts_match(copies["entries"], tmp_path)
 
 
 def test_ledger_entries_have_no_instance_dict():
@@ -405,9 +457,15 @@ def test_ledger_reads_as_a_sequence_of_frozen_entries():
     assert list(ledger) == entries[:2] and entries[1] in ledger
     with pytest.raises(IndexError):
         ledger[2]
-    ledger.append(entries[2])
+    assert not hasattr(ledger, "append")
+    report.ledger = entries
+    ledger = report.ledger
     assert ledger == entries
-    assert ledger.time == [0, 1, "batch"] and ledger.amount == [0.5, 0.25, 1.0]
+    # each column is a new read-only array, its entries the Python scalars given
+    assert ledger.time.tolist() == [0, 1, "batch"] and ledger.amount.tolist() == [0.5, 0.25, 1.0]
+    assert ledger.payee.tolist() == ["a2", "a3", "a2"] and ledger.market.tolist()[-1] == "batch"
+    assert ledger.amount is not ledger.amount and not ledger.amount.flags.writeable
+    assert [type(e.time) for e in ledger] == [int, int, str]
     replaced = dataclasses.replace(report, ledger=entries[::-1])
     assert isinstance(replaced.ledger, Ledger) and replaced.ledger == entries[::-1]
     replaced.ledger = entries[:1]
@@ -454,12 +512,14 @@ def test_a_settled_report_keeps_its_series_and_ledger_as_columns(kind):
 
 
 def test_a_report_read_as_lists_keeps_no_lines_after_it_is_written(tmp_path):
-    # the writers keep the lines of settled columns only: a series and a
-    # ledger read as lists are written by json and repr, and keep nothing
+    # to_dict() makes new lists and the report keeps none of them, so the
+    # writers format its columns and keep nothing
     spec = scenarios.ScenarioSpec("online-arx", T=2000, seed=1)
     ds, _ = scenarios.generate(spec)
     report = run_online_market(ds, scenarios.task_for_case(spec))
-    assert len(report.series["step"]) > 1000 and len(report.ledger.amount) > 1000
+    lists = report.to_dict()
+    assert len(lists["series"]["step"]) > 1000 and len(lists["ledger"]["amount"]) > 1000
+    del lists
     write_artifacts(clear_batch_market(two_feature_dataset(300, 1),
                                        two_feature_task(phi_insample=0.1)), tmp_path)
     tracemalloc.start()
@@ -498,18 +558,19 @@ def test_artifacts_are_identical_when_written_again_after_another_report(tmp_pat
     (0.5, float("nan")),
     (1.0, 1),               # the same float64 bytes, different text
 ])
-def test_csv_writers_see_lists_changed_in_place_after_the_json(tmp_path, before, after):
+def test_an_edit_through_a_column_raises_and_moves_no_byte(tmp_path, before, after):
+    # the series' columns and the ledger's are read-only, so no edit made
+    # between two writes reaches the second
     report = oos_report()
-    pays = report.series["payments"]["x2"]
-    amounts = report.ledger.amount
-    pays[5] = amounts[5] = before
-    report_to_json(report, tmp_path / "report.json")
-    pays[5] = amounts[5] = after
-    for name in ("cumulative_revenues.csv", "ledger.csv"):
-        write, reference = WRITERS[name]
-        write(report, tmp_path / name)
-        reference(report, tmp_path / f"ref-{name}")
-        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+    want = written(report, tmp_path / "first")
+    series, ledger = report.series, report.ledger
+    columns = [series["payments"]["x2"], series["cumulative"]["x3"], series["surplus"],
+               series["step"], ledger.amount, ledger.time, ledger.payee]
+    for column in columns:
+        for value in (before, after):
+            with pytest.raises(ValueError, match="read-only"):
+                column[5] = value
+    assert written(report, tmp_path / "second") == want
     assert_artifacts_match(report, tmp_path)
 
 
@@ -554,11 +615,14 @@ def test_ledger_times_and_amounts_are_formatted_from_gathers(tmp_path, monkeypat
 
 
 def test_ledger_amounts_not_in_the_series_are_formatted_by_repr(tmp_path):
-    # a ledger edited after settling holds floats that no series holds
+    # a ledger edited after settling, and booked again entry by entry, holds
+    # floats that no series holds; each is written as repr writes it
     report = run_online_market(two_feature_dataset(400, 2), two_feature_task(phi_insample=0.1))
-    amounts = report.ledger.amount
-    amounts[0] = amounts[0] + 1.0
-    amounts[1] = float(repr(amounts[1]))
+    entries = list(report.ledger)
+    entries[0] = dataclasses.replace(entries[0], amount=entries[0].amount + 1.0)
+    entries[1] = dataclasses.replace(entries[1], amount=float(repr(entries[1].amount)))
+    report.ledger = entries
+    assert report.ledger.amount[0] not in report.series["payments"][entries[0].feature]
     assert_artifacts_match(report, tmp_path)
 
 
@@ -589,7 +653,8 @@ LEDGER_EDITS = st.sampled_from(["none", "equal", "negative-zero", "nan", "append
 
 def settled_report(amounts: np.ndarray, edit: str, at: int) -> MarketReport:
     """A report settled from a ``(T, K)`` matrix of pre-clamp payments by
-    the markets' own booking, with its ledger edited after booking."""
+    the markets' own booking, with its ledger edited as entries after
+    booking and booked again."""
     K = amounts.shape[1]
     features = tuple(f"x{j}" for j in range(K))
     owners = {k: f"a{j % 2 + 2}" for j, k in enumerate(features)}
@@ -603,16 +668,18 @@ def settled_report(amounts: np.ndarray, edit: str, at: int) -> MarketReport:
         return market._settle(report, task, amounts[:1], ["batch"])
     report = market._settle(report, task, amounts, list(range(len(amounts))),
                             np.ones(len(amounts)))
-    ledger = report.ledger
-    i = at % max(len(ledger), 1)
+    entries = list(report.ledger)
+    i = at % max(len(entries), 1)
     if edit == "append":
-        ledger.append(LedgerEntry(len(amounts), "a1", owners["x0"], "x0", 0.5, "oos"))
-    elif ledger and edit == "remove":
-        for column in ledger._columns():
-            del column[i]
-    elif ledger and edit != "none":
-        ledger.amount[i] = {"equal": float(repr(ledger.amount[i])), "negative-zero": -0.0,
-                            "nan": float("nan")}[edit]
+        entries.append(LedgerEntry(len(amounts), "a1", owners["x0"], "x0", 0.5, "oos"))
+    elif entries and edit == "remove":
+        del entries[i]
+    elif entries and edit != "none":
+        amount = {"equal": float(repr(entries[i].amount)), "negative-zero": -0.0,
+                  "nan": float("nan")}[edit]
+        entries[i] = dataclasses.replace(entries[i], amount=amount)
+    if edit != "none":
+        report.ledger = entries
     return report
 
 
@@ -638,23 +705,22 @@ def test_gathered_ledger_amounts_match_the_reference_writers(tmp_path_factory, m
 
 @pytest.mark.parametrize("edit", ["equal", "negative-zero", "nan", "append", "remove"])
 def test_an_edited_streamed_ledger_formats_every_amount_by_repr(tmp_path, monkeypatch, edit):
-    # a ledger read as lists takes no line from the series, written before
-    # it or not: ledger.csv puts each of its amounts through repr once
+    # a ledger edited as entries is booked again, and takes no line from the
+    # series, written before it or not: ledger.csv formats the gather of its
+    # amounts in one orjson call, each cell as repr writes it, and puts only
+    # a NaN through repr; its times, now objects, are cells as csv writes them
     report = settled_report(np.array([[0.5, 0.0, 2.0], [0.25, 0.0, -1.0], [1.0, 0.0, 3.0]]),
                             edit, 1)
     report_to_json(report, tmp_path / "report.json")
-    calls = collections.Counter()
-
-    def counting_repr(value):
-        calls[id(value)] += 1
-        return builtins.repr(value)
-
-    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
+    reprs = count_float_reprs(monkeypatch)
+    calls = count_formatted_columns(monkeypatch)
     write_ledger_csv(report, tmp_path / "ledger.csv")
     monkeypatch.undo()
     amounts = report.ledger.amount
-    assert [calls[id(a)] for a in amounts] == [1] * len(amounts)
-    assert sum(calls.values()) == len(amounts)
+    assert calls == [column_key(amounts)]
+    assert len(reprs) == int(np.isnan(amounts).sum()) == (edit == "nan")
+    with open(tmp_path / "ledger.csv", newline="") as fh:
+        assert [row["amount"] for row in csv.DictReader(fh)] == list(map(repr, amounts.tolist()))
     assert_artifacts_match(report, tmp_path)
 
 
@@ -668,7 +734,7 @@ def test_ledger_cells_of_equal_values_of_different_types(tmp_path):
 
 def test_non_int_steps_and_times_are_cells_as_csv_writes_them(tmp_path):
     report = hand_built_report()
-    report.series["step"] = ["a,b", None, 2.5]
+    report.series = {**report.series, "step": [-0.5, 1e-05, 2.5]}
     report.ledger = [LedgerEntry(t, "ä1", "a3", "x4", 0.5, "oos")
                      for t in (None, 'x "y"', 1.5, 2)]
     assert_artifacts_match(report, tmp_path)
@@ -689,8 +755,8 @@ def bits(values) -> np.ndarray:
 
 
 def settled_columns(report, *names) -> list[np.ndarray]:
-    """Every column of the settled series ``names``."""
-    series = report._series_columns()
+    """Every column of the series ``names``."""
+    series = report.series
     return [column for name in names if name in series
             for column in (series[name].values() if isinstance(series[name], dict)
                            else [series[name]])]
@@ -707,7 +773,7 @@ def written_columns(report, writer: str) -> collections.Counter:
               "cumulative_revenues.csv": ("step", "payments", "cumulative")}.get(writer, ())
     ledger = ("time", "amount") if writer in ("report.json", "ledger.csv") else ()
     return collections.Counter(map(column_key, settled_columns(report, *series)
-                                   + [report._book.gather(name) for name in ledger]))
+                                   + [getattr(report.ledger, name) for name in ledger]))
 
 
 def count_float_reprs(monkeypatch) -> list:
@@ -829,7 +895,7 @@ def test_settled_columns_are_formatted_once_per_writer(tmp_path_factory, case):
                             list(range(len(amounts))), surplus)
     # the report keeps the clamped matrix and its series as float64 columns
     paid = np.where(amounts <= 0.0, 0.0, amounts)
-    columns = report._series_columns()
+    columns = report.series
     assert all(c.dtype == np.float64 for c in settled_columns(report, *SERIES_FLOATS))
     assert np.array_equal(bits(columns["surplus"]), bits(surplus))
     assert np.array_equal(bits(columns["central_payment"]),
